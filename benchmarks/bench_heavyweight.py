@@ -83,11 +83,8 @@ def test_heavyweight_comparison(benchmark, capsys):
                                      options=Options(log_target="capture"))
                 ) / t_nat,
                 "memcheck": _time(
-                    lambda: run_tool(
-                        "memcheck", wl.image,
-                        options=Options(log_target="capture",
-                                        tool_options=["--leak-check=no"]),
-                    )
+                    lambda: run_tool("memcheck", wl.image,
+                                     options=Options(log_target="capture"))
                 ) / t_nat,
             })
         return rows

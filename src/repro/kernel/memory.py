@@ -128,6 +128,16 @@ class GuestMemory:
             yield start << PAGE_SHIFT, (j - i + 1) << PAGE_SHIFT, prot
             i = j + 1
 
+    def pages(self) -> Iterator[Tuple[int, bytearray, int]]:
+        """Yield ``(page number, contents, prot)`` for every mapped page,
+        in address order.  *contents* is the live page buffer, handed out
+        without a permission check (like :meth:`read_raw`) for whole-page
+        scans; callers must not write through it."""
+        pages = self._pages
+        for pn in sorted(pages):
+            data, prot = pages[pn]
+            yield pn, data, prot
+
     # -- raw access (no permission checks; used by the loader and kernel) ------
 
     def write_raw(self, addr: int, data: bytes) -> None:

@@ -183,6 +183,18 @@ class ShadowMemory:
             return VBITS_DEF
         return page[1][addr & _PMASK]
 
+    def page_abits(self, pn: int):
+        """The A bits of page *pn*, one byte per guest byte, for
+        whole-page scans: ``None`` if the page is entirely noaccess,
+        otherwise a read-only ``PAGE_SIZE``-byte sequence.  A pure read —
+        it never promotes a distinguished secondary."""
+        page = self._pages.get(pn, self._default)
+        if page is _NOACCESS:
+            return None
+        if page is _DEFINED or page is _UNDEFINED:
+            return _A_ONES
+        return memoryview(page[0]).toreadonly()
+
     def set_vbyte(self, addr: int, v: int) -> None:
         addr &= _M32
         pair = self._private(addr >> PAGE_SHIFT)

@@ -18,21 +18,39 @@ mechanism (requirement R8).
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from ...core.tool import Tool
 from ...guest.regs import GUEST_STATE_SIZE, SHADOW_OFFSET
 from ...ir.block import IRSB
 from ...ir.types import Ty
-from ...kernel.memory import GuestFault
+from ...kernel.memory import PROT_READ, GuestFault
 from ...libc.hostlib import HDR_SIZE
 from .instrument import LOADV, MemcheckInstrumenter, STOREV, VALUE_CHECK
 from .shadow import PAGE_SHIFT, PAGE_SIZE, ShadowMemory
 
 _PMASK = PAGE_SIZE - 1
-
 M32 = 0xFFFFFFFF
+
+#: Leak-scan page helpers: an all-zero page holds no heap pointer, and
+#: the byte offsets of a page's aligned words.
+_ZERO_PAGE = bytes(PAGE_SIZE)
+_WORD_OFFSETS = range(0, PAGE_SIZE, 4)
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _words(buf) -> array:
+    """Decode *buf* (bytes or bytearray) as little-endian u32 words."""
+    words = array("I", buf)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
 
 #: Memcheck's client-request range ('MC' << 16).
 MC_BASE = 0x4D43_0000
@@ -433,58 +451,8 @@ class Memcheck(Tool):
 
     def leak_check(self, *, full: bool = False) -> dict:
         """Mark-and-sweep reachability over live heap blocks."""
-        mem = self.core.memory
         starts = sorted(self.blocks)
-
-        def block_at(ptr: int) -> Optional[int]:
-            import bisect
-
-            i = bisect.bisect_right(starts, ptr) - 1
-            if i < 0:
-                return None
-            p = starts[i]
-            if p <= ptr < p + max(1, self.blocks[p].size):
-                return p
-            return None
-
-        # Roots: all guest registers of all threads, plus every addressable
-        # word outside the heap blocks themselves.
-        reached: set = set()
-        frontier: List[int] = []
-
-        def note(ptr: int) -> None:
-            p = block_at(ptr)
-            if p is not None and p not in reached:
-                reached.add(p)
-                frontier.append(p)
-
-        sched = self.core.scheduler
-        if sched is not None:
-            for ts in sched.threads.values():
-                for i in range(8):
-                    note(ts.reg(i))
-        heap_ranges = [(p, p + self.blocks[p].size) for p in starts]
-
-        def in_heap(addr: int) -> bool:
-            import bisect
-
-            i = bisect.bisect_right(heap_ranges, (addr, 1 << 33)) - 1
-            return i >= 0 and heap_ranges[i][0] <= addr < heap_ranges[i][1]
-
-        for start, size, _prot in mem.mapped_ranges():
-            for a in range(start, start + size - 3, 4):
-                if in_heap(a):
-                    continue
-                if self.shadow.get_abit(a) == 0:
-                    continue
-                note(mem.load32(a))
-        # Transitively scan reached blocks.
-        while frontier:
-            p = frontier.pop()
-            blk = self.blocks[p]
-            for a in range(p, p + blk.size - 3, 4):
-                note(mem.load32(a))
-
+        reached = self._reachable(starts) if starts else set()
         lost = [p for p in starts if p not in reached]
         lost_bytes = sum(self.blocks[p].size for p in lost)
         reach_bytes = sum(self.blocks[p].size for p in reached)
@@ -510,6 +478,69 @@ class Memcheck(Tool):
                 for fr in frames[:6]:
                     self.core.log(f"     at {fr.describe()}")
         return result
+
+    def _reachable(self, starts: List[int]) -> set:
+        """The live blocks (payload addresses, *starts* sorted) reachable
+        from the roots.
+
+        Roots are every thread's registers plus each aligned word of
+        readable, addressable mapped memory that does not lie inside a
+        live block; a word inside a reached block reaches further.  A
+        pointer reaches block ``p`` when it lies in ``[p, p + size)``
+        (``[p, p + 1)`` for a zero-size block).
+
+        Memory is scanned a page at a time, the way the two-level shadow
+        table lets real Memcheck skip unaddressable memory a secondary at
+        a time: unreadable, entirely-noaccess and all-zero pages (no
+        block starts at 0) are skipped whole, and the rest is decoded in
+        one go, with only words inside the live-heap span tested further.
+        """
+        blocks = self.blocks
+        ends = [p + max(1, blocks[p].size) for p in starts]
+        heap_ends = [p + blocks[p].size for p in starts]
+        in_span = range(starts[0], max(ends)).__contains__
+        reached: set = set()
+        frontier: List[int] = []
+
+        def note(ptr: int) -> None:
+            i = bisect_right(starts, ptr) - 1
+            if i >= 0 and ptr < ends[i]:
+                p = starts[i]
+                if p not in reached:
+                    reached.add(p)
+                    frontier.append(p)
+
+        sched = self.core.scheduler
+        if sched is not None:
+            for ts in sched.threads.values():
+                for i in range(8):
+                    note(ts.reg(i))
+
+        mem = self.core.memory
+        shadow = self.shadow
+        for pn, data, prot in mem.pages():
+            if not prot & PROT_READ:
+                continue
+            abits = shadow.page_abits(pn)
+            if abits is None or data == _ZERO_PAGE:
+                continue
+            words = _words(data)
+            base = pn << PAGE_SHIFT
+            for off in compress(_WORD_OFFSETS, map(in_span, words)):
+                if not abits[off]:
+                    continue
+                a = base + off
+                i = bisect_right(starts, a) - 1
+                if i < 0 or a >= heap_ends[i]:
+                    note(words[off >> 2])
+
+        while frontier:
+            p = frontier.pop()
+            n = blocks[p].size >> 2
+            if n:
+                for w in filter(in_span, _words(mem.read_raw(p, n << 2))):
+                    note(w)
+        return reached
 
     # -- client requests ----------------------------------------------------------------------------
 

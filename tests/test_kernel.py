@@ -108,6 +108,17 @@ class TestGuestMemory:
         assert (0x1000, 2 * PAGE_SIZE, PROT_RW) in ranges
         assert (0x3000, PAGE_SIZE, PROT_RX) in ranges
 
+    def test_pages_in_address_order(self):
+        m = GuestMemory()
+        m.map(0x3000, PAGE_SIZE, PROT_RX)
+        m.map(0x1000, PAGE_SIZE, PROT_RW)
+        m.write(0x1004, b"abc")
+        pages = list(m.pages())
+        assert [(pn, prot) for pn, _, prot in pages] == [(1, PROT_RW),
+                                                        (3, PROT_RX)]
+        assert bytes(pages[0][1][4:7]) == b"abc"
+        assert len(pages[1][1]) == PAGE_SIZE
+
     def test_typed_access(self):
         m = GuestMemory()
         m.map(0x1000, PAGE_SIZE, PROT_RW)

@@ -389,6 +389,29 @@ keep:   .word 0
         assert res.tool._leak_result["still_reachable_bytes"] == 32
         assert res.tool._leak_result["definitely_lost_bytes"] == 0
 
+    def test_unreadable_page_is_not_scanned(self):
+        # mmap(0, 4096, PROT_WRITE): addressable but unreadable.  The scan
+        # covers readable memory only, so it neither faults on the page
+        # nor counts the pointer stored there as a root.
+        res = mc("""
+        .text
+main:   movi r0, 7
+        movi r1, 0
+        movi r2, 4096
+        movi r3, 2
+        syscall
+        mov  r6, r0
+        pushi 40
+        call malloc
+        addi sp, 4
+        st   [r6], r0        ; the only pointer, in the write-only page
+        movi r0, 0
+        ret
+""")
+        assert res.exit_code == 0
+        assert res.tool._leak_result["definitely_lost_bytes"] == 40
+        assert res.tool._leak_result["still_reachable_blocks"] == 0
+
     def test_leak_check_off(self):
         res = vg(self.LEAKY, "memcheck",
                  options=Options(log_target="capture",

@@ -6,7 +6,8 @@ the obviously-correct implementation the paper's two-level table
 optimises.  Random operation sequences (deliberately biased toward page
 boundaries, whole-page ranges, and page-crossing ranges) must leave both
 models observationally equal, including after copy-on-write promotion of
-distinguished secondaries.  A second group checks the fast-map
+distinguished secondaries, and the read-only whole-page A-bit view the
+leak scan uses must match too.  A second group checks the fast-map
 invariants the pygen inline paths rely on, and that the codegen helper
 tables stay in sync with the instrumenter's helper names.
 """
@@ -156,6 +157,22 @@ def check_equal(sm, ref, probes):
         assert sm.load_vbits(addr, lsz) == ref.load_vbits(addr, lsz)
 
 
+def check_page_abits(sm, ref):
+    """``page_abits`` agrees with the per-byte A bits, hands out nothing
+    writable and, being a pure read, changes no page-table statistic."""
+    before = sm.stats_dict()
+    for base in range(BASE, BASE + SPAN, PAGE_SIZE):
+        want = bytes(ref.get_abit(base + i) for i in range(PAGE_SIZE))
+        got = sm.page_abits(base // PAGE_SIZE)
+        if got is None:
+            assert want == bytes(PAGE_SIZE)
+            continue
+        assert bytes(got) == want
+        with pytest.raises(TypeError):
+            got[0] = 1
+    assert sm.stats_dict() == before
+
+
 class TestShadowEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -170,6 +187,7 @@ class TestShadowEquivalence:
             apply(sm, op, arg)
             apply(ref, op, arg)
         check_equal(sm, ref, probes)
+        check_page_abits(sm, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(
