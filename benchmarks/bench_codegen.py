@@ -1,4 +1,4 @@
-"""Codegen-tier ablation: refcpu / default / ``--perf`` / pygen / auto.
+"""Codegen-tier ablation: refcpu / default / chained closures / pygen.
 
 The pygen tier (see :mod:`repro.backend.pygen`) compiles each
 register-allocated block to one specialized CPython function — the
@@ -8,17 +8,15 @@ workloads (the Table 2 subset used by ``bench_dispatcher``):
 
 * ``native``  — the reference CPU, no Valgrind (baseline wall clock);
 * ``default`` — the paper-faithful closure engine;
-* ``perf``    — the PR-1 hot path (content-addressed runners, chaining,
-  megacache);
-* ``pygen``   — perf dispatch + every block in the pygen tier;
-* ``auto``    — perf dispatch + closure runners promoted to pygen at
-  ``--jit-threshold`` executions.
+* ``chained`` — the closure tier under the chained loop (``--chaining``);
+* ``pygen``   — the same chained loop with every block in the pygen tier.
 
-Gate: pygen must clear a 2x blocks/sec geomean over perf for Nulgrind
-(1.6x for Memcheck, which leans on the inlined LOADV/STOREV fast paths
-— see ``--memcheck-fastpath``), with byte-identical output everywhere.
-Results are also written machine-readable to ``BENCH_codegen.json`` at
-the repo root for trend tracking across PRs.
+The tier ratio pygen/chained compares two tiers under one dispatch loop,
+so it isolates what the block tier buys.  Gate: see ``GATES`` (separate
+bars for Nulgrind and for Memcheck, whose pygen code inlines the
+LOADV/STOREV fast paths — see ``--memcheck-fastpath``), with
+byte-identical output everywhere.  Results are also written machine-readable to
+``BENCH_codegen.json`` at the repo root for trend tracking across PRs.
 """
 
 import json
@@ -42,13 +40,21 @@ PROGRAMS = ("gzip", "mcf", "twolf", "swim")
 #: several times slower and add no new tiering behaviour).
 MEMCHECK_PROGRAMS = ("gzip", "mcf")
 
-ENGINES = ("default", "perf", "pygen", "auto")
+ENGINES = ("default", "chained", "pygen")
 _ENGINE_OPTS = {
     "default": {},
-    "perf": {"perf": True},
-    "pygen": {"perf": True, "codegen": "pygen"},
-    "auto": {"perf": True, "codegen": "auto"},
+    "chained": {"chaining": True},
+    "pygen": {"chaining": True, "codegen": "pygen"},
 }
+
+#: Geomean pygen/chained blocks/sec gates (Nulgrind, Memcheck).  Tiny
+#: --quick/smoke scales dilute blocks/sec with per-run translation time
+#: that a long-running process amortises, so they get their own bars.
+#: Each keeps the margin the retired pygen/perf gate had against its
+#: committed ratio (2.0x vs 2.28x Nulgrind, 1.6x vs 2.05x Memcheck; 1.2x
+#: for both under --quick), applied to the measured pygen/chained median
+#: (full: 3.81x / 7.24x; quick: 2.48x / 4.29x).
+GATES = {"full": (3.3, 5.7), "quick": (1.3, 2.5)}
 
 JSON_PATH = pathlib.Path(__file__).parent.parent / "BENCH_codegen.json"
 
@@ -92,8 +98,8 @@ def _run_suite():
 
 
 def test_codegen_tiers(benchmark, capsys):
-    # One warm-up round fills the process-wide runner/pygen source caches,
-    # as in any long-running use; timings come from the second round.
+    # One warm-up round fills the process-wide pygen source caches, as in
+    # any long-running use; timings come from the second round.
     rows = benchmark.pedantic(_run_suite, rounds=1, iterations=1,
                               warmup_rounds=1)
 
@@ -102,23 +108,23 @@ def test_codegen_tiers(benchmark, capsys):
         "",
         f"{'program':8s} {'tool':9s} "
         + "".join(f"{e:>10}" for e in ENGINES)
-        + f" {'pygen/perf':>11}",
+        + f" {'pygen/chained':>14}",
     ]
     ratios = {"none": [], "memcheck": []}
     for row in rows:
-        ratio = row["pygen"]["blocks_per_s"] / row["perf"]["blocks_per_s"]
+        ratio = row["pygen"]["blocks_per_s"] / row["chained"]["blocks_per_s"]
         ratios[row["tool"]].append(ratio)
-        row["pygen_vs_perf"] = ratio
+        row["pygen_vs_chained"] = ratio
         lines.append(
             f"{row['program']:8s} {row['tool']:9s} "
             + "".join(f"{row[e]['blocks_per_s']:>10.0f}" for e in ENGINES)
-            + f" {ratio:>10.2f}x"
+            + f" {ratio:>13.2f}x"
         )
     gm_nulgrind = geomean(ratios["none"])
     gm_memcheck = geomean(ratios["memcheck"])
     lines += [
         "-" * 72,
-        f"geomean pygen/perf blocks/sec: Nulgrind {gm_nulgrind:.2f}x, "
+        f"geomean pygen/chained blocks/sec: Nulgrind {gm_nulgrind:.2f}x, "
         f"Memcheck {gm_memcheck:.2f}x",
         "",
         "every engine produced byte-identical output to the native run.",
@@ -130,27 +136,15 @@ def test_codegen_tiers(benchmark, capsys):
         "engines": list(ENGINES),
         "rows": rows,
         "geomean": {
-            "nulgrind_pygen_vs_perf": gm_nulgrind,
-            "memcheck_pygen_vs_perf": gm_memcheck,
+            "nulgrind_pygen_vs_chained": gm_nulgrind,
+            "memcheck_pygen_vs_chained": gm_memcheck,
         },
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    # The tiering gate.  Tiny --quick/smoke scales dilute blocks/sec with
-    # per-run translation time that a long-running process amortises; the
-    # full bands apply at the default scale and above.
-    if CG_SCALE >= 0.2:
-        assert gm_nulgrind >= 2.0, gm_nulgrind
-        assert gm_memcheck >= 1.6, gm_memcheck
-    else:
-        assert gm_nulgrind >= 1.2, gm_nulgrind
-        assert gm_memcheck >= 1.2, gm_memcheck
-    # auto must eventually reach pygen-tier throughput territory: better
-    # than plain perf on the Nulgrind rows.
-    auto = geomean([
-        r["auto"]["blocks_per_s"] / r["perf"]["blocks_per_s"]
-        for r in rows if r["tool"] == "none"
-    ])
-    assert auto > 1.0, auto
+    # The tiering gate; the full bars apply at the default scale and above.
+    gate_nulgrind, gate_memcheck = GATES["full" if CG_SCALE >= 0.2 else "quick"]
+    assert gm_nulgrind >= gate_nulgrind, gm_nulgrind
+    assert gm_memcheck >= gate_memcheck, gm_memcheck
 
     save_and_show(capsys, "codegen", lines)

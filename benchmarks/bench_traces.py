@@ -10,7 +10,7 @@ the Python analogue of Valgrind's chained-and-inlined hot paths.
 
 This bench reuses the ``bench_codegen`` program set and measures
 
-* ``pygen``  — perf dispatch, every block its own pygen function;
+* ``pygen``  — chained dispatch, every block its own pygen function;
 * ``traces`` — the same, plus superblocks over hot chains.
 
 Gate: traces must clear a 1.15x blocks/sec geomean over pygen for
@@ -38,8 +38,8 @@ PROGRAMS = ("gzip", "mcf", "twolf", "swim")
 
 ENGINES = ("pygen", "traces")
 _ENGINE_OPTS = {
-    "pygen": {"perf": True, "codegen": "pygen"},
-    "traces": {"perf": True, "codegen": "traces"},
+    "pygen": {"chaining": True, "codegen": "pygen"},
+    "traces": {"chaining": True, "codegen": "traces"},
 }
 
 JSON_PATH = pathlib.Path(__file__).parent.parent / "BENCH_traces.json"

@@ -55,7 +55,6 @@ from .api import (
     replay_bundle,
     run,
     run_fleet,
-    run_job,
 )
 from .core.tool import Tool
 from .core.valgrind import Valgrind, VgResult, run_tool
@@ -84,7 +83,6 @@ __all__ = [
     "RetryPolicy",
     "WatchdogConfig",
     "replay_bundle",
-    "run_job",
     "Tool",
     "Valgrind",
     "VgResult",

@@ -12,9 +12,7 @@ Everything an embedder needs lives here, under compatibility guarantees:
   cross-process translation cache directory.
 
 The CLI (:mod:`repro.cli`) and the fleet workers are thin callers of
-this module.  The historical deep entry points
-(``repro.core.supervisor.run_job`` / ``replay_bundle``) keep working via
-deprecation shims that forward here byte-compatibly.
+this module.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .guest.program import VxImage
 
 __all__ = [
     "run",
-    "run_job",
     "run_fleet",
     "replay",
     "replay_bundle",
@@ -162,11 +159,6 @@ def run(
         stats=stats,
         replay_exhausted_at=vg.scheduler.replay_exhausted_at,
     )
-
-
-#: Historical name, kept as a first-class alias (no deprecation: the
-#: *name* run_job is fine, only the deep import path is deprecated).
-run_job = run
 
 
 # -- fleets --------------------------------------------------------------------

@@ -51,75 +51,6 @@ from .hostisa import (
 )
 
 
-#: Process-wide runner source -> code object cache (see _build_runner).
-_RUNNER_SRC_CACHE: Dict[str, object] = {}
-
-
-def _build_op_inline() -> Dict[str, str]:
-    """Expression templates for the hot integer ops ({a}/{b} placeholders).
-
-    Register values are kept masked-unsigned by every op, so templates can
-    rely on inputs already fitting their width.  Ops without an entry
-    (Sar, div/mod, FP, SIMD, ...) fall back to calling the registered
-    semantic function.  ``tests/test_perf_mode.py`` cross-checks every
-    template against its :mod:`repro.ir.ops` function.
-    """
-    e: Dict[str, str] = {}
-    for w in (8, 16, 32, 64):
-        m = (1 << w) - 1
-        sb = 1 << (w - 1)
-        sext_a = f"({{a}} - (({{a}} & {sb}) << 1))"
-        sext_b = f"({{b}} - (({{b}} & {sb}) << 1))"
-        e[f"Add{w}"] = f"(({{a}} + {{b}}) & {m})"
-        e[f"Sub{w}"] = f"(({{a}} - {{b}}) & {m})"
-        e[f"Mul{w}"] = f"(({{a}} * {{b}}) & {m})"
-        e[f"And{w}"] = "({a} & {b})"
-        e[f"Or{w}"] = "({a} | {b})"
-        e[f"Xor{w}"] = "({a} ^ {b})"
-        e[f"Shl{w}"] = f"((({{a}} << {{b}}) & {m}) if {{b}} < {w} else 0)"
-        e[f"Shr{w}"] = "({a} >> {b})"
-        e[f"Not{w}"] = f"({{a}} ^ {m})"
-        e[f"Neg{w}"] = f"(-{{a}} & {m})"
-        e[f"CmpEQ{w}"] = "(1 if {a} == {b} else 0)"
-        e[f"CmpNE{w}"] = "(1 if {a} != {b} else 0)"
-        e[f"CmpLT{w}U"] = "(1 if {a} < {b} else 0)"
-        e[f"CmpLE{w}U"] = "(1 if {a} <= {b} else 0)"
-        e[f"CmpLT{w}S"] = f"(1 if {sext_a} < {sext_b} else 0)"
-        e[f"CmpLE{w}S"] = f"(1 if {sext_a} <= {sext_b} else 0)"
-        e[f"CmpNEZ{w}"] = "(1 if {a} else 0)"
-        e[f"CmpEQZ{w}"] = "(0 if {a} else 1)"
-    e["And1"] = "({a} & {b})"
-    e["Or1"] = "({a} | {b})"
-    e["Xor1"] = "({a} ^ {b})"
-    e["Not1"] = "({a} ^ 1)"
-    for s in (8, 16, 32):
-        for d in (16, 32, 64):
-            if d > s:
-                sb = 1 << (s - 1)
-                e[f"{s}Uto{d}"] = "{a}"
-                e[f"{s}Sto{d}"] = (
-                    f"(({{a}} - (({{a}} & {sb}) << 1)) & {(1 << d) - 1})"
-                )
-    for s in (16, 32, 64):
-        for d in (1, 8, 16, 32):
-            if d < s:
-                e[f"{s}to{d}"] = f"({{a}} & {(1 << d) - 1})"
-    e["1Uto8"] = e["1Uto32"] = e["1Uto64"] = "{a}"
-    for d in (8, 16, 32, 64):
-        e[f"1Sto{d}"] = f"({(1 << d) - 1} if {{a}} else 0)"
-    e["64HIto32"] = "({a} >> 32)"
-    e["32HIto16"] = "({a} >> 16)"
-    e["16HIto8"] = "({a} >> 8)"
-    e["32HLto64"] = "(({a} << 32) | {b})"
-    e["16HLto32"] = "(({a} << 16) | {b})"
-    e["8HLto16"] = "(({a} << 8) | {b})"
-    return e
-
-
-#: Op name -> inline expression template used by the runner generator.
-OP_INLINE: Dict[str, str] = _build_op_inline()
-
-
 class HostCPU:
     """Executes assembled host code against a ThreadState + guest memory."""
 
@@ -146,12 +77,6 @@ class HostCPU:
         #: reached (set by TRACEMARK); the dispatcher reads it back to
         #: account completed blocks exactly on trace faults/side exits.
         self.trace_blocks = 0
-        #: Content-addressed compiled-code cache (perf mode): host code
-        #: bytes -> one shared block runner.  Identical blocks — common in
-        #: loop-heavy workloads — compile exactly once.
-        self._code_cache: Dict[bytes, Callable] = {}
-        self.code_cache_hits = 0
-        self.code_cache_misses = 0
         #: Content-addressed pygen-tier cache (see repro.backend.pygen):
         #: host code bytes -> one shared specialized-function runner.
         self._pygen_cache: Dict[bytes, Callable] = {}
@@ -568,33 +493,31 @@ class HostCPU:
         self.host_insns += n
         raise RuntimeError("translation fell off the end (missing RET)")
 
-    # -- perf mode: content-addressed block compilation ---------------------------
-
     def compile_fn(self, code: bytes) -> Callable:
-        """Compile assembled bytes into a single block-runner function.
+        """Compile assembled bytes into a closure-tier block runner.
 
-        The result is memoized content-addressed (keyed by the code bytes
-        themselves), so byte-identical translations share one runner and
-        pay the compilation cost once.  The runner has the signature
-        ``runner(ts) -> (jump-kind, guest_insns)`` — semantically identical
-        to ``run(compile(code), ts)`` but without the closure-dispatch
-        loop's per-instruction overhead.
+        The runner has the signature every tier's
+        ``Translation.compiled_fn`` shares,
+        ``runner(ts) -> (jump-kind, guest_insns)``, and is exactly
+        ``run(compile(code), ts)``.
         """
-        fn = self._code_cache.get(code)
-        if fn is not None:
-            self.code_cache_hits += 1
-            return fn
-        self.code_cache_misses += 1
-        fn = self._build_runner(decode_insns(code))
-        self._code_cache[code] = fn
-        return fn
+        compiled = self.compile(code)
+        run = self.run
+
+        def runner(ts):
+            return run(compiled, ts)
+
+        return runner
 
     def compile_pygen(self, code: bytes) -> Callable:
         """Compile assembled bytes into a pygen-tier specialized function.
 
-        Content-addressed exactly like :meth:`compile_fn`; the runner has
-        the same ``runner(ts) -> (jump-kind, guest_insns)`` signature, so
-        the tiers are interchangeable mid-run (see repro.backend.pygen).
+        Memoized content-addressed (keyed by the code bytes themselves),
+        so byte-identical translations share one runner and pay the
+        compilation cost once.  The runner has the same
+        ``runner(ts) -> (jump-kind, guest_insns)`` signature as
+        :meth:`compile_fn`, so the tiers are interchangeable mid-run (see
+        repro.backend.pygen).
         """
         fn = self._pygen_cache.get(code)
         if fn is not None:
@@ -608,208 +531,7 @@ class HostCPU:
         return fn
 
     def flush_code_cache(self) -> None:
-        """Drop all memoized runners (content-addressed entries never go
-        *stale* — identical bytes mean identical semantics — so this only
-        exists to bound memory and for tests)."""
-        self._code_cache.clear()
+        """Drop all memoized pygen runners (content-addressed entries
+        never go *stale* — identical bytes mean identical semantics — so
+        this only exists to bound memory and for tests)."""
         self._pygen_cache.clear()
-
-    def _build_runner(self, insns: Sequence[HInsn]) -> Callable:
-        """Generate a straight-line Python function for one translation.
-
-        Each instruction's body is emitted *inline* in the generated
-        source — register-file indexing, guest-state slicing, the fast
-        memory path — rather than dispatched through per-instruction
-        closures, so a block execution is one Python call, not one per
-        instruction.  Everything the code touches is bound as a default
-        parameter (a LOAD_FAST, not a global look-up), and the exit
-        ``(jump-kind, guest_insns)`` tuples are preallocated.  Helper
-        CALLs keep their closure (the save/restore dance does not inline
-        usefully).
-        """
-        from ..guest.regs import OFFSET_PC
-        from ..kernel.memory import PROT_READ, PROT_WRITE
-
-        mem = self.mem
-        env: Dict[str, object] = {
-            "_cpu": self,
-            "_ir": self.ir,
-            "_fr": self.fr,
-            "_vr": self.vr,
-            "_ifb": int.from_bytes,
-            "_pg": mem._pages.get,
-            "_ld": mem.load,
-            "_st": mem.store,
-        }
-        _cache: Dict[object, str] = {}
-
-        def bind(val: object, key: object = None) -> str:
-            if key is not None and key in _cache:
-                return _cache[key]
-            name = f"_k{len(env)}"
-            env[name] = val
-            if key is not None:
-                _cache[key] = name
-            return name
-
-        def lit(val: object) -> str:
-            # Ints always repr round-trip; floats may be inf/nan — bind.
-            return repr(val) if type(val) is int else bind(val)
-
-        files = {RC.INT: "_ir", RC.FLT: "_fr", RC.VEC: "_vr"}
-
-        def r(reg: Reg) -> str:
-            return f"{files[reg.rc]}[{reg.n}]"
-
-        PO, PO4 = OFFSET_PC, OFFSET_PC + 4
-
-        def set_pc_const(dst: int) -> str:
-            pcb = (dst & 0xFFFFFFFF).to_bytes(4, "little")
-            return f"_d[{PO}:{PO4}] = {pcb!r}"
-
-        body: List[str] = ["_cpu.ts = ts", "_d = ts.data"]
-
-        def emit(line: str, depth: int = 0) -> None:
-            body.append("    " * depth + line)
-
-        done = False
-        for i, insn in enumerate(insns):
-            if isinstance(insn, (LI, LIF)):
-                emit(f"{r(insn.dst)} = {lit(insn.imm)}")
-            elif isinstance(insn, MOVR):
-                emit(f"{r(insn.dst)} = {r(insn.src)}")
-            elif isinstance(insn, BIN):
-                tmpl = OP_INLINE.get(insn.op)
-                if tmpl is not None:
-                    expr = tmpl.format(a=r(insn.src1), b=r(insn.src2))
-                else:
-                    op = bind(get_op(insn.op).fn, key=("op", insn.op))
-                    expr = f"{op}({r(insn.src1)}, {r(insn.src2)})"
-                emit(f"{r(insn.dst)} = {expr}")
-            elif isinstance(insn, UN):
-                tmpl = OP_INLINE.get(insn.op)
-                if tmpl is not None:
-                    expr = tmpl.format(a=r(insn.src))
-                else:
-                    op = bind(get_op(insn.op).fn, key=("op", insn.op))
-                    expr = f"{op}({r(insn.src)})"
-                emit(f"{r(insn.dst)} = {expr}")
-            elif isinstance(insn, LDG):
-                off, ty = insn.off, insn.ty
-                if ty.is_int:
-                    emit(f"{r(insn.dst)} = _ifb(_d[{off}:{off + ty.size}], 'little')")
-                else:
-                    emit(f"{r(insn.dst)} = ts.get({off}, {bind(ty, key=ty)})")
-            elif isinstance(insn, STG):
-                off, ty = insn.off, insn.ty
-                if ty.is_int:
-                    emit(
-                        f"_d[{off}:{off + ty.size}] = "
-                        f"{r(insn.src)}.to_bytes({ty.size}, 'little')"
-                    )
-                else:
-                    emit(f"ts.put({off}, {bind(ty, key=ty)}, {r(insn.src)})")
-            elif isinstance(insn, LDM):
-                ty, dst, addr = insn.ty, r(insn.dst), r(insn.addr)
-                tyn = bind(ty, key=ty)
-                if ty.is_int and ty.size <= 8:
-                    size = ty.size
-                    emit(f"_a = {addr} & 4294967295")
-                    emit(f"_o = _a & 4095")
-                    emit(f"_p = _pg(_a >> 12) if _o <= {4096 - size} else None")
-                    emit(f"if _p is not None and _p[1] & {PROT_READ}:")
-                    emit(f"{dst} = _ifb(_p[0][_o:_o + {size}], 'little')", 1)
-                    emit("else:")
-                    emit(f"{dst} = _ld(_a, {tyn})", 1)
-                else:
-                    emit(f"{dst} = _ld({addr} & 4294967295, {tyn})")
-            elif isinstance(insn, STM):
-                ty, src, addr = insn.ty, r(insn.src), r(insn.addr)
-                tyn = bind(ty, key=ty)
-                if ty.is_int and ty.size <= 8:
-                    size = ty.size
-                    emit(f"_a = {addr} & 4294967295")
-                    emit(f"_o = _a & 4095")
-                    emit(f"_p = _pg(_a >> 12) if _o <= {4096 - size} else None")
-                    emit(f"if _p is not None and _p[1] & {PROT_WRITE}:")
-                    emit(
-                        f"_p[0][_o:_o + {size}] = {src}.to_bytes({size}, 'little')",
-                        1,
-                    )
-                    emit("else:")
-                    emit(f"_st(_a, {tyn}, {src})", 1)
-                else:
-                    emit(f"_st({addr} & 4294967295, {tyn}, {src})")
-            elif isinstance(insn, CSEL):
-                emit(
-                    f"{r(insn.dst)} = {r(insn.a)} if {r(insn.cond)}"
-                    f" else {r(insn.b)}"
-                )
-            elif isinstance(insn, CALL):
-                emit(f"{bind(self._compile_insn(insn))}()")
-            elif isinstance(insn, SETPCI):
-                emit(set_pc_const(insn.dst))
-            elif isinstance(insn, SETPCR):
-                emit(
-                    f"_d[{PO}:{PO4}] = "
-                    f"({r(insn.src)} & 4294967295).to_bytes(4, 'little')"
-                )
-            elif isinstance(insn, SIDEEXIT):
-                exit_tuple = bind((insn.jk, insn.icnt), key=(insn.jk, insn.icnt))
-                emit(f"if {r(insn.cond)}:")
-                emit(set_pc_const(insn.dst), 1)
-                emit(f"_cpu.host_insns += {i + 1}", 1)
-                emit(f"return {exit_tuple}", 1)
-            elif isinstance(insn, SIDEEXITR):
-                exit_tuple = bind((insn.jk, insn.icnt), key=(insn.jk, insn.icnt))
-                emit(f"if {r(insn.cond)}:")
-                emit(
-                    f"_d[{PO}:{PO4}] = "
-                    f"({r(insn.src)} & 4294967295).to_bytes(4, 'little')",
-                    1,
-                )
-                emit(f"_cpu.host_insns += {i + 1}", 1)
-                emit(f"return {exit_tuple}", 1)
-            elif isinstance(insn, TRACEMARK):
-                emit(f"_cpu.trace_blocks = {insn.index}")
-            elif isinstance(insn, RET):
-                exit_tuple = bind((insn.jk, insn.icnt), key=(insn.jk, insn.icnt))
-                emit(f"_cpu.host_insns += {i + 1}")
-                emit(f"return {exit_tuple}")
-                done = True
-                break
-            elif isinstance(insn, SPILL):
-                ty = insn.ty
-                off = SPILL_AREA_BASE + insn.slot * SPILL_SLOT_SIZE
-                if ty.is_int:
-                    emit(
-                        f"_d[{off}:{off + ty.size}] = "
-                        f"{r(insn.src)}.to_bytes({ty.size}, 'little')"
-                    )
-                else:
-                    emit(f"ts.put({off}, {bind(ty, key=ty)}, {r(insn.src)})")
-            elif isinstance(insn, RELOAD):
-                ty = insn.ty
-                off = SPILL_AREA_BASE + insn.slot * SPILL_SLOT_SIZE
-                if ty.is_int:
-                    emit(f"{r(insn.dst)} = _ifb(_d[{off}:{off + ty.size}], 'little')")
-                else:
-                    emit(f"{r(insn.dst)} = ts.get({off}, {bind(ty, key=ty)})")
-            else:  # pragma: no cover
-                raise TypeError(f"cannot compile {insn!r}")
-        if not done:
-            raise RuntimeError("translation fell off the end (missing RET)")
-        params = ["ts"] + [f"{n}={n}" for n in env]
-        src = f"def _runner({', '.join(params)}):\n" + "".join(
-            f"    {line}\n" for line in body
-        )
-        # Parsing the source is the expensive part (~1ms) — share code
-        # objects process-wide.  Blocks that differ only in *bound* values
-        # (e.g. a float immediate) generate identical source and reuse the
-        # same bytecode with different defaults.
-        code = _RUNNER_SRC_CACHE.get(src)
-        if code is None:
-            code = compile(src, "<block-runner>", "exec")
-            _RUNNER_SRC_CACHE[src] = code
-        exec(code, env)
-        return env["_runner"]

@@ -5,12 +5,15 @@ code* into the code cache; our host is the CPython VM, so the closest
 faithful analogue is to emit Python *source* for each register-allocated
 block, ``compile()`` it once to CPython bytecode, and execute that.
 This is the top tier of the codegen pipeline (see
-:mod:`repro.core.codegen`), above the PR-1 ``compile_fn`` runners and
-the per-insn closure lists.
+:mod:`repro.core.codegen`), above the per-insn closure lists.
 
-What the emitted function does differently from the PR-1 runner
-(:meth:`repro.backend.hostcpu.HostCPU._build_runner`):
+What the emitted function does differently from the closure tier
+(:meth:`repro.backend.hostcpu.HostCPU.compile`):
 
+* **Instructions are inlined**: one generated function per block runs
+  every host instruction as straight-line Python, with the hot integer
+  ops inlined as expressions (:data:`OP_INLINE`), instead of one closure
+  call per instruction.
 * **Registers are locals** (``i0..i7``, ``f0..``, ``v0..``), not
   ``_ir[n]`` list cells: every operand access is a LOAD_FAST/STORE_FAST.
 * **Spill slots are locals** (``s0..``): SPILL/RELOAD never touch the
@@ -35,8 +38,8 @@ What the emitted function does differently from the PR-1 runner
   a helper cannot observe, and the CALL_SAVE frame area has no readers.
 
 ``host_insns`` accounting and the returned ``(jump-kind, guest_insns)``
-exit tuples are identical to the PR-1 runner, so the two tiers are
-interchangeable mid-run.
+exits are identical to :meth:`repro.backend.hostcpu.HostCPU.run`, so the
+tiers are interchangeable mid-run.
 """
 
 from __future__ import annotations
@@ -76,14 +79,13 @@ from .hostisa import (
     TRACEMARK,
     UN,
 )
-from .hostcpu import OP_INLINE
 
 #: Emission format version, part of the persistent code cache's pygen
 #: payload key (core.codecache): bump on any change to emit_pygen output
 #: or the spec entry shapes.
 PYGEN_EMIT_VERSION = 2
 
-#: Process-wide pygen source -> code object cache (cf. _RUNNER_SRC_CACHE).
+#: Process-wide pygen source -> code object cache.
 _PYGEN_SRC_CACHE: Dict[str, object] = {}
 
 #: Process-wide encoded host code -> (source, env spec) cache.  Decode +
@@ -170,7 +172,73 @@ _F64_UNPACK_FROM = struct.Struct("<d").unpack_from
 _F32_PACK_INTO = struct.Struct("<f").pack_into
 _F32_UNPACK_FROM = struct.Struct("<f").unpack_from
 
-#: FP expression templates beyond the shared integer OP_INLINE table.
+
+def _build_op_inline() -> Dict[str, str]:
+    """Expression templates for the hot integer ops ({a}/{b} placeholders).
+
+    Register values are kept masked-unsigned by every op, so templates can
+    rely on inputs already fitting their width.  Ops without an entry
+    (Sar, div/mod, FP, SIMD, ...) fall back to calling the registered
+    semantic function.  ``tests/test_perf_mode.py`` cross-checks every
+    template against its :mod:`repro.ir.ops` function.
+    """
+    e: Dict[str, str] = {}
+    for w in (8, 16, 32, 64):
+        m = (1 << w) - 1
+        sb = 1 << (w - 1)
+        sext_a = f"({{a}} - (({{a}} & {sb}) << 1))"
+        sext_b = f"({{b}} - (({{b}} & {sb}) << 1))"
+        e[f"Add{w}"] = f"(({{a}} + {{b}}) & {m})"
+        e[f"Sub{w}"] = f"(({{a}} - {{b}}) & {m})"
+        e[f"Mul{w}"] = f"(({{a}} * {{b}}) & {m})"
+        e[f"And{w}"] = "({a} & {b})"
+        e[f"Or{w}"] = "({a} | {b})"
+        e[f"Xor{w}"] = "({a} ^ {b})"
+        e[f"Shl{w}"] = f"((({{a}} << {{b}}) & {m}) if {{b}} < {w} else 0)"
+        e[f"Shr{w}"] = "({a} >> {b})"
+        e[f"Not{w}"] = f"({{a}} ^ {m})"
+        e[f"Neg{w}"] = f"(-{{a}} & {m})"
+        e[f"CmpEQ{w}"] = "(1 if {a} == {b} else 0)"
+        e[f"CmpNE{w}"] = "(1 if {a} != {b} else 0)"
+        e[f"CmpLT{w}U"] = "(1 if {a} < {b} else 0)"
+        e[f"CmpLE{w}U"] = "(1 if {a} <= {b} else 0)"
+        e[f"CmpLT{w}S"] = f"(1 if {sext_a} < {sext_b} else 0)"
+        e[f"CmpLE{w}S"] = f"(1 if {sext_a} <= {sext_b} else 0)"
+        e[f"CmpNEZ{w}"] = "(1 if {a} else 0)"
+        e[f"CmpEQZ{w}"] = "(0 if {a} else 1)"
+    e["And1"] = "({a} & {b})"
+    e["Or1"] = "({a} | {b})"
+    e["Xor1"] = "({a} ^ {b})"
+    e["Not1"] = "({a} ^ 1)"
+    for s in (8, 16, 32):
+        for d in (16, 32, 64):
+            if d > s:
+                sb = 1 << (s - 1)
+                e[f"{s}Uto{d}"] = "{a}"
+                e[f"{s}Sto{d}"] = (
+                    f"(({{a}} - (({{a}} & {sb}) << 1)) & {(1 << d) - 1})"
+                )
+    for s in (16, 32, 64):
+        for d in (1, 8, 16, 32):
+            if d < s:
+                e[f"{s}to{d}"] = f"({{a}} & {(1 << d) - 1})"
+    e["1Uto8"] = e["1Uto32"] = e["1Uto64"] = "{a}"
+    for d in (8, 16, 32, 64):
+        e[f"1Sto{d}"] = f"({(1 << d) - 1} if {{a}} else 0)"
+    e["64HIto32"] = "({a} >> 32)"
+    e["32HIto16"] = "({a} >> 16)"
+    e["16HIto8"] = "({a} >> 8)"
+    e["32HLto64"] = "(({a} << 32) | {b})"
+    e["16HLto32"] = "(({a} << 16) | {b})"
+    e["8HLto16"] = "(({a} << 8) | {b})"
+    return e
+
+
+#: Op name -> inline integer expression template used by the emitter.
+OP_INLINE: Dict[str, str] = _build_op_inline()
+
+
+#: FP expression templates beyond the integer OP_INLINE table.
 #: Each must be semantically identical to its repro.ir.ops function:
 #: AddF64/SubF64/MulF64 are raw IEEE double ops, CmpF64/CmpF32 encode
 #: Valgrind's IRCmpF64Result (UN=0x45, LT=0x01, GT=0x00, EQ=0x40) with

@@ -44,17 +44,15 @@ tools: {tools}
 core options:
   --smc-check=none|stack|all   self-modifying-code checking (default: stack)
   --max-stackframe=<bytes>     stack-switch heuristic threshold (default 2MB)
-  --chaining=yes|no            translation chaining (default: no)
-  --perf=yes|no                perf execution mode: compiled-code
-                               memoization, full chaining, megacache
-  --codegen=closures|pygen|auto|traces
+  --chaining=yes|no            translation chaining: link each block's
+                               Boring/Call/Ret exits to their successors,
+                               severed on eviction/munmap/SMC (default: no)
+  --perf=yes|no                alias of --chaining
+  --codegen=closures|pygen|traces
                                execution tier: per-insn closures (default),
                                specialized Python per block (pygen),
-                               closures promoted to pygen when hot (auto),
                                or pygen plus superblock traces compiled
                                over hot block chains (traces)
-  --jit-threshold=<n>          auto tier: executions before a block is
-                               promoted to pygen (default: 10)
   --trace-threshold=<n>        traces tier: executions before a block's
                                successor chain is recorded (default: 50)
   --max-trace-blocks=<n>       traces tier: member blocks per recorded

@@ -5,23 +5,23 @@ Three executable tiers share one runner signature
 (``Translation.compiled_fn``), so transtab eviction, SMC flushes and
 chain severing work identically whichever tier a block is in:
 
-=========  ==================================================  ============
+=========  ==================================================  ============================
 tier       what executes                                        compiled by
-=========  ==================================================  ============
-closures   per-insn closure list via ``HostCPU.run``            ``compile``
-perf       PR-1 generated runner (``_ir[n]`` indexing)          ``compile_fn``
+=========  ==================================================  ============================
+closures   per-insn closure list via ``HostCPU.run``            ``compile`` / ``compile_fn``
 pygen      specialized function: locals + batched writeback     ``compile_pygen``
 interp     IR interpreter (JIT-failure quarantine)              ``translate_interp``
-=========  ==================================================  ============
+=========  ==================================================  ============================
 
-``--codegen=closures`` (default) keeps the historical behaviour: the
-default loop runs closures, ``--perf`` runs the PR-1 runners compiled
-eagerly at insert time.  ``--codegen=pygen`` compiles every block to the
-pygen tier on its *first execution* (insert-time compilation is
-deferred, so blocks that never run never compile).  ``--codegen=auto``
-starts blocks in the closure tier and promotes them to pygen when their
-execution count crosses ``--jit-threshold`` — cheap first execution,
-optimized hot code, the classic tiered-translation trade.
+``--codegen=closures`` (default) is the paper's engine: the dispatcher
+compiles each block's closure list itself (``compile``) on first
+execution and runs it without a runner wrapped around it; ``compile_fn``
+wraps the same list as a runner for pygen blocks demoted to this tier.
+``--codegen=pygen`` compiles every block to the pygen tier on its *first
+execution* (insert-time compilation is deferred, so blocks that never
+run never compile).  ``--codegen=traces`` does the same and additionally
+stitches hot chains of pygen blocks into superblocks
+(:mod:`repro.core.traces`).
 
 A pygen compile failure (real or ``--inject=pygen@N``) *demotes* the
 block to the closure tier and is counted; it never escapes as a host
@@ -35,11 +35,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-#: Tier names, in promotion order (interp is a quarantine, not a target).
-TIERS = ("closures", "perf", "pygen", "interp")
+#: Tier names (interp is a quarantine, not a target).
+TIERS = ("closures", "pygen", "interp")
 
 #: Valid --codegen modes.
-CODEGEN_MODES = ("closures", "pygen", "auto", "traces")
+CODEGEN_MODES = ("closures", "pygen", "traces")
 
 
 def _tier_counter() -> Dict[str, float]:
@@ -54,10 +54,8 @@ def _tier_seconds() -> Dict[str, float]:
 class CodegenStats:
     """Cumulative tier bookkeeping (reported under --stats=json)."""
 
-    #: Blocks that entered each tier (a promoted block counts in both).
+    #: Blocks that entered each tier.
     tier_attaches: Dict[str, float] = field(default_factory=_tier_counter)
-    #: auto: blocks whose exec count crossed the threshold into pygen.
-    promotions: int = 0
     #: pygen compile failures demoted to the closure tier.
     demotions: int = 0
     #: Lazy modes: insert-time compilations skipped ...
@@ -74,7 +72,7 @@ class CodegenStats:
 
 
 class CodegenTiers:
-    """Chooses, compiles and promotes a translation's execution tier."""
+    """Chooses and compiles a translation's execution tier."""
 
     def __init__(
         self,
@@ -86,7 +84,6 @@ class CodegenTiers:
     ):
         self.hostcpu = hostcpu
         self.mode = options.codegen
-        self.threshold = max(1, options.jit_threshold)
         self.trace_threshold = max(1, options.trace_threshold)
         self.injector = injector
         self.collect = collect_exec_times
@@ -99,27 +96,19 @@ class CodegenTiers:
     # -- transtab insert hook (lazy modes) ---------------------------------------
 
     def note_deferred(self, t) -> None:
-        """Installed as the transtab 'compiler' under pygen/auto: counts
+        """Installed as the transtab 'compiler' under pygen/traces: counts
         the insert-time compilation that did NOT happen."""
         self.stats.compiles_deferred += 1
 
-    # -- first-execution hook (both dispatch loops) ------------------------------
+    # -- first-execution hook (the dispatcher's attach_runner) --------------------
 
     def attach(self, t):
         """Give *t* a ``compiled_fn`` for its starting tier; returns it."""
         self.stats.first_exec_compiles += 1
-        if self.mode == "pygen":
-            if not self._try_pygen(t):
-                self._attach_closures(t, counting=False)
-        elif self.mode == "auto":
-            self._attach_closures(t, counting=True)
-        elif self.mode == "traces":
-            if not self._try_pygen(t):
-                self._attach_closures(t, counting=False)
-            elif self.traces is not None:
-                self._wrap_trace_counting(t)
-        else:  # closures: the perf loop's lazy fallback
-            self.attach_perf(t)
+        if not self._try_pygen(t):
+            self._attach_closures(t)
+        elif self.traces is not None:
+            self._wrap_trace_counting(t)
         return t.compiled_fn
 
     def _wrap_trace_counting(self, t) -> None:
@@ -149,18 +138,6 @@ class CodegenTiers:
 
         t.compiled_fn = fn
 
-    def attach_perf(self, t):
-        """Compile *t* through the PR-1 content-addressed runner cache
-        (used eagerly at insert time under ``--perf --codegen=closures``).
-        Raises on failure — the scheduler quarantines."""
-        t0 = time.perf_counter()
-        fn = self.hostcpu.compile_fn(t.code)
-        self.stats.compile_seconds["perf"] += time.perf_counter() - t0
-        t.tier = "perf"
-        self.stats.tier_attaches["perf"] += 1
-        t.compiled_fn = self._timed(fn, "perf") if self.collect else fn
-        return t.compiled_fn
-
     def note_interp(self, t) -> None:
         """Record a quarantined (IR-interpreter) translation."""
         t.tier = "interp"
@@ -188,40 +165,14 @@ class CodegenTiers:
         t.compiled_fn = self._timed(fn, "pygen") if self.collect else fn
         return True
 
-    def _attach_closures(self, t, counting: bool) -> None:
+    def _attach_closures(self, t) -> None:
+        """A demoted block's fallback: the closure tier, as a runner."""
         t0 = time.perf_counter()
-        compiled = self.hostcpu.compile(t.code)
+        fn = self.hostcpu.compile_fn(t.code)
         self.stats.compile_seconds["closures"] += time.perf_counter() - t0
-        t.compiled = compiled
-        run = self.hostcpu.run
-        if counting:
-            threshold = self.threshold
-            tiers = self
-
-            def fn(ts, _run=run, _c=compiled, _t=t):
-                out = _run(_c, ts)
-                n = _t.exec_count + 1
-                _t.exec_count = n
-                # == not >=: a block whose promotion failed is not
-                # retried on every subsequent execution.
-                if n == threshold and not _t.pygen_failed:
-                    tiers._promote(_t)
-                return out
-
-        else:
-
-            def fn(ts, _run=run, _c=compiled):
-                return _run(_c, ts)
-
         t.tier = "closures"
         self.stats.tier_attaches["closures"] += 1
         t.compiled_fn = self._timed(fn, "closures") if self.collect else fn
-
-    def _promote(self, t) -> None:
-        """auto: a block crossed the threshold — move it to pygen.  The
-        swap takes effect on the block's next execution."""
-        if self._try_pygen(t):
-            self.stats.promotions += 1
 
     def _timed(self, fn, tier: str):
         pc = time.perf_counter
@@ -240,17 +191,15 @@ class CodegenTiers:
 
     def stats_dict(self, transtab=None) -> dict:
         # Imported here, not at module top: pygen stays unloaded for
-        # closures/--perf runs that never compile a block (and never ask
-        # for stats), keeping their per-process footprint unchanged.
+        # closure-tier runs that never compile a pygen block (and never
+        # ask for stats), keeping their per-process footprint unchanged.
         from ..backend.pygen import emit_cache_stats as _emit_cache_stats
 
         s = self.stats
         cpu = self.hostcpu
         out = {
             "mode": self.mode,
-            "jit_threshold": self.threshold,
             "tier_attaches": {k: int(v) for k, v in s.tier_attaches.items()},
-            "promotions": s.promotions,
             "demotions": s.demotions,
             "compiles_deferred": s.compiles_deferred,
             "first_exec_compiles": s.first_exec_compiles,

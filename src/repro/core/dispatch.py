@@ -11,25 +11,15 @@ The dispatcher also causes control to fall back to the scheduler every
 few thousand translation executions so the scheduler can check for thread
 switches and pending signals.
 
-Optional *chaining* (linking) patches a translation to jump straight to
-its constant successor, avoiding the dispatcher entirely; the real
+Optional *chaining* (linking, ``--chaining=yes``) patches a translation to
+jump straight to its successor, avoiding the look-up entirely; the real
 Valgrind 3.2.1 did not do this (its old JIT did), so it is off by default
-and exists here for the ablation bench.
-
-**Perf mode** (``--perf``) promotes the hot path to first class:
-
-* translations execute through content-addressed compiled runners
-  (:meth:`repro.backend.hostcpu.HostCPU.compile_fn`), compiled eagerly at
-  insert time;
-* chaining follows Boring *and* Call/Ret successors, multiple links per
-  dispatch step, with every link recorded in the translation table's
-  :class:`~repro.core.transtab.ChainRegistry` so eviction / munmap / SMC
-  invalidation severs stale links eagerly;
-* a larger 2-way set-associative *megacache* sits behind the
-  direct-mapped fast cache, catching translations the small cache
-  conflict-evicts before a full table probe is needed.
-
-The default mode's behaviour is byte-identical to the paper's.
+and exists here for the ablation bench.  A translation has one link slot
+per exit kind (Boring, Call, Ret), each filled at most once with the
+first successor observed after a look-up, and every link is made through
+the translation table's :class:`~repro.core.transtab.ChainRegistry`, so
+eviction, munmap and SMC invalidation sever it.  With chaining off no
+slot is read or written.
 """
 
 from __future__ import annotations
@@ -47,6 +37,8 @@ from .translate import Translation
 _BORING = JumpKind.Boring.value
 _CALL = JumpKind.Call.value
 _RET = JumpKind.Ret.value
+#: The chain slot each chainable exit kind links through.
+_CHAIN_SLOT = {_BORING: "chain_next", _CALL: "chain_call", _RET: "chain_ret"}
 #: Shadow call-stack depth cap (pathological recursion protection).
 _CALLSTACK_MAX = 16384
 #: Aligned-slot index of the guest PC in a ThreadState's u32 view.
@@ -62,17 +54,11 @@ class DispatchStats:
     blocks_executed: int = 0
     quantum_expiries: int = 0
     smc_flushes: int = 0
-    #: Perf mode: hits in the 2-way megacache tier behind the fast cache.
-    mega_hits: int = 0
-    #: Perf mode: live megacache entries displaced by a fill (demotions
-    #: from way 0 that pushed a resident way-1 entry out).
-    mega_evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
-        total = (self.fast_hits + self.slow_hits + self.chained
-                 + self.mega_hits + self.misses)
-        hits = self.fast_hits + self.chained + self.mega_hits
+        total = self.fast_hits + self.slow_hits + self.chained + self.misses
+        hits = self.fast_hits + self.chained
         return hits / total if total else 0.0
 
 
@@ -105,12 +91,6 @@ class Dispatcher:
         size = options.dispatch_cache_size
         self._mask = size - 1
         self._cache: list = [None] * size
-        #: Megacache (perf mode): flat 2-way set-associative array, set i
-        #: occupying slots 2i (MRU way) and 2i+1 (LRU way).
-        self._perf = options.perf
-        mega_sets = (options.megacache_size // 2) if options.perf else 0
-        self._megamask = mega_sets - 1
-        self._mega: list = [None] * (2 * mega_sets)
         #: Precise synchronous faults: snapshot the architected state
         #: before each block so an escaping GuestFault/ZeroDivisionError
         #: can be rolled to the exact faulting instruction boundary.
@@ -135,9 +115,9 @@ class Dispatcher:
         self.guest_insns = 0
 
     def flush_cache(self) -> None:
-        """Invalidate both look-up tiers (after any translation discard)."""
+        """Invalidate the fast look-up cache (after any translation
+        discard)."""
         self._cache = [None] * len(self._cache)
-        self._mega = [None] * len(self._mega)
 
     def run(self, ts, max_blocks: Optional[int] = None) -> Tuple[str, object]:
         """Execute translations for thread state *ts* until an event.
@@ -156,11 +136,10 @@ class Dispatcher:
                                 (``stop_at_insns``) was reached after *n*
                                 blocks (record/replay checkpointing)
         """
-        if self._perf:
-            return self._run_perf(ts, max_blocks)
         stats = self.stats
         cache = self._cache
         mask = self._mask
+        transtab = self.transtab
         hostcpu = self.hostcpu
         chaining = self.options.chaining
         smc_recheck = self.smc_recheck
@@ -181,13 +160,18 @@ class Dispatcher:
         flushed = 0
         u32 = ts.u32
         arch = ts.arch
-        prev: Optional[Translation] = None
+        # Chaining: (translation, slot) to link once the next translation
+        # is resolved through a look-up.  Always None with chaining off.
+        pend: Optional[Tuple[Translation, str]] = None
         t: Optional[Translation] = None
         while n < quantum:
             if stop is not None and self.guest_insns + gi >= stop:
                 stats.blocks_executed += n - flushed
                 self.guest_insns += gi
                 return ("insns", n)
+            # A chained run can execute an entire quantum without touching
+            # the scheduler; poll so an async signal (timer, kill) is
+            # observed within ``signal_poll_interval`` blocks.
             if sig_poll is not None and n >= next_poll:
                 next_poll = n + self._poll
                 stats.blocks_executed += n - flushed
@@ -196,32 +180,32 @@ class Dispatcher:
                 gi = 0
                 if sig_poll():
                     return ("signals", n)
-            pc = u32[_PC_IDX] if u32 is not None else ts.pc
-            # Chained fast path: the previous translation already knows
-            # its successor.
             if t is None:
-                if chaining and prev is not None:
-                    cand = prev.chain_next
-                    if cand is not None and not cand.dead and cand.guest_addr == pc:
-                        t = cand
-                        stats.chained += 1
-                if t is None:
-                    idx = (pc >> 1) & mask
-                    cand = cache[idx]
-                    if cand is not None and cand.guest_addr == pc and not cand.dead:
-                        t = cand
-                        stats.fast_hits += 1
-                    else:
-                        # Fast look-up failed: search the full table (this
-                        # is the "scheduler" slow path of Section 3.9).
-                        t = self.transtab.lookup(pc)
-                        if t is None:
-                            stats.misses += 1
-                            stats.blocks_executed += n - flushed
-                            self.guest_insns += gi
-                            return ("translate", pc)
-                        cache[idx] = t
-                        stats.slow_hits += 1
+                pc = u32[_PC_IDX] if u32 is not None else ts.pc
+                idx = (pc >> 1) & mask
+                cand = cache[idx]
+                if cand is not None and cand.guest_addr == pc and not cand.dead:
+                    t = cand
+                    stats.fast_hits += 1
+                else:
+                    # Fast look-up failed: search the full table (this
+                    # is the "scheduler" slow path of Section 3.9).
+                    t = transtab.lookup(pc)
+                    if t is None:
+                        stats.misses += 1
+                        stats.blocks_executed += n - flushed
+                        self.guest_insns += gi
+                        return ("translate", pc)
+                    cache[idx] = t
+                    stats.slow_hits += 1
+                if pend is not None:
+                    src, slot = pend
+                    # Chain-once: an occupied slot is left alone, so a
+                    # polymorphic successor (a Ret with many callers)
+                    # does not thrash the registry on every dispatch.
+                    if not src.dead and getattr(src, slot) is None:
+                        transtab.chain(src, slot, t)
+                    pend = None
             # Trace tier: a compiled superblock headed at this block runs
             # whole member chains in one call; the probe is one attribute
             # check on the translation already in hand.  Entry is
@@ -285,7 +269,6 @@ class Dispatcher:
                             stats.blocks_executed += n - flushed
                             self.guest_insns += gi
                             return ("jumpkind", jk)
-                    prev = None
                     t = None
                     continue
             if t.smc_checked and smc_recheck is not None and not smc_recheck(t):
@@ -293,6 +276,9 @@ class Dispatcher:
                 stats.blocks_executed += n - flushed
                 self.guest_insns += gi
                 return ("smc", t)
+            # Every tier but the closure tier runs through compiled_fn;
+            # closure-tier blocks run their closure list directly, with
+            # no runner call wrapped around it.
             fn = t.compiled_fn
             if fn is None:
                 if attach is not None:
@@ -344,257 +330,21 @@ class Dispatcher:
                     stats.blocks_executed += n - flushed
                     self.guest_insns += gi
                     return ("jumpkind", jk)
-            if chaining and prev is not None and prev.chain_next is None:
-                # Lazily record the observed constant successor.
-                prev.chain_next = t
-            prev = t
-            # Next iteration: resolve the new pc.
-            nxt = None
             if chaining:
-                cand = t.chain_next
-                if cand is not None and not cand.dead:
-                    npc = u32[_PC_IDX] if u32 is not None else ts.pc
-                    if cand.guest_addr == npc:
-                        nxt = cand
-                        stats.chained += 1
-            t = nxt
-        stats.quantum_expiries += 1
-        stats.blocks_executed += n - flushed
-        self.guest_insns += gi
-        return ("quantum", None)
-    # NOTE on chaining fidelity (default mode): we only chain
-    # Boring->Boring constant successors, and only one link deep per step,
-    # mirroring patched direct branches.
-
-    # -- perf mode -------------------------------------------------------------
-
-    def _run_perf(self, ts, max_blocks: Optional[int] = None):
-        """The ``--perf`` dispatch loop.
-
-        Differences from the default loop: translations execute through
-        their eagerly-compiled ``compiled_fn`` runner; successors are
-        chained across Boring *and* Call/Ret jumps via the registry (so
-        links are severed, not just flagged, when a translation dies); and
-        fast-cache misses probe the 2-way megacache before falling back to
-        the full translation table.
-        """
-        stats = self.stats
-        cache = self._cache
-        mask = self._mask
-        mega = self._mega
-        megamask = self._megamask
-        transtab = self.transtab
-        hostcpu = self.hostcpu
-        smc_recheck = self.smc_recheck
-        quantum = self.options.dispatch_quantum
-        if max_blocks is not None:
-            quantum = min(quantum, max_blocks)
-        precise = self._precise and self.fault_recover is not None
-        sig_poll = self.signals_pending
-        next_poll = self._poll
-        stop = self.stop_at_insns
-        tm = self.traces
-        # Per-block counters accumulate in locals and are flushed to the
-        # instance before every exit and signal poll (timer delivery reads
-        # ``guest_insns`` from inside the poll callback).
-        n = 0
-        gi = 0
-        flushed = 0
-        u32 = ts.u32
-        arch = ts.arch
-        # Pending chain source: (translation, slot) to link once the next
-        # translation is resolved through a cache/table look-up.
-        pend: Optional[Tuple[Translation, str]] = None
-        t: Optional[Translation] = None
-        while n < quantum:
-            if stop is not None and self.guest_insns + gi >= stop:
-                stats.blocks_executed += n - flushed
-                self.guest_insns += gi
-                return ("insns", n)
-            # A chained run can execute an entire quantum without touching
-            # the scheduler; poll so an async signal (timer, kill) is
-            # observed within ``signal_poll_interval`` blocks.
-            if sig_poll is not None and n >= next_poll:
-                next_poll = n + self._poll
-                stats.blocks_executed += n - flushed
-                flushed = n
-                self.guest_insns += gi
-                gi = 0
-                if sig_poll():
-                    return ("signals", n)
-            pc = u32[_PC_IDX] if u32 is not None else ts.pc
-            if t is None:
-                idx = (pc >> 1) & mask
-                cand = cache[idx]
-                if cand is not None and cand.guest_addr == pc and not cand.dead:
-                    t = cand
-                    stats.fast_hits += 1
-                else:
-                    mi = ((pc >> 1) & megamask) << 1
-                    m = mega[mi]
-                    if m is not None and m.guest_addr == pc and not m.dead:
-                        t = m
-                        stats.mega_hits += 1
-                    else:
-                        m = mega[mi + 1]
-                        if m is not None and m.guest_addr == pc and not m.dead:
-                            # Promote the LRU way to MRU.
-                            t = m
-                            mega[mi + 1] = mega[mi]
-                            mega[mi] = t
-                            stats.mega_hits += 1
-                        else:
-                            t = transtab.lookup(pc)
-                            if t is None:
-                                stats.misses += 1
-                                stats.blocks_executed += n - flushed
-                                self.guest_insns += gi
-                                return ("translate", pc)
-                            stats.slow_hits += 1
-                            # Fill: demote the MRU way; a displaced live
-                            # way-1 entry is an eviction.
-                            old = mega[mi + 1]
-                            if old is not None and not old.dead:
-                                stats.mega_evictions += 1
-                            mega[mi + 1] = mega[mi]
-                            mega[mi] = t
-                    cache[idx] = t
-                if pend is not None:
-                    src, slot = pend
-                    # Chain-once: an occupied slot is left alone, so a
-                    # polymorphic successor (a Ret with many callers)
-                    # does not thrash the registry on every dispatch.
-                    if not src.dead and getattr(src, slot) is None:
-                        transtab.chain(src, slot, t)
-                pend = None
-            # Trace tier (see the perf loop): one attribute probe on the
-            # resolved block; superblocks shadow their head translation.
-            if t.trace is not None:
-                tr = t.trace
-                if (
-                    not tr.dead
-                    and n + tr.n_blocks <= quantum
-                    and (sig_poll is None or n + tr.n_blocks <= next_poll)
-                    and (stop is None
-                         or self.guest_insns + gi + tr.total_insns <= stop)
+                # Follow the link for this exit kind, bypassing the
+                # look-up; an empty slot is linked to whatever the next
+                # look-up resolves.
+                slot = _CHAIN_SLOT[jk]
+                nxt = getattr(t, slot)
+                if nxt is None:
+                    pend = (t, slot)
+                elif not nxt.dead and nxt.guest_addr == (
+                    u32[_PC_IDX] if u32 is not None else ts.pc
                 ):
-                    if tm.active:
-                        tm.flush_recording()
-                    fn = tr.compiled_fn
-                    hostcpu.trace_blocks = 0
-                    if precise:
-                        snap = bytes(arch)
-                        try:
-                            jk, icnt = fn(ts)
-                        except (GuestFault, ZeroDivisionError) as exc:
-                            stats.blocks_executed += (
-                                n + hostcpu.trace_blocks + 1 - flushed)
-                            self.guest_insns += gi
-                            si, ricnt = self.fault_recover(ts, snap, tr, exc)
-                            self.guest_insns += ricnt
-                            return ("fault", si)
-                    else:
-                        jk, icnt = fn(ts)
-                    nb = hostcpu.trace_blocks + 1
-                    n += nb
-                    gi += icnt
-                    tm.runs += 1
-                    tm.blocks_retired += nb
-                    tm.insns_retired += icnt
-                    tr.runs += 1
-                    tr.blocks += nb
-                    if icnt != tr.total_insns:
-                        tm.note_side_exit(tr)
-                    if jk != _BORING:
-                        if jk == _CALL:
-                            cs = ts.callstack
-                            cs.append((hostcpu.mem.load32(ts.sp), ts.pc))
-                            if len(cs) > _CALLSTACK_MAX:
-                                del cs[: _CALLSTACK_MAX // 2]
-                        elif jk == _RET:
-                            cs = ts.callstack
-                            target = u32[_PC_IDX] if u32 is not None else ts.pc
-                            if cs:
-                                if cs[-1][0] == target:
-                                    cs.pop()
-                                else:
-                                    for depth in range(2, min(9, len(cs) + 1)):
-                                        if cs[-depth][0] == target:
-                                            del cs[-depth:]
-                                            break
-                        else:
-                            stats.blocks_executed += n - flushed
-                            self.guest_insns += gi
-                            return ("jumpkind", jk)
-                    t = None
+                    stats.chained += 1
+                    t = nxt
                     continue
-            if t.smc_checked and smc_recheck is not None and not smc_recheck(t):
-                stats.smc_flushes += 1
-                stats.blocks_executed += n - flushed
-                self.guest_insns += gi
-                return ("smc", t)
-            fn = t.compiled_fn
-            if fn is None:
-                # First execution under a lazy codegen mode — or, with
-                # eager insert-time compilation, a translation inserted
-                # before perf wiring.
-                attach = self.attach_runner
-                if attach is not None:
-                    fn = attach(t)
-                else:
-                    fn = t.compiled_fn = hostcpu.compile_fn(t.code)
-            if precise:
-                snap = bytes(arch)
-                try:
-                    jk, icnt = fn(ts)
-                except (GuestFault, ZeroDivisionError) as exc:
-                    stats.blocks_executed += n + 1 - flushed
-                    self.guest_insns += gi
-                    si, ricnt = self.fault_recover(ts, snap, t, exc)
-                    self.guest_insns += ricnt
-                    return ("fault", si)
-            else:
-                jk, icnt = fn(ts)
-            n += 1
-            gi += icnt
-            if tm is not None and tm.active:
-                tm.on_block(t, jk)
-            slot = "chain_next"
-            if jk != _BORING:
-                if jk == _CALL:
-                    cs = ts.callstack
-                    cs.append((hostcpu.mem.load32(ts.sp), ts.pc))
-                    if len(cs) > _CALLSTACK_MAX:
-                        del cs[: _CALLSTACK_MAX // 2]
-                    slot = "chain_call"
-                elif jk == _RET:
-                    cs = ts.callstack
-                    target = u32[_PC_IDX] if u32 is not None else ts.pc
-                    if cs:
-                        if cs[-1][0] == target:
-                            cs.pop()
-                        else:
-                            for depth in range(2, min(9, len(cs) + 1)):
-                                if cs[-depth][0] == target:
-                                    del cs[-depth:]
-                                    break
-                    slot = "chain_ret"
-                else:
-                    stats.blocks_executed += n - flushed
-                    self.guest_insns += gi
-                    return ("jumpkind", jk)
-            # Follow the chain: multi-link — each hop bypasses both
-            # look-up tiers entirely.
-            nxt = getattr(t, slot)
-            if nxt is not None and not nxt.dead and nxt.guest_addr == (
-                u32[_PC_IDX] if u32 is not None else ts.pc
-            ):
-                stats.chained += 1
-                pend = None
-                t = nxt
-            else:
-                pend = (t, slot) if nxt is None else None
-                t = None
+            t = None
         stats.quantum_expiries += 1
         stats.blocks_executed += n - flushed
         self.guest_insns += gi

@@ -11,16 +11,40 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..kernel.memory import PAGE_SIZE
+from .codegen import CODEGEN_MODES
+
 
 class BadOption(Exception):
     pass
+
+
+#: Sizes the engine cannot run with less of (a zero-entry cache or table
+#: crashes the dispatcher, a zero quantum never dispatches a block, and
+#: the loader needs a page of stack): flag -> (Options field, minimum,
+#: must be a power of two).  Keyword construction and set() both check
+#: through _check_size.
+_SIZE_BOUNDS = {
+    "dispatch-cache": ("dispatch_cache_size", 1, True),
+    "dispatch-quantum": ("dispatch_quantum", 1, False),
+    "transtab-entries": ("transtab_entries", 1, False),
+    "stack-size": ("stack_size", PAGE_SIZE, False),
+}
+
+
+def _check_size(flag: str, value: int) -> int:
+    _, minimum, pow2 = _SIZE_BOUNDS[flag]
+    if value < minimum or (pow2 and value & (value - 1)):
+        bound = f"a power of two >= {minimum}" if pow2 else f">= {minimum}"
+        raise BadOption(f"--{flag} must be {bound}, got {value}")
+    return value
 
 
 def _default_codegen() -> str:
     """Default --codegen tier, overridable via REPRO_CODEGEN so CI can
     force the whole test suite through a non-default tier."""
     v = os.environ.get("REPRO_CODEGEN", "closures")
-    return v if v in ("closures", "pygen", "auto", "traces") else "closures"
+    return v if v in CODEGEN_MODES else "closures"
 
 
 def _default_cache_dir():
@@ -60,33 +84,20 @@ class Options:
     #: scaled down by default to match our scaled workloads).
     thread_timeslice: int = 10000
     #: Enable translation chaining (off, as in the paper's Valgrind 3.2.1;
-    #: the dispatcher-ablation bench switches it on).
+    #: the dispatcher-ablation bench switches it on).  ``--perf`` is an
+    #: alias of ``--chaining``.
     chaining: bool = False
-    #: Perf execution mode: content-addressed compiled-code memoization
-    #: with eager insert-time compilation, first-class multi-link chaining
-    #: (Boring + Call/Ret) with registry-severed invalidation, and the
-    #: two-tier dispatcher cache.  Off by default: the default mode is
-    #: byte-identical to the paper's behaviour.
-    perf: bool = False
-    #: Codegen tier selection (see repro.core.codegen): "closures" keeps
-    #: the historical engines; "pygen" compiles every block to one
-    #: specialized CPython function on first execution; "auto" starts in
-    #: closures and promotes blocks crossing --jit-threshold to pygen;
-    #: "traces" runs blocks in the pygen tier and additionally records
-    #: hot chained successor sequences into superblock traces
-    #: (see repro.core.traces).
+    #: Codegen tier selection (see repro.core.codegen): "closures" runs
+    #: per-insn closure lists; "pygen" compiles every block to one
+    #: specialized CPython function on first execution; "traces" runs
+    #: blocks in the pygen tier and additionally records hot chained
+    #: successor sequences into superblock traces (see repro.core.traces).
     codegen: str = field(default_factory=_default_codegen)
-    #: auto tier promotion threshold: closure-tier executions before a
-    #: block is recompiled into the pygen tier.
-    jit_threshold: int = 10
     #: traces tier recording threshold: executions of a block before the
     #: dispatcher records the successor chain starting there as a trace.
     trace_threshold: int = 50
     #: Maximum member blocks stitched into one trace.
     max_trace_blocks: int = 8
-    #: Megacache entries (perf mode): a 2-way set-associative second cache
-    #: tier behind the direct-mapped one (power of two).
-    megacache_size: int = 32768
     #: Run-statistics report format: "none" or "json" (--stats=json).
     stats_format: str = "none"
     #: Write the stats JSON to this file instead of racing on stderr —
@@ -158,23 +169,23 @@ class Options:
             raise BadOption(
                 f"transtab_policy must be fifo|lru, got {self.transtab_policy!r}"
             )
-        if self.codegen not in ("closures", "pygen", "auto", "traces"):
+        if self.codegen not in CODEGEN_MODES:
             raise BadOption(
-                "codegen must be closures|pygen|auto|traces, "
+                f"codegen must be {'|'.join(CODEGEN_MODES)}, "
                 f"got {self.codegen!r}"
             )
         if self.stats_format not in ("none", "json"):
             raise BadOption(
                 f"stats_format must be none|json, got {self.stats_format!r}"
             )
-        if self.jit_threshold < 1:
-            raise BadOption("jit_threshold must be >= 1")
         if self.trace_threshold < 1:
             raise BadOption("trace_threshold must be >= 1")
         if self.max_trace_blocks < 2:
             raise BadOption("max_trace_blocks must be >= 2")
         if self.cache_max_mb < 1:
             raise BadOption("cache_max_mb must be >= 1")
+        for flag, (name, _, _) in _SIZE_BOUNDS.items():
+            _check_size(flag, getattr(self, name))
 
     @classmethod
     def from_cli_args(cls, args: List[str]) -> "Options":
@@ -193,7 +204,7 @@ class Options:
 
     _FLAG_NAMES = {
         "chaining": "chaining",
-        "perf": "perf",
+        "perf": "chaining",
         "unroll": "unroll",
         "opt1": "opt1",
         "opt2": "opt2",
@@ -214,22 +225,13 @@ class Options:
             self.smc_check = value
         elif name == "max-stackframe":
             self.max_stackframe = int(value, 0)
-        elif name == "transtab-entries":
-            self.transtab_entries = int(value, 0)
         elif name == "transtab-policy":
             if value not in ("fifo", "lru"):
                 raise BadOption("--transtab-policy must be fifo|lru")
             self.transtab_policy = value
-        elif name == "dispatch-cache":
-            n = int(value, 0)
-            if n & (n - 1):
-                raise BadOption("--dispatch-cache must be a power of two")
-            self.dispatch_cache_size = n
-        elif name == "megacache":
-            n = int(value, 0)
-            if n < 2 or n & (n - 1):
-                raise BadOption("--megacache must be a power of two >= 2")
-            self.megacache_size = n
+        elif name in _SIZE_BOUNDS:
+            setattr(self, _SIZE_BOUNDS[name][0],
+                    _check_size(name, int(value, 0)))
         elif name == "stats":
             if value not in ("none", "json"):
                 raise BadOption(f"--stats must be none|json, got {value!r}")
@@ -239,16 +241,12 @@ class Options:
                 raise BadOption("--stats-out needs a file path")
             self.stats_out = value
         elif name == "codegen":
-            if value not in ("closures", "pygen", "auto", "traces"):
+            if value not in CODEGEN_MODES:
                 raise BadOption(
-                    f"--codegen must be closures|pygen|auto|traces, got {value!r}"
+                    f"--codegen must be {'|'.join(CODEGEN_MODES)}, "
+                    f"got {value!r}"
                 )
             self.codegen = value
-        elif name == "jit-threshold":
-            n = int(value, 0)
-            if n < 1:
-                raise BadOption("--jit-threshold must be >= 1")
-            self.jit_threshold = n
         elif name == "trace-threshold":
             n = int(value, 0)
             if n < 1:
@@ -259,8 +257,6 @@ class Options:
             if n < 2:
                 raise BadOption("--max-trace-blocks must be >= 2")
             self.max_trace_blocks = n
-        elif name == "dispatch-quantum":
-            self.dispatch_quantum = int(value, 0)
         elif name == "thread-timeslice":
             self.thread_timeslice = int(value, 0)
         elif name == "sanity-level":
@@ -271,8 +267,6 @@ class Options:
             self.log_target = {"1": "stdout", "2": "stderr"}.get(value, value)
         elif name == "suppressions":
             self.suppressions.append(value)
-        elif name == "stack-size":
-            self.stack_size = int(value, 0)
         elif name == "cache-dir":
             if not value:
                 raise BadOption("--cache-dir needs a directory path")

@@ -20,8 +20,8 @@ and guest_insns — instead of silently drifting.
 
 The log records only *architected* decisions, never codegen-tier
 artifacts, so a run recorded under one tier (``closures``, ``pygen``,
-``auto``, with or without ``--perf``) replays bit-exactly under every
-other tier: same RunOutcome, same fault quadruple, same guest_insns.
+``traces``, with or without ``--chaining``) replays bit-exactly under
+every other tier: same RunOutcome, same fault quadruple, same guest_insns.
 """
 
 from __future__ import annotations
@@ -439,8 +439,8 @@ class EventLog:
 
 #: Options that must match between record and replay: each one changes
 #: *architected* behaviour (block boundaries, scheduling or fault
-#: semantics).  Codegen tier, perf mode, chaining and cache sizes are
-#: deliberately absent — replay across those is the whole point.
+#: semantics).  Codegen tier, chaining and cache sizes are deliberately
+#: absent — replay across those is the whole point.
 CONTRACT_KEYS = (
     "smc_check", "precise_faults", "dispatch_quantum", "thread_timeslice",
     "signal_poll_interval", "transtab_entries", "transtab_policy",
@@ -745,7 +745,7 @@ class Recorder:
             "contract": build_contract(self.options, tool_name),
             "recorded": {
                 "codegen": self.options.codegen,
-                "perf": self.options.perf,
+                "chaining": self.options.chaining,
                 "inject": self.options.inject,
                 "checkpoint_every": self.options.checkpoint_every,
             },

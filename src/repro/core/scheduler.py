@@ -319,7 +319,7 @@ class Scheduler:
             self.hostcpu.shadow_fastpath = True
         self.transtab = TranslationTable(options.transtab_entries,
                                          policy=options.transtab_policy)
-        #: Codegen tiering (closures / perf / pygen / interp); per-tier
+        #: Codegen tiering (closures / pygen / interp); per-tier
         #: execution timing only under --stats=json (the sampling wrapper
         #: would otherwise tax the hot path).
         self.codegen = CodegenTiers(
@@ -331,24 +331,10 @@ class Scheduler:
             on_demote=self._on_pygen_demoted,
         )
         if options.codegen != "closures":
-            # Lazy compilation: blocks compile on first execution (pygen)
-            # or on threshold crossing (auto); translations that never run
-            # never compile.  The insert hook just counts the deferral.
+            # Lazy compilation: blocks compile on first execution;
+            # translations that never run never compile.  The insert
+            # hook just counts the deferral.
             self.transtab.set_compiler(self.codegen.note_deferred)
-        elif options.perf:
-            # Perf mode: compile each translation eagerly at insert time
-            # through the content-addressed compiled-code cache, instead of
-            # lazily inside the dispatch loop.  A runner-compilation
-            # failure quarantines the block into the IR interpreter
-            # instead of killing the run.
-            def _eager_compile(t):
-                try:
-                    self.codegen.attach_perf(t)
-                except Exception as exc:
-                    if not self._quarantine_existing(t, exc):
-                        raise
-
-            self.transtab.set_compiler(_eager_compile)
         self.smc = SmcPolicy(options.smc_check, self._fetch_exact)
         self.translator = Translator(
             self._fetch,
@@ -582,19 +568,10 @@ class Scheduler:
         )
 
     def _attach_interp_runner(self, t) -> None:
-        """Give *t* interpreter-backed runners for both dispatch loops."""
-        runner = make_interp_runner(
+        """Give *t* an interpreter-backed runner."""
+        t.compiled_fn = make_interp_runner(
             t.irsb, self.hostcpu.helpers, self.env, self.memory
         )
-        t.compiled_fn = runner  # perf loop
-        cpu = self.hostcpu
-
-        def _closure():  # default loop: one hostcpu.run closure
-            jk, icnt = runner(cpu.ts)
-            cpu._exit_icnt = icnt
-            return jk
-
-        t.compiled = [_closure]
         self.codegen.note_interp(t)
 
     def _quarantine_translation(self, addr: int, exc) -> Optional[object]:
@@ -611,19 +588,6 @@ class Scheduler:
             return None
         self.quarantined_blocks += 1
         return t
-
-    def _quarantine_existing(self, t, exc) -> bool:
-        """Quarantine an already-translated block whose runner compilation
-        failed (perf insert-time path); True on success."""
-        q = self._quarantine_translation(t.guest_addr, exc)
-        if q is None:
-            return False
-        t.quarantined = True
-        t.irsb = q.irsb
-        t.compiled_fn = q.compiled_fn
-        t.compiled = q.compiled
-        t.tier = "interp"
-        return True
 
     # -- engine interface for the kernel ----------------------------------------------
 

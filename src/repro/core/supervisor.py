@@ -33,10 +33,7 @@ or raise an internal error — can take down the fleet:
 The public embedding API lives in :mod:`repro.api` (:func:`repro.api.run`
 runs one guest job in the current process, :func:`repro.api.run_fleet`
 wraps :class:`FleetSupervisor`, :func:`repro.api.replay` replays a
-bundle).  The historical deep entry points ``run_job`` and
-``replay_bundle`` on this module still resolve — via a module
-``__getattr__`` that emits a :class:`DeprecationWarning` and forwards to
-the byte-compatible :mod:`repro.api` implementations.
+bundle).
 """
 
 from __future__ import annotations
@@ -112,29 +109,6 @@ class JobResult:
     #: (event index, pc, guest_insns) where a partial replay ran out of
     #: recorded events (exit code 96); None otherwise.
     replay_exhausted_at: Optional[Tuple[int, int, int]] = None
-
-
-#: Deep entry points that moved to :mod:`repro.api`.  Resolved lazily by
-#: the module ``__getattr__`` below so old imports keep working (with a
-#: DeprecationWarning) while the implementations live in one place.
-_MOVED_TO_API = {"run_job": "run", "replay_bundle": "replay_bundle"}
-
-
-def __getattr__(name: str):
-    target = _MOVED_TO_API.get(name)
-    if target is not None:
-        import warnings
-
-        warnings.warn(
-            f"repro.core.supervisor.{name} is deprecated; "
-            f"use repro.api.{target} (or repro.{name})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .. import api
-
-        return getattr(api, target)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -256,7 +230,7 @@ def _effective_tier(spec: JobSpec) -> str:
 
 #: One-step tier degradation ladder applied on repeated JIT failures
 #: (closures is the floor and never degrades further).
-_DEGRADE_NEXT = {"traces": "pygen", "pygen": "closures", "auto": "closures"}
+_DEGRADE_NEXT = {"traces": "pygen", "pygen": "closures"}
 
 
 def _worker_run(spec, attempt, directive, bundle_path, flush_every,

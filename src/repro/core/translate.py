@@ -75,15 +75,15 @@ class Translation:
     #: (None when SMC checking is off for this translation).
     smc_hash: Optional[int] = None
     stats: TranslationStats = field(default_factory=TranslationStats)
-    #: Host closures, compiled lazily by the dispatcher.
+    #: Host closures, compiled lazily by the dispatcher (closure tier).
     compiled: Optional[list] = None
-    #: Perf mode: the content-addressed block runner (shared between
-    #: byte-identical translations), compiled eagerly at insert time.
+    #: The block runner ``fn(ts) -> (jump-kind, guest_insns)`` of every
+    #: other tier, attached on first execution (see core.codegen).
     compiled_fn: Optional[object] = None
-    #: Chaining: resolved next translation for a constant Boring successor.
+    #: Chaining: the first successor observed after a Boring exit.
     chain_next: Optional["Translation"] = None
-    #: Perf-mode chaining: last observed successor after a Call / Ret
-    #: (kept separate so call/return targets don't thrash the Boring link).
+    #: Chaining: the first successor observed after a Call / Ret (kept
+    #: separate so call/return targets don't thrash the Boring link).
     chain_call: Optional["Translation"] = None
     chain_ret: Optional["Translation"] = None
     #: Monotonic insertion number (set by the translation table; FIFO evict).
@@ -98,11 +98,10 @@ class Translation:
     #: True if the JIT back-end failed for this block and it executes
     #: through the IR interpreter instead (graceful degradation).
     quarantined: bool = False
-    #: Codegen tier this block currently executes in ("closures", "perf",
+    #: Codegen tier this block currently executes in ("closures",
     #: "pygen", "interp"); None until first attached (see core.codegen).
     tier: Optional[str] = None
-    #: Executions completed in the closure tier (drives --codegen=auto
-    #: promotion at --jit-threshold).
+    #: Executions counted towards --trace-threshold (core.codegen).
     exec_count: int = 0
     #: True if a pygen compile failed for this block (real or injected):
     #: it stays demoted in the closure tier, never retried.
@@ -436,9 +435,9 @@ class Translator:
 def make_interp_runner(sb: IRSB, helpers, env, mem):
     """Build a block runner executing *sb* through the IR interpreter.
 
-    The result has the same signature as a perf-mode compiled runner —
+    The result has the same signature as every tier's compiled runner —
     ``runner(ts) -> (jump-kind, guest_insns)`` — so quarantined
-    translations plug into both dispatch loops unchanged.
+    translations plug into the dispatch loop unchanged.
     """
     from ..ir.interp import IRInterpreter
     from ..ir.stmt import Exit, NoOp, Store, WrTmp

@@ -7,7 +7,7 @@ FIFO policy — chosen over LRU "because it is simpler and it still does a
 fairly good job".  Translations are also evicted when code is unloaded
 (munmap) or invalidated by self-modifying code.
 
-Perf-mode chaining records every translation-to-translation link in a
+Chaining records every translation-to-translation link in a
 :class:`ChainRegistry`, so that when a translation dies — FIFO eviction,
 munmap discard, or SMC invalidation — every link *into* it is severed
 eagerly, and no stale ``chain_next``/``chain_call``/``chain_ret`` pointer
@@ -117,8 +117,8 @@ class TranslationTable:
         self.stats = TransTabStats()
         #: Chain links into/out of stored translations; severed on death.
         self.chains = ChainRegistry()
-        #: Perf mode: eager compiler run at insert time (set by the
-        #: scheduler; compiles the block before its first execution).
+        #: Insert-time hook run on each new translation (set by the
+        #: scheduler; the lazy codegen tiers count deferred compiles).
         self._compiler: Optional[Callable[[Translation], None]] = None
         #: Record/replay: called with the number of entries killed at the
         #: end of every eviction round (capacity-pressure or forced).
@@ -129,7 +129,7 @@ class TranslationTable:
         self.on_kill: Optional[Callable[[Translation], None]] = None
 
     def set_compiler(self, compiler: Optional[Callable[[Translation], None]]):
-        """Install an eager insert-time compiler (perf mode)."""
+        """Install the insert-time hook (see ``_compiler``)."""
         self._compiler = compiler
 
     def chain(self, pred: Translation, slot: str, succ: Translation) -> None:

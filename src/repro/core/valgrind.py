@@ -132,20 +132,19 @@ class Valgrind:
         return self.scheduler.env.stack_trace_pcs(max_depth)
 
     def stats_dict(self, outcome: Optional[RunOutcome] = None) -> dict:
-        """Collect core statistics — dispatcher tiers, translation table,
-        chain registry, compiled-code cache, SMC — as one JSON-able dict."""
+        """Collect core statistics — dispatcher, translation table, chain
+        registry, host code, SMC — as one JSON-able dict."""
         from dataclasses import asdict
 
         sched = self.scheduler
         if sched is None:
-            return {"tool": self.tool.name, "perf": self.options.perf}
+            return {"tool": self.tool.name}
         d = sched.dispatcher
-        cpu = sched.hostcpu
         out = {
             "tool": self.tool.name,
-            "perf": self.options.perf,
             "dispatch": {
                 **asdict(d.stats),
+                "mega_hits": 0,  # retired megacache; perfbench still sums it
                 "hit_rate": d.stats.hit_rate,
                 "guest_insns": d.guest_insns,
             },
@@ -159,12 +158,7 @@ class Valgrind:
                 "links_severed": sched.transtab.chains.links_severed,
                 "live_links": len(sched.transtab.chains),
             },
-            "compiled_code": {
-                "cache_hits": cpu.code_cache_hits,
-                "cache_misses": cpu.code_cache_misses,
-                "unique_blocks": len(cpu._code_cache),
-                "host_insns": cpu.host_insns,
-            },
+            "compiled_code": {"host_insns": sched.hostcpu.host_insns},
             "smc": {"checks": sched.smc.checks, "misses": sched.smc.misses},
             "translations_made": sched.translator.translations_made,
             "codegen": sched.codegen.stats_dict(sched.transtab),

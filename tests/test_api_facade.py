@@ -2,16 +2,14 @@
 
 The contract: ``repro.api`` is the one public entry surface — ``run``,
 ``run_fleet``, ``replay``, ``open_cache`` — the CLI and supervisor are
-thin callers of it, the old deep imports
-(``repro.core.supervisor.run_job`` / ``replay_bundle``) still work but
-warn, and ``Options`` validates at construction, not first use.
+thin callers of it, and ``Options`` validates at construction, not
+first use.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import warnings
 
 import pytest
@@ -76,76 +74,13 @@ class TestRun:
         assert job.exit_code == 7
 
 
-class TestDeprecatedDeepImports:
-    def test_run_job_shim_warns_and_is_identical(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.core.supervisor import run_job as deep_run_job
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert deep_run_job is api.run
-        img = asm_image(SRC)
-        a = deep_run_job(img, "memcheck",
-                         repro.Options(log_target="capture"))
-        b = api.run(img, "memcheck", repro.Options(log_target="capture"))
-        assert (a.exit_code, a.stdout, a.stderr, a.log) \
-            == (b.exit_code, b.stdout, b.stderr, b.log)
-
-    def test_replay_bundle_shim_warns_and_is_identical(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.core.supervisor import replay_bundle as deep
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert deep is api.replay_bundle
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.supervisor as sup
-
-        with pytest.raises(AttributeError):
-            sup.definitely_not_a_thing
-
+class TestPackageAliases:
     def test_package_aliases_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            assert repro.run_job is api.run
             assert repro.replay_bundle is api.replay_bundle
             assert repro.run is api.run
             assert repro.run_fleet is api.run_fleet
-
-    def test_no_new_deep_imports_in_repo(self):
-        """Lint: nothing in-repo (outside the shim itself and this
-        test) may import the deprecated deep names."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        allow = {
-            os.path.join("src", "repro", "core", "supervisor.py"),
-            os.path.join("tests", "test_api_facade.py"),
-        }
-        deep = re.compile(
-            r"^\s*from\s+(?:repro\.core\.supervisor|\.core\.supervisor|"
-            r"\.supervisor)\s+import\s+(?:\([^)]*\)|[^\n]*)",
-            re.M | re.S,
-        )
-        names = re.compile(r"\b(run_job|replay_bundle)\b")
-        offenders = []
-        for top in ("src", "tests", "benchmarks"):
-            for dirpath, _dirs, files in os.walk(os.path.join(root, top)):
-                for fname in files:
-                    if not fname.endswith(".py"):
-                        continue
-                    path = os.path.join(dirpath, fname)
-                    rel = os.path.relpath(path, root)
-                    if rel in allow:
-                        continue
-                    with open(path) as f:
-                        text = f.read()
-                    for m in deep.finditer(text):
-                        if names.search(m.group(0)):
-                            offenders.append(rel)
-        assert not offenders, (
-            f"deprecated deep imports of run_job/replay_bundle in "
-            f"{offenders}; import from repro.api instead"
-        )
 
 
 class TestOptions:
@@ -155,10 +90,20 @@ class TestOptions:
         with pytest.raises(repro.BadOption):
             repro.Options(smc_check="sometimes")
         with pytest.raises(repro.BadOption):
-            repro.Options(jit_threshold=0)
+            repro.Options(codegen="auto")
         with pytest.raises(repro.BadOption):
             repro.Options(cache_max_mb=0)
+        # Sizes the engine cannot run with: each used to crash or hang
+        # the run instead of being rejected here.
+        for bad in (dict(dispatch_cache_size=0), dict(dispatch_cache_size=3),
+                    dict(dispatch_quantum=0), dict(dispatch_quantum=-1),
+                    dict(transtab_entries=0), dict(stack_size=0),
+                    dict(stack_size=-5)):
+            with pytest.raises(repro.BadOption):
+                repro.Options(**bad)
         repro.Options(codegen="pygen", cache_max_mb=1)  # valid
+        repro.Options(dispatch_cache_size=1, dispatch_quantum=1,
+                      transtab_entries=1, stack_size=4096)  # minimal
 
     def test_from_cli_args(self):
         opts = repro.Options.from_cli_args(

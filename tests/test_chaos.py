@@ -108,14 +108,12 @@ SPECS = [
 ]
 SEEDS = range(6)
 
-#: Execution engines: the historical pair plus the PR-3 codegen tiers.
-#: auto uses a low threshold so chaos runs actually cross the promotion
-#: boundary while injections are firing around them.
+#: Execution engines: the paper loop, the chained loop (``--perf``, an
+#: alias of ``--chaining``), and the pygen tier under chaining.
 MODES = {
     "plain": {},
-    "perf": {"perf": True},
-    "pygen": {"perf": True, "codegen": "pygen"},
-    "auto": {"perf": True, "codegen": "auto", "jit_threshold": 3},
+    "perf": {"chaining": True},
+    "pygen": {"chaining": True, "codegen": "pygen"},
 }
 
 CONFIGS = list(itertools.product(
@@ -252,7 +250,7 @@ class TestJitQuarantine:
 
 
 class TestPygenDemotion:
-    @pytest.mark.parametrize("mode", ["pygen", "auto"])
+    @pytest.mark.parametrize("mode", ["pygen"])
     @pytest.mark.parametrize("tool", ["none", "memcheck"])
     def test_pygen_failure_demotes_to_closures(self, tool, mode):
         # Acceptance: an injected pygen compile failure demotes the block

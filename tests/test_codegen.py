@@ -1,11 +1,10 @@
-"""The tiered codegen pipeline's mechanics (``--codegen``/``--jit-threshold``).
+"""The tiered codegen pipeline's mechanics (``--codegen``).
 
 The differential suites (test_perf_mode, test_fault_precision, test_chaos)
-prove the pygen and auto tiers compute the same thing as the closure
+prove the pygen and traces tiers compute the same thing as the closure
 engine; this file tests the tiering machinery itself: lazy compilation,
-threshold promotion, injected-failure demotion, the content-addressed
-pygen source cache, the emitted Python's shape, and the ``--stats=json``
-``codegen`` section.
+injected-failure demotion, the content-addressed pygen source cache, the
+emitted Python's shape, and the ``--stats=json`` ``codegen`` section.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ loop:   add  r6, r7
 
 
 def run_cg(src, tool="none", **kw):
-    kw.setdefault("perf", True)
+    kw.setdefault("chaining", True)
     return vg(src, tool, **kw)
 
 
@@ -49,15 +48,9 @@ class TestOptionParsing:
         for mode in CODEGEN_MODES:
             assert o.set(f"--codegen={mode}")
             assert o.codegen == mode
-        with pytest.raises(BadOption):
-            o.set("--codegen=llvm")
-
-    def test_jit_threshold_flag(self):
-        o = Options()
-        assert o.set("--jit-threshold=3")
-        assert o.jit_threshold == 3
-        with pytest.raises(BadOption):
-            o.set("--jit-threshold=0")
+        for retired in ("llvm", "auto"):
+            with pytest.raises(BadOption):
+                o.set(f"--codegen={retired}")
 
 
 class TestPygenTier:
@@ -103,7 +96,7 @@ class TestPygenTier:
         assert len(cpu._pygen_cache) == 0
 
     def test_pygen_matches_native_without_perf_loop(self):
-        # --codegen=pygen composes with the default (non-chaining) loop.
+        # --codegen=pygen composes with chaining off.
         nat = native(HOT_LOOP_SRC)
         res = vg(HOT_LOOP_SRC, codegen="pygen")
         assert res.stdout == nat.stdout
@@ -121,7 +114,7 @@ class TestLazyCompilation:
         img = asm_image(HOT_LOOP_SRC)
         res = run_tool(
             "none", img,
-            options=Options(log_target="capture", perf=True,
+            options=Options(log_target="capture", chaining=True,
                             codegen="pygen"),
             max_blocks=3,
         )
@@ -131,32 +124,12 @@ class TestLazyCompilation:
         assert "pending" in cg["live_blocks"]
 
     def test_eager_mode_compiles_at_insert(self):
+        # The closure tier compiles inside the dispatch loop, not through
+        # the lazy tiers' deferral hook: nothing is counted as deferred.
         res = run_cg(HOT_LOOP_SRC, codegen="closures")
         cg = res.stats()["codegen"]
         assert cg["compiles_deferred"] == 0
         assert cg["compiles_avoided"] == 0
-
-
-class TestAutoPromotion:
-    def test_hot_blocks_promote_cold_blocks_stay(self):
-        res = run_cg(HOT_LOOP_SRC, codegen="auto", jit_threshold=5)
-        assert res.exit_code == 0
-        cg = res.stats()["codegen"]
-        assert cg["mode"] == "auto"
-        assert cg["jit_threshold"] == 5
-        # The loop block crossed the threshold; one-shot blocks did not.
-        assert cg["promotions"] >= 1
-        live = cg["live_blocks"]
-        assert live.get("pygen", 0) >= 1
-        assert live.get("closures", 0) >= 1
-        # A promoted block counts an attach in both tiers.
-        assert cg["tier_attaches"]["pygen"] == cg["promotions"]
-
-    def test_threshold_one_promotes_everything_executed(self):
-        res = run_cg(HOT_LOOP_SRC, codegen="auto", jit_threshold=1)
-        cg = res.stats()["codegen"]
-        assert cg["live_blocks"].get("closures", 0) == 0
-        assert cg["promotions"] == cg["first_exec_compiles"]
 
 
 class TestInjectedDemotion:
@@ -173,9 +146,9 @@ class TestInjectedDemotion:
         assert stats["codegen"]["live_blocks"].get("closures", 0) >= 1
 
     def test_demoted_block_not_retried(self):
-        # Under auto, a failed promotion must not be re-attempted every
-        # execution: the block is marked and skipped.
-        res = run_cg(HOT_LOOP_SRC, codegen="auto", jit_threshold=2,
+        # A failed pygen compile must not be re-attempted every
+        # execution: the block is marked and stays demoted.
+        res = run_cg(HOT_LOOP_SRC, codegen="pygen",
                      inject="pygen:1.0,seed=1")
         assert res.exit_code == 0
         tab = res.core.scheduler.transtab
@@ -188,10 +161,10 @@ class TestInjectedDemotion:
 
 class TestStatsSection:
     def test_codegen_section_shape(self):
-        res = run_cg(HOT_LOOP_SRC, tool="memcheck", codegen="auto",
-                     jit_threshold=3, stats_format="json")
+        res = run_cg(HOT_LOOP_SRC, tool="memcheck", codegen="pygen",
+                     stats_format="json")
         cg = res.stats()["codegen"]
-        for key in ("mode", "jit_threshold", "tier_attaches", "promotions",
+        for key in ("mode", "tier_attaches",
                     "demotions", "compiles_deferred", "first_exec_compiles",
                     "compiles_avoided", "compile_seconds", "exec_seconds",
                     "tier_execs", "pygen_cache", "live_blocks"):
@@ -203,7 +176,7 @@ class TestStatsSection:
         assert sum(cg["tier_execs"].values()) > 0
         assert sum(cg["exec_seconds"].values()) > 0
         payload = json.dumps(res.stats())
-        assert json.loads(payload)["codegen"]["mode"] == "auto"
+        assert json.loads(payload)["codegen"]["mode"] == "pygen"
 
     def test_exec_sampling_off_by_default(self):
         res = run_cg(HOT_LOOP_SRC, codegen="pygen")

@@ -74,96 +74,22 @@ loop:   dec r0
 
         s = DispatchStats()
         assert s.hit_rate == 0.0
-        s.fast_hits, s.chained, s.mega_hits = 60, 20, 10
+        s.fast_hits, s.chained = 70, 20
         s.slow_hits, s.misses = 5, 5
-        # hits = fast + chained + mega; total also counts slow hits/misses.
+        # hits = fast + chained; total also counts slow hits/misses.
         assert s.hit_rate == pytest.approx(90 / 100)
-
-    def test_default_mode_has_no_megacache(self):
-        res = vg(self.LOOP)
-        d = res.core.scheduler.dispatcher
-        assert d._mega == []
-        assert d.stats.mega_hits == 0
-
-    # Polymorphic indirect calls: chain-once pins a single call target, so
-    # the other three rotate through the look-up tiers, and a 2-entry fast
-    # cache cannot hold them all — the 2-way megacache must.
-    POLY = """
-        .text
-main:   movi r6, 2000
-        movi r7, 0
-loop:   mov  r0, r6
-        andi r0, 3
-        shl  r0, 2
-        ld   r1, [table+r0]
-        call r1
-        add  r7, r0
-        dec  r6
-        jnz  loop
-        push r7
-        call putint
-        addi sp, 4
-        movi r0, 0
-        ret
-g0:     movi r0, 1
-        ret
-g1:     movi r0, 2
-        ret
-g2:     movi r0, 3
-        ret
-g3:     movi r0, 4
-        ret
-        .data
-table:  .word g0
-        .word g1
-        .word g2
-        .word g3
-"""
-
-    def test_megacache_catches_conflict_evictions(self):
-        res = vg(
-            self.POLY,
-            options=Options(log_target="capture", perf=True,
-                            dispatch_cache_size=2, megacache_size=64),
-        )
-        assert res.stdout.strip() == "5000"
-        s = res.core.scheduler.dispatcher.stats
-        assert s.mega_hits > 0
-        assert s.hit_rate > 0.9
-
-    def test_megacache_promotion_and_eviction(self):
-        from repro.core.dispatch import Dispatcher
-        from repro.core.transtab import TranslationTable
-        from repro.core.translate import Translation
-
-        tab = TranslationTable(entries=64)
-        opts = Options(perf=True, dispatch_cache_size=2, megacache_size=2)
-        d = Dispatcher(tab, hostcpu=None, options=opts)
-        # One set, two ways.
-        a = Translation(guest_addr=2, code=b"", ranges=((2, 4),))
-        b = Translation(guest_addr=4, code=b"", ranges=((4, 4),))
-        d._mega[0], d._mega[1] = a, b
-        # Promotion: a hit in the LRU way swaps it to MRU.  Drive the loop
-        # one step via a fake thread state that misses the L1 cache.
-        assert d._mega == [a, b]
-        mi = 0
-        m = d._mega[mi + 1]
-        d._mega[mi + 1] = d._mega[mi]
-        d._mega[mi] = m
-        assert d._mega == [b, a]
 
     def test_flush_cache_clears_both_tiers(self):
         res = vg(
             self.LOOP,
-            options=Options(log_target="capture", perf=True,
-                            megacache_size=64),
+            options=Options(log_target="capture", chaining=True,
+                            dispatch_cache_size=64),
         )
         d = res.core.scheduler.dispatcher
         assert any(e is not None for e in d._cache)
         d.flush_cache()
         assert all(e is None for e in d._cache)
-        assert all(e is None for e in d._mega)
-        assert len(d._mega) == 64  # size preserved
+        assert len(d._cache) == 64  # size preserved
 
 
 class TestGuestInsnCounting:
@@ -185,19 +111,19 @@ loop:   add  r1, r0
         ret
 """
 
-    @pytest.mark.parametrize("perf", [False, True])
-    def test_icnt_matches_refcpu_exactly(self, perf):
+    @pytest.mark.parametrize("chaining", [False, True])
+    def test_icnt_matches_refcpu_exactly(self, chaining):
         img = asm_image(self.SRC)
         nat = native(img)
-        res = vg(img, options=Options(log_target="capture", perf=perf))
+        res = vg(img, options=Options(log_target="capture", chaining=chaining))
         assert res.stdout == nat.stdout
         assert res.core.scheduler.dispatcher.guest_insns == nat.guest_insns
 
-    @pytest.mark.parametrize("perf", [False, True])
-    def test_icnt_exact_with_unrolling_disabled(self, perf):
+    @pytest.mark.parametrize("chaining", [False, True])
+    def test_icnt_exact_with_unrolling_disabled(self, chaining):
         img = asm_image(self.SRC)
         nat = native(img)
-        res = vg(img, options=Options(log_target="capture", perf=perf,
+        res = vg(img, options=Options(log_target="capture", chaining=chaining,
                                       unroll=False, opt1=False, opt2=False))
         assert res.core.scheduler.dispatcher.guest_insns == nat.guest_insns
 

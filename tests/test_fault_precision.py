@@ -1,6 +1,6 @@
 """Precise synchronous faults: the (signal, fault PC, fault address)
-triple must be identical across the reference CPU, the default dispatch
-loop, the --perf chained loop and the pygen/auto codegen tiers, and
+triple must be identical across the reference CPU, the dispatch loop
+with and without chaining, and the pygen/traces codegen tiers, and
 guest handlers must be able to inspect the siginfo words and recover by
 patching the saved PC."""
 
@@ -24,22 +24,21 @@ def _quad(si):
 
 
 def run_three(src):
-    """Run under the native engine, the default loop and the perf loop."""
+    """Run under the native engine, the default loop and the chained loop."""
     img = asm_image(src)
-    return native(img), vg(img), vg(img, perf=True)
+    return native(img), vg(img), vg(img, chaining=True)
 
 
-#: Codegen-tier engines (the PR-3 pipeline): every fault quadruple must
-#: match the reference CPU under these too.  auto uses a threshold of 2
-#: so handler-adjacent blocks really cross the promotion boundary.
+#: Codegen-tier engines: every fault quadruple must match the reference
+#: CPU under these too ("-perf" marks chaining on, "-noperf" off).
 CODEGEN_ENGINES = {
-    "pygen": {"perf": True, "codegen": "pygen"},
+    "pygen": {"chaining": True, "codegen": "pygen"},
     "pygen-noperf": {"codegen": "pygen"},
-    "auto": {"perf": True, "codegen": "auto", "jit_threshold": 2},
     # trace_threshold 2: handler-adjacent chains really get recorded, so
     # faults can strike *inside* a stitched superblock.
     "traces": {"codegen": "traces", "trace_threshold": 2},
-    "traces-perf": {"perf": True, "codegen": "traces", "trace_threshold": 2},
+    "traces-perf": {"chaining": True, "codegen": "traces",
+                    "trace_threshold": 2},
 }
 
 
@@ -313,7 +312,7 @@ flag:   .word 0
 """
         res = run_tool(
             "none", asm_image(src),
-            options=Options(log_target="capture", perf=True,
+            options=Options(log_target="capture", chaining=True,
                             dispatch_quantum=10**6, thread_timeslice=10**6),
             max_blocks=200_000,
         )
@@ -365,8 +364,8 @@ main:   movi r0, 11
         syscall
 wait:   jmp wait
 """
-        for perf in (False, True):
-            res = vg(src, perf=perf)
+        for chaining in (False, True):
+            res = vg(src, chaining=chaining)
             assert res.exit_code == ExitCode.for_signal(SIGTERM)
             assert res.outcome.fatal_signal == SIGTERM
             assert "not in executable memory" in res.log

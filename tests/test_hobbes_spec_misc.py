@@ -266,6 +266,7 @@ class TestOptions:
     def test_flag_options(self):
         o = Options()
         assert o.set("--chaining=yes") and o.chaining
+        assert o.set("--perf=no") and not o.chaining  # --perf aliases it
         assert o.set("--unroll=no") and not o.unroll
         with pytest.raises(BadOption):
             o.set("--chaining=maybe")
@@ -278,6 +279,12 @@ class TestOptions:
             o.set("--dispatch-cache=1000")  # not a power of two
         with pytest.raises(BadOption):
             o.set("--transtab-policy=random")
+        # Sizes that used to crash or hang the engine.
+        for bad in ("--dispatch-cache=0", "--dispatch-quantum=0",
+                    "--dispatch-quantum=-1", "--transtab-entries=0",
+                    "--stack-size=0", "--stack-size=-5"):
+            with pytest.raises(BadOption):
+                o.set(bad)
 
     def test_numeric_options(self):
         o = Options()

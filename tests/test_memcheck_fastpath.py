@@ -16,7 +16,7 @@ from repro import Options, assemble, run_tool
 
 from helpers import asm_image, programs, vg
 
-TIERS = ["closures", "pygen", "auto", "traces"]
+TIERS = ["closures", "pygen", "traces"]
 
 #: Named workloads covering the fast paths' interesting edges: clean
 #: loops (pure fast path), heap overruns and use-after-free (A-bit

@@ -1,22 +1,25 @@
-"""The ``--perf`` execution mode's correctness story.
+"""The chained dispatch loop's correctness story (``--chaining``, alias
+``--perf``).
 
-Perf mode changes *how* translations execute — content-addressed compiled
-runners, multi-link Boring/Call/Ret chaining with registry-severed
-invalidation, and a two-tier dispatcher cache — but must never change
-*what* they compute.  This suite proves it three ways:
+Chaining changes *how* control reaches the next translation — Boring,
+Call and Ret links followed without a look-up, made and severed through
+the chain registry — and the pygen/traces tiers change how a block
+executes, but neither may change *what* the program computes.  This
+suite proves it three ways:
 
 * differentially: random programs (the same hypothesis generator as
   ``tests/test_differential.py``) run under Nulgrind and Memcheck with
-  perf on, perf off, and on the reference CPU, and the full architected
-  state, data segment, exit code and error reports must agree — including
-  under pathologically tiny caches that force constant eviction;
+  chaining on, chaining off, and on the reference CPU, and the full
+  architected state, data segment, exit code and error reports must
+  agree — including under pathologically tiny caches that force constant
+  eviction;
 * by regression: FIFO eviction, client-requested discards, munmap and
   self-modifying code must sever chain links eagerly so no stale
   ``chain_next``/``chain_call``/``chain_ret`` or compiled runner is ever
   executed;
 * at the unit level: the chain registry's link/sever semantics, the
-  eager insert-time compiler, the content-addressed runner cache, and
-  every inline operator template the runner generator uses.
+  insert-time hook, and every inline operator template the pygen
+  emitter uses.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import asm_image, native, programs, ref_run, vg
 from repro import Options, assemble, run_tool
-from repro.backend.hostcpu import OP_INLINE
+from repro.backend.pygen import OP_INLINE
 from repro.core.translate import Translation
 from repro.core.transtab import ChainRegistry, TranslationTable
 from repro.ir.ops import get_op
@@ -36,7 +39,7 @@ from repro.ir.ops import get_op
 
 def perf_options(**kw) -> Options:
     kw.setdefault("log_target", "capture")
-    kw.setdefault("perf", True)
+    kw.setdefault("chaining", True)
     return Options(**kw)
 
 
@@ -51,7 +54,7 @@ def _assert_matches_ref(res, ref_ts, ref_data, data_seg, label):
 
 
 # ---------------------------------------------------------------------------
-# Differential: perf on == perf off == reference CPU.
+# Differential: chaining on == chaining off == reference CPU.
 # ---------------------------------------------------------------------------
 
 
@@ -64,11 +67,11 @@ def test_random_program_differential_perf(source, tool):
 
     plain = run_tool(tool, img, options=Options(log_target="capture"))
     fast = run_tool(tool, img, options=perf_options())
-    _assert_matches_ref(fast, ref_ts, ref_data, data_seg, f"perf/{tool}")
+    _assert_matches_ref(fast, ref_ts, ref_data, data_seg, f"chained/{tool}")
     assert fast.exit_code == plain.exit_code
     assert fast.stdout == plain.stdout
     # Same error reports, in the same order (Memcheck's instrumentation
-    # must be oblivious to the execution mode).
+    # must be oblivious to how blocks are dispatched).
     assert [(e.kind, e.addr) for e in fast.errors] == [
         (e.kind, e.addr) for e in plain.errors
     ]
@@ -81,8 +84,8 @@ def test_random_program_perf_survives_tiny_caches(source):
     """Constant FIFO eviction + conflict misses must not change results.
 
     A 48-entry translation table forces eviction rounds mid-run (severing
-    chains while they are hot) and 16/8-entry dispatcher tiers force the
-    megacache promotion/demotion machinery to run constantly.
+    chains while they are hot) and a 16-entry dispatcher cache forces
+    conflict misses constantly.
     """
     img = assemble(source, filename="rand")
     ref_ts, ref_data, data_seg = ref_run(img)
@@ -90,7 +93,7 @@ def test_random_program_perf_survives_tiny_caches(source):
         "none",
         img,
         options=perf_options(
-            transtab_entries=48, dispatch_cache_size=16, megacache_size=8
+            transtab_entries=48, dispatch_cache_size=16
         ),
     )
     _assert_matches_ref(res, ref_ts, ref_data, data_seg, "tiny-caches")
@@ -100,7 +103,7 @@ def test_random_program_perf_survives_tiny_caches(source):
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs(), st.sampled_from(["none", "memcheck"]))
 def test_random_program_differential_codegen_tiers(source, tool):
-    """The pygen and auto tiers must be bit-identical to the closure
+    """The pygen and traces tiers must be bit-identical to the closure
     engine: same architected state, data segment, output, error reports
     and guest instruction count."""
     img = assemble(source, filename="rand")
@@ -110,7 +113,6 @@ def test_random_program_differential_codegen_tiers(source, tool):
                                                 codegen="closures"))
     for label, opts in (
         ("pygen", perf_options(codegen="pygen")),
-        ("auto", perf_options(codegen="auto", jit_threshold=2)),
         ("traces", perf_options(codegen="traces", trace_threshold=2)),
     ):
         res = run_tool(tool, img, options=opts)
@@ -137,7 +139,7 @@ def test_random_program_pygen_survives_tiny_caches(source):
         img,
         options=perf_options(
             codegen="pygen",
-            transtab_entries=48, dispatch_cache_size=16, megacache_size=8
+            transtab_entries=48, dispatch_cache_size=16
         ),
     )
     _assert_matches_ref(res, ref_ts, ref_data, data_seg, "pygen-tiny-caches")
@@ -183,15 +185,13 @@ fn3:    mov  r0, r6
 """
 
 
-@pytest.mark.parametrize("codegen", ["closures", "pygen", "auto", "traces"])
+@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
 def test_fifo_eviction_with_live_chains_matches_native(codegen):
     nat = native(CALL_HEAVY_SRC)
     res = vg(
         CALL_HEAVY_SRC,
-        options=perf_options(codegen=codegen, jit_threshold=3,
-                             trace_threshold=3,
-                             transtab_entries=12, dispatch_cache_size=16,
-                             megacache_size=8),
+        options=perf_options(codegen=codegen, trace_threshold=3,
+                             transtab_entries=12, dispatch_cache_size=16),
     )
     assert res.stdout == nat.stdout
     assert res.exit_code == nat.exit_code
@@ -218,7 +218,7 @@ def test_call_ret_chains_are_used():
     assert res.core.scheduler.dispatcher.stats.chained > 0
 
 
-@pytest.mark.parametrize("codegen", ["closures", "pygen", "auto", "traces"])
+@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
 def test_smc_discard_mid_run_under_perf(codegen):
     """Rewriting already-translated code must discard the old translation,
     sever its chains, and never execute the stale compiled runner —
@@ -397,31 +397,12 @@ class TestTableChainIntegration:
 
 
 # ---------------------------------------------------------------------------
-# Unit: the content-addressed runner cache and the inline op templates.
+# Unit: the inline op templates.
 # ---------------------------------------------------------------------------
 
 
-def test_content_addressed_runner_sharing():
-    # This tests the PR-1 eager insert-time path specifically, so pin
-    # the closure tier (lazy tiers defer compilation to first execution).
-    res = vg(CALL_HEAVY_SRC, options=perf_options(codegen="closures"))
-    cpu = res.core.scheduler.hostcpu
-    # Every translation compiled exactly once per unique byte string...
-    assert cpu.code_cache_misses == len(cpu._code_cache)
-    tab = res.core.scheduler.transtab
-    by_code = {}
-    for t in tab.all_translations():
-        assert t.compiled_fn is not None  # eager insert-time compilation
-        by_code.setdefault(t.code, set()).add(id(t.compiled_fn))
-    # ...and byte-identical translations share one runner object.
-    for code, fns in by_code.items():
-        assert len(fns) == 1
-    cpu.flush_code_cache()
-    assert len(cpu._code_cache) == 0
-
-
 def test_op_inline_templates_match_op_table():
-    """Every inline expression the runner generator may emit must agree
+    """Every inline expression the pygen emitter may emit must agree
     with the registered semantic function on random and edge inputs."""
     rng = random.Random(1234)
     for name, tmpl in sorted(OP_INLINE.items()):

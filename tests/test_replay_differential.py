@@ -2,8 +2,8 @@
 replay bit-exactly under every other tier.
 
 The event log captures only architected decisions, so the recording made
-under the closure tier is an executable oracle for the pygen, auto and
-perf engines: same RunOutcome, same (signal, pc, addr, access) fault
+under the closure tier is an executable oracle for the pygen, traces and
+chained (``--perf``) engines: same RunOutcome, same (signal, pc, addr, access) fault
 quadruple, same guest_insns, zero divergences.  This subsumes the older
 differential suites — instead of comparing two live runs' final states,
 every scheduler pick, syscall result and signal delivery is verified at
@@ -30,8 +30,7 @@ N_EXAMPLES = 25 if _QUICK else 100
 REPLAY_MODES = {
     "closures": {"codegen": "closures"},
     "pygen": {"codegen": "pygen"},
-    "auto": {"codegen": "auto", "jit_threshold": 2},
-    "perf": {"codegen": "closures", "perf": True},
+    "perf": {"codegen": "closures", "chaining": True},
     "traces": {"codegen": "traces", "trace_threshold": 2},
 }
 

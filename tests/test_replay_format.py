@@ -196,8 +196,8 @@ def test_load_missing_file_is_format_error(tmp_path):
 
 
 def test_contract_ignores_codegen_but_not_quantum():
-    a = build_contract(Options(codegen="closures", perf=False), "none")
-    b = build_contract(Options(codegen="pygen", perf=True), "none")
+    a = build_contract(Options(codegen="closures", chaining=False), "none")
+    b = build_contract(Options(codegen="pygen", chaining=True), "none")
     check_contract(a, b)  # tier changes are fine
     c = build_contract(Options(dispatch_quantum=17), "none")
     with pytest.raises(ReplayFormatError, match="dispatch_quantum"):

@@ -1,5 +1,7 @@
 """Workload-suite and command-line launcher tests."""
 
+import os
+import subprocess
 import sys
 
 import pytest
@@ -108,6 +110,20 @@ msg:    .asciz "hi there"
     def test_unknown_option(self, tmp_path, capsys):
         path = self._write(tmp_path, "hello.s", self.HELLO)
         assert cli_main(["--tool=none", "--bogus=1", path]) == 2
+
+    def test_zero_dispatch_quantum_rejected(self, tmp_path):
+        # A zero quantum used to spin forever without running a block;
+        # the subprocess timeout turns a regression into a failure.
+        path = self._write(tmp_path, "hello.s", self.HELLO)
+        src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--tool=none",
+             "--dispatch-quantum=0", path],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src_dir)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro:"), proc.stderr
 
     def test_client_args_passed(self, tmp_path, capsys):
         src = """
