@@ -109,11 +109,15 @@ SPECS = [
 SEEDS = range(6)
 
 #: Execution engines: the paper loop, the chained loop (``--perf``, an
-#: alias of ``--chaining``), and the pygen tier under chaining.
+#: alias of ``--chaining``), the pygen tier under chaining, and the trace
+#: tier under chaining (the repo benchmark's ``fast`` engine).  traces
+#: uses a low threshold so chaos runs actually stitch superblocks while
+#: injections are firing around them.
 MODES = {
     "plain": {},
     "perf": {"chaining": True},
     "pygen": {"chaining": True, "codegen": "pygen"},
+    "traces": {"chaining": True, "codegen": "traces", "trace_threshold": 3},
 }
 
 CONFIGS = list(itertools.product(
@@ -250,7 +254,7 @@ class TestJitQuarantine:
 
 
 class TestPygenDemotion:
-    @pytest.mark.parametrize("mode", ["pygen"])
+    @pytest.mark.parametrize("mode", ["pygen", "traces"])
     @pytest.mark.parametrize("tool", ["none", "memcheck"])
     def test_pygen_failure_demotes_to_closures(self, tool, mode):
         # Acceptance: an injected pygen compile failure demotes the block

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import Options, run_tool
+from repro.backend.hostcpu import HostCPU
 from repro.core.codegen import CODEGEN_MODES, TIERS
 from repro.core.options import BadOption
 
@@ -157,6 +158,26 @@ class TestInjectedDemotion:
         inj = res.stats()["robustness"]["injection"]["pygen"]
         # Each block consults the injector at most once.
         assert inj["seen"] == res.stats()["codegen"]["demotions"]
+
+    def test_demoted_blocks_run_through_compile_fn(self, monkeypatch):
+        # HostCPU.compile_fn is the closure tier's runner factory: every
+        # demoted block gets exactly one runner from it, and the runners
+        # compute what the reference CPU does.
+        made = []
+        real_compile_fn = HostCPU.compile_fn
+
+        def counting_compile_fn(self, code):
+            made.append(code)
+            return real_compile_fn(self, code)
+
+        monkeypatch.setattr(HostCPU, "compile_fn", counting_compile_fn)
+        res = run_cg(HOT_LOOP_SRC, codegen="pygen",
+                     inject="pygen:1.0,seed=1")
+        assert res.stdout == native(HOT_LOOP_SRC).stdout
+        cg = res.stats()["codegen"]
+        assert cg["tier_attaches"]["pygen"] == 0
+        assert len(made) == cg["demotions"] == \
+            cg["tier_attaches"]["closures"] > 0
 
 
 class TestStatsSection:

@@ -7,6 +7,7 @@ import pytest
 from repro import Options
 from repro.core import clientreq as CR
 from repro.core.valgrind import Valgrind
+from repro.kernel.memory import PAGE_SIZE
 from repro.core.tool import Tool
 from repro.kernel.kernel import SIGUSR1, SYS_KILL, SYS_SIGACTION
 
@@ -92,6 +93,30 @@ loop:   dec r0
         assert len(d._cache) == 64  # size preserved
 
 
+class TestStatsSections:
+    LOOP = TestDispatchCacheTiers.LOOP
+
+    def test_dispatch_section_reports_mega_hits_as_zero(self):
+        # The megacache is gone, but the key stays (always 0) because
+        # per-layer reports written against older runs still sum it.
+        res = vg(self.LOOP, options=Options(log_target="capture",
+                                            chaining=True,
+                                            stats_format="json"))
+        d = res.stats()["dispatch"]
+        assert d["mega_hits"] == 0
+        assert "mega_evictions" not in d
+        assert d["chained"] > 0
+
+    def test_compiled_code_section_counts_host_insns_only(self):
+        res = vg(self.LOOP, options=Options(log_target="capture",
+                                            chaining=True,
+                                            stats_format="json"))
+        stats = res.stats()
+        assert set(stats["compiled_code"]) == {"host_insns"}
+        assert stats["compiled_code"]["host_insns"] > 0
+        assert "perf" not in stats
+
+
 class TestGuestInsnCounting:
     # A loop whose body takes a *side* exit (the jnz back-edge) on all but
     # the last iteration: exact counting must attribute the correct number
@@ -125,6 +150,21 @@ loop:   add  r1, r0
         nat = native(img)
         res = vg(img, options=Options(log_target="capture", chaining=chaining,
                                       unroll=False, opt1=False, opt2=False))
+        assert res.core.scheduler.dispatcher.guest_insns == nat.guest_insns
+
+    @pytest.mark.parametrize("chaining", [False, True])
+    def test_smallest_accepted_sizes_run_exactly(self, chaining):
+        # The lower bounds Options enforces are sizes the engine really
+        # runs with: one cache slot, one block per quantum, a one-entry
+        # translation table and a single page of stack.
+        img = asm_image(self.SRC)
+        nat = native(img)
+        res = vg(img, options=Options(log_target="capture", chaining=chaining,
+                                      dispatch_cache_size=1,
+                                      dispatch_quantum=1,
+                                      transtab_entries=1,
+                                      stack_size=PAGE_SIZE))
+        assert (res.exit_code, res.stdout) == (nat.exit_code, nat.stdout)
         assert res.core.scheduler.dispatcher.guest_insns == nat.guest_insns
 
 

@@ -16,7 +16,14 @@ from repro import Options, assemble, run_tool
 
 from helpers import asm_image, programs, vg
 
-TIERS = ["closures", "pygen", "traces"]
+#: Each codegen tier under the paper loop, plus the repo benchmark's
+#: ``fast`` engine (the trace tier under chaining).
+ENGINES = {
+    "closures": {"codegen": "closures"},
+    "pygen": {"codegen": "pygen"},
+    "traces": {"codegen": "traces"},
+    "fast": {"codegen": "traces", "chaining": True},
+}
 
 #: Named workloads covering the fast paths' interesting edges: clean
 #: loops (pure fast path), heap overruns and use-after-free (A-bit
@@ -119,35 +126,35 @@ def run_one(src, fast, **kw):
 
 
 class TestDifferentialAcrossTiers:
-    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_fastpath_is_observably_identical(self, tier, name):
-        on = run_one(PROGRAMS[name], True, codegen=tier)
-        off = run_one(PROGRAMS[name], False, codegen=tier)
+    def test_fastpath_is_observably_identical(self, engine, name):
+        on = run_one(PROGRAMS[name], True, **ENGINES[engine])
+        off = run_one(PROGRAMS[name], False, **ENGINES[engine])
         assert observe(on) == observe(off)
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_tiers_agree_with_closures_reference(self, tier):
-        """Every tier with the fast path on must match the helper-only
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_tiers_agree_with_closures_reference(self, engine):
+        """Every engine with the fast path on must match the helper-only
         closures tier (the reference semantics)."""
         ref = run_one(PROGRAMS["overrun_rw"], False, codegen="closures")
-        got = run_one(PROGRAMS["overrun_rw"], True, codegen=tier)
+        got = run_one(PROGRAMS["overrun_rw"], True, **ENGINES[engine])
         assert observe(got) == observe(ref)
 
 
 class TestReplayContract:
-    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_checkpointed_log_replays_across_fastpath_and_tiers(
-            self, tmp_path, tier):
+            self, tmp_path, engine):
         """The fast-path flag is outside the replay contract: a log
         recorded with checkpoints under fastpath=on/closures must replay
-        bit-exactly with fastpath=off under every tier (snapshot hashes
+        bit-exactly with fastpath=off under every engine (snapshot hashes
         mask the tier- and fastpath-dependent thread-state scratch)."""
         path = str(tmp_path / "v.rrlog")
         rec = run_one(PROGRAMS["clean_heap_loop"], True, codegen="closures",
                       record=path, checkpoint_every=50)
-        rep = run_one(PROGRAMS["clean_heap_loop"], False, codegen=tier,
-                      replay=path)
+        rep = run_one(PROGRAMS["clean_heap_loop"], False, replay=path,
+                      **ENGINES[engine])
         assert observe(rep) == observe(rec)
         stats = rep.stats()["replay"]
         assert stats["divergences"] == 0

@@ -24,6 +24,7 @@ suite proves it three ways:
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -31,9 +32,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import asm_image, native, programs, ref_run, vg
 from repro import Options, assemble, run_tool
+from repro.backend.hostcpu import HostCPU
 from repro.backend.pygen import OP_INLINE
 from repro.core.translate import Translation
-from repro.core.transtab import ChainRegistry, TranslationTable
+from repro.core.transtab import CHAIN_SLOTS, ChainRegistry, TranslationTable
 from repro.ir.ops import get_op
 
 
@@ -204,6 +206,125 @@ def test_fifo_eviction_with_live_chains_matches_native(codegen):
         for slot in ("chain_next", "chain_call", "chain_ret"):
             succ = getattr(t, slot)
             assert succ is None or not succ.dead, (slot, hex(t.guest_addr))
+
+
+# ---------------------------------------------------------------------------
+# The one loop's chaining policy.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+def test_chaining_off_touches_no_chain_slot(codegen):
+    """The paper loop (chaining off) neither fills nor follows a link,
+    whichever tier the blocks run in: every transfer is a look-up."""
+    res = vg(CALL_HEAVY_SRC,
+             options=perf_options(codegen=codegen, chaining=False,
+                                  trace_threshold=3))
+    assert res.stdout == native(CALL_HEAVY_SRC).stdout
+    tab = res.core.scheduler.transtab
+    for t in tab.all_translations():
+        for slot in CHAIN_SLOTS:
+            assert getattr(t, slot) is None, (slot, hex(t.guest_addr))
+    assert tab.chains.links_made == 0 and len(tab.chains) == 0
+    assert res.core.scheduler.dispatcher.stats.chained == 0
+
+
+@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+def test_every_link_goes_through_the_registry(codegen):
+    """With chaining on, every filled slot is a chain-registry record, so
+    eviction, munmap and SMC flushes can sever it."""
+    res = vg(CALL_HEAVY_SRC,
+             options=perf_options(codegen=codegen, trace_threshold=3))
+    assert res.stdout == native(CALL_HEAVY_SRC).stdout
+    tab = res.core.scheduler.transtab
+    assert tab.stats.evict_rounds == 0 and tab.stats.discarded == 0
+    filled = [(t, slot) for t in tab.all_translations()
+              for slot in CHAIN_SLOTS if getattr(t, slot) is not None]
+    assert filled
+    # Nothing died, so every link ever made is still live: one registry
+    # record per filled slot, and no slot filled behind its back.
+    assert tab.chains.links_made == len(tab.chains) == len(filled)
+    # Severing every block cuts each link exactly once.
+    for t in tab.all_translations():
+        tab.chains.sever(t)
+    assert len(tab.chains) == 0
+    assert tab.chains.links_severed == len(filled)
+
+
+#: Polymorphic indirect calls: the loop's Call slot is linked to the first
+#: target only, so the other three reach their callees by look-up.
+POLY_SRC = """
+        .text
+main:   movi r6, 2000
+        movi r7, 0
+loop:   mov  r0, r6
+        andi r0, 3
+        shl  r0, 2
+        ld   r1, [table+r0]
+        call r1
+        add  r7, r0
+        dec  r6
+        jnz  loop
+        push r7
+        call putint
+        addi sp, 4
+        movi r0, 0
+        ret
+g0:     movi r0, 1
+        ret
+g1:     movi r0, 2
+        ret
+g2:     movi r0, 3
+        ret
+g3:     movi r0, 4
+        ret
+        .data
+table:  .word g0
+        .word g1
+        .word g2
+        .word g3
+"""
+
+
+def test_each_slot_is_linked_at_most_once(monkeypatch):
+    made = collections.Counter()
+    keep = []  # hold predecessors so their ids stay unique
+    real_chain = TranslationTable.chain
+
+    def counting_chain(self, pred, slot, succ):
+        made[(id(pred), slot)] += 1
+        keep.append(pred)
+        real_chain(self, pred, slot, succ)
+
+    monkeypatch.setattr(TranslationTable, "chain", counting_chain)
+    res = vg(POLY_SRC, options=perf_options())
+    assert res.stdout.strip() == "5000"
+    assert made and max(made.values()) == 1
+    tab = res.core.scheduler.transtab
+    assert tab.chains.links_made == sum(made.values())
+    assert res.core.scheduler.dispatcher.stats.chained > 0
+
+
+def test_closure_blocks_compile_once_in_chained_loop(monkeypatch):
+    """Closure-tier blocks run as the paper loop runs them: compiled to
+    a closure list on first execution, then run directly however they
+    are reached."""
+    compiled = []
+    real_compile = HostCPU.compile
+
+    def counting_compile(self, code):
+        compiled.append(code)
+        return real_compile(self, code)
+
+    monkeypatch.setattr(HostCPU, "compile", counting_compile)
+    res = vg(CALL_HEAVY_SRC, options=perf_options(codegen="closures"))
+    assert res.stdout == native(CALL_HEAVY_SRC).stdout
+    sched = res.core.scheduler
+    assert len(compiled) == sched.translator.translations_made
+    assert sched.dispatcher.stats.chained > 0
+    assert sched.dispatcher.stats.blocks_executed > len(compiled)
+    for t in sched.transtab.all_translations():
+        assert t.compiled is not None and t.compiled_fn is None
 
 
 def test_call_ret_chains_are_used():

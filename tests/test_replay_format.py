@@ -246,6 +246,26 @@ def test_recorded_log_reserializes_byte_identically(tmp_path):
     assert EventLog.from_bytes(raw).to_bytes() == raw
 
 
+def test_recorded_engine_is_outside_the_contract(tmp_path):
+    # The ``recorded`` block names the engine a log was made under —
+    # codegen tier and chaining — but replay never checks it: a chained
+    # pygen recording replays under the paper loop's closure tier.
+    img = asm_image(_LOOP_SRC)
+    log_path = str(tmp_path / "run.rrlog")
+    rec = run_tool("none", img,
+                   options=Options(log_target="capture", record=log_path,
+                                   codegen="pygen", chaining=True))
+    recorded = EventLog.load(log_path).meta["recorded"]
+    assert recorded["codegen"] == "pygen"
+    assert recorded["chaining"] is True
+    assert "perf" not in recorded
+    rep = run_tool("none", img,
+                   options=Options(log_target="capture", replay=log_path,
+                                   codegen="closures", chaining=False))
+    assert (rep.exit_code, rep.stdout) == (rec.exit_code, rec.stdout)
+    assert rep.stats()["replay"]["divergences"] == 0
+
+
 def test_divergence_reports_event_index_and_pc(tmp_path):
     img = asm_image(_LOOP_SRC)
     log_path = str(tmp_path / "run.rrlog")

@@ -1,5 +1,6 @@
 """Workload-suite and command-line launcher tests."""
 
+import json
 import os
 import subprocess
 import sys
@@ -124,6 +125,44 @@ msg:    .asciz "hi there"
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("repro:"), proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--megacache=8", "--jit-threshold=3",
+                                      "--codegen=auto"])
+    def test_retired_engine_flags_rejected(self, tmp_path, capsys, flag):
+        # The megacache and the auto tier (with its threshold) are gone:
+        # each spelling is refused with a one-line message, not run.
+        path = self._write(tmp_path, "hello.s", self.HELLO)
+        assert cli_main(["--tool=none", flag, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro:"), captured.err
+        assert flag.split("=")[0].lstrip("-") in captured.err
+        assert "hi there" not in captured.out
+
+    LOOP = """
+        .text
+main:   movi r0, 500
+loop:   dec  r0
+        jnz  loop
+        movi r0, 0
+        ret
+"""
+
+    def test_perf_flag_is_a_chaining_alias(self, tmp_path, capsys):
+        # --perf=yes|no survives only as a second spelling of
+        # --chaining=yes|no: the same value gives the same run.
+        path = self._write(tmp_path, "loop.s", self.LOOP)
+        out = tmp_path / "stats.json"
+        runs = {}
+        for flag in ("--perf=yes", "--chaining=yes",
+                     "--perf=no", "--chaining=no"):
+            rc = cli_main(["--tool=none", f"--stats-out={out}", flag, path])
+            stats = json.loads(out.read_text())
+            runs[flag] = (rc, capsys.readouterr().out,
+                          stats["dispatch"], stats["chains"])
+        assert runs["--perf=yes"] == runs["--chaining=yes"]
+        assert runs["--perf=no"] == runs["--chaining=no"]
+        assert runs["--chaining=yes"][2]["chained"] > 0
+        assert runs["--chaining=no"][2]["chained"] == 0
 
     def test_client_args_passed(self, tmp_path, capsys):
         src = """
