@@ -82,6 +82,9 @@ class HostCPU:
         self._pygen_cache: Dict[bytes, Callable] = {}
         self.pygen_cache_hits = 0
         self.pygen_cache_misses = 0
+        #: pygen source texts this cpu had to compile() (the rest came
+        #: from the process-wide or the persistent code cache).
+        self.pygen_compiles = 0
         #: Persistent code cache (core.codecache), set by the scheduler
         #: under --cache-dir: compile_pygen_code and the trace builder
         #: round-trip their content-addressed payloads through it.

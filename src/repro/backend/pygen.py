@@ -47,6 +47,7 @@ from __future__ import annotations
 import struct
 import sys
 from collections import OrderedDict
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..guest.regs import GUEST_STATE_SIZE, OFFSET_PC
@@ -85,8 +86,9 @@ from .hostisa import (
 #: or the spec entry shapes.
 PYGEN_EMIT_VERSION = 2
 
-#: Process-wide pygen source -> code object cache.
-_PYGEN_SRC_CACHE: Dict[str, object] = {}
+#: Process-wide pygen source -> code object cache, also seeded with the
+#: bytecode a persistent code cache hit carries (see compile_pygen_code).
+_PYGEN_SRC_CACHE: Dict[str, CodeType] = {}
 
 #: Process-wide encoded host code -> (source, env spec) cache.  Decode +
 #: emission dominate compile_pygen; both are pure functions of the code
@@ -828,16 +830,26 @@ def bind_pygen(cpu, src: str, spec: tuple) -> Callable:
             env[name] = cpu.helpers.lookup(payload).fn
         else:  # attr
             env[name] = getattr(cpu, payload)
-    # Share code objects process-wide: blocks differing only in bound
-    # values reuse the same bytecode with different defaults.
+    exec(_pygen_code(cpu, src), env)
+    fn = env["_pygen"]
+    fn.pygen_source = src
+    return fn
+
+
+def _pygen_code(cpu, src: str) -> CodeType:
+    """The code object for *src*, compiled at most once per process.
+
+    Shared process-wide: blocks differing only in bound values reuse the
+    same bytecode with different defaults.  ``cpu.pygen_compiles`` counts
+    the ``compile()`` calls this cpu's run made (``--stats=json``
+    ``codegen.pygen_cache.compiles``).
+    """
     code = _PYGEN_SRC_CACHE.get(src)
     if code is None:
         code = compile(src, "<pygen-block>", "exec")
         _PYGEN_SRC_CACHE[src] = code
-    exec(code, env)
-    fn = env["_pygen"]
-    fn.pygen_source = src
-    return fn
+        cpu.pygen_compiles += 1
+    return code
 
 
 def _code_wants_fastpath(cpu, code: bytes) -> bool:
@@ -862,8 +874,11 @@ def compile_pygen_code(cpu, code: bytes) -> Callable:
     same program (benchmarks, fleets, replay) skip straight to
     :func:`bind_pygen` — the only per-run work left is building the env
     dict and executing the cached code object.  When the cpu carries a
-    persistent :class:`repro.core.codecache.CodeCache`, emit payloads
-    round-trip through it, so the skip extends across processes.
+    persistent :class:`repro.core.codecache.CodeCache`, the source, its
+    env spec and its compiled bytecode round-trip through it, so a fresh
+    process skips emission *and* ``compile()``: a disk hit seeds the
+    process-wide code-object cache with the stored bytecode, and a miss
+    compiles once and stores all three.
     """
     fastpath = _code_wants_fastpath(cpu, code)
     key = b"\x01" + code if fastpath else code
@@ -874,14 +889,19 @@ def compile_pygen_code(cpu, code: bytes) -> Callable:
     else:
         _EMIT_CACHE_STATS["misses"] += 1
         disk = getattr(cpu, "codecache", None)
-        if disk is not None:
-            hit = disk.load_pygen(code, fastpath=fastpath)
-        if hit is None:
+        loaded = (disk.load_pygen(code, fastpath=fastpath)
+                  if disk is not None else None)
+        if loaded is not None:
+            src, spec, pycode = loaded
+            _PYGEN_SRC_CACHE.setdefault(src, pycode)
+            hit = (src, spec)
+        else:
             from .hostisa import decode_insns
 
             hit = emit_pygen(decode_insns(code), fastpath=fastpath)
             if disk is not None:
-                disk.store_pygen(code, *hit, fastpath=fastpath)
+                disk.store_pygen(code, *hit, _pygen_code(cpu, hit[0]),
+                                 fastpath=fastpath)
         _emit_cache_put(key, hit)
     return bind_pygen(cpu, *hit)
 

@@ -6,7 +6,8 @@ traces ``_BUILD_CACHE``) amortize it only within one process lifetime.
 This module makes the amortization *persistent*: an on-disk,
 content-addressed store keyed by everything a translation's output
 depends on, so a warm start skips decode -> IR -> opt -> isel ->
-regalloc -> emit and goes straight to ``bind_pygen`` / exec.
+regalloc -> emit -> ``compile()`` and goes straight to exec of the
+stored bytecode.
 
 Three namespaces share one directory (under a format-versioned subdir,
 so a format bump simply stops seeing old entries):
@@ -17,8 +18,15 @@ so a format bump simply stops seeing old entries):
         over the stored ranges and comparing their SHA-256 — a stale
         entry (SMC, a different program at the same address) is a miss,
         never a wrong translation.
-``p/``  pygen emit payloads: ``(source text, encoded env spec)`` keyed
-        by the host code bytes (emission is a pure function of them).
+``p/``  pygen payloads: ``(source text, encoded env spec,
+        marshal.dumps(code object))`` keyed by the host code bytes
+        (emission is a pure function of them), the emit version and
+        variant, and the interpreter's bytecode magic number
+        (``importlib.util.MAGIC_NUMBER``), so one shared directory never
+        hands a Python 3.10 process 3.12 bytecode.  The source text is
+        the canonical payload; the code object is derived from it by one
+        ``compile()`` at store time, and a blob that does not unmarshal
+        to a code object is quarantined like any other damaged entry.
 ``x/``  trace build results: assembled superblock code keyed by the
         stitched pre-opt IR signature (see core.traces).
 
@@ -34,37 +42,54 @@ Durability properties:
 * **Crash-safe atomic writes** — entries are written to a temp file and
   ``os.replace``d into place; readers never see a partial entry.
 * **Version/invalidation header** — a ``VERSION`` file records the
-  format; entries live under ``v<N>/`` so a format bump orphans (and
-  eventually evicts) old entries instead of misreading them.
+  format; entries live under ``v<N>/`` so a format bump orphans old
+  entries instead of misreading them, and the budget walk evicts them.
 * **Corruption tolerance** — every entry carries magic + SHA-256 over
   its payload; a damaged entry is quarantined (moved aside, counted)
   and treated as a miss.  Nothing a hostile byte can do produces a
   wrong translation: the payload digest guards decode, and the guest
   byte re-verification guards semantic staleness.
 * **LRU size budget** — ``--cache-max-mb`` bounds the store; hits touch
-  mtimes, eviction removes oldest-first.  Concurrent fleet writers are
-  safe: identical content writes identical entries, and a racing
-  reader either sees a complete entry or misses.
+  mtimes, eviction removes oldest-first.  Opening a cache does not walk
+  the store: the budget walk runs just before a process's first write
+  and again after every 4 MB it writes, so a process that only reads
+  (every warm start) never pays for it — and cannot grow the store.  A
+  walk covers every ``v<N>/`` tree under the root (current and orphaned
+  formats, quarantined entries, temp files a killed writer left) under
+  one oldest-first order; files outside those trees are never touched.
+  Concurrent fleet writers are safe: identical content writes identical
+  entries, and a racing reader either sees a complete entry or misses.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import marshal
 import os
 import pickle
+import re
+import types
 import zlib
 from typing import Callable, Dict, Optional, Tuple
 
 #: On-disk format version: bump whenever entry layout, the pickled
 #: payload schema, or any versioned pipeline input changes shape.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 _MAGIC = b"RCC1"
 _PICKLE_PROTO = 4
 
+#: This interpreter's bytecode format, part of every ``p/`` key.
+_PY_MAGIC = importlib.util.MAGIC_NUMBER
+
 #: Budget check cadence: re-walk the store after this many bytes of
-#: writes (or at open), not on every store.
+#: writes (and before the first), not on every store.
 _EVICT_CHECK_BYTES = 4 * 1024 * 1024
+
+#: Names of the per-format trees under the root (``v1``, ``v2``, ...):
+#: the only files the budget walk may evict.
+_FORMAT_DIR = re.compile(r"v[0-9]+")
 
 
 class CacheStats:
@@ -104,12 +129,13 @@ class CodeCache:
         #: Per-context translation index: ctx-dir -> {addr: [filenames]},
         #: listed once per process and extended by our own stores.
         self._t_index: Dict[str, Dict[int, list]] = {}
-        self._bytes_since_check = 0
+        #: Bytes written since the last budget walk; None until this
+        #: process's first write (which walks first).
+        self._bytes_since_check: Optional[int] = None
         self._seq = 0
         for d in self._dirs.values():
             os.makedirs(d, exist_ok=True)
         self._write_header()
-        self._enforce_budget()
 
     # -- header ----------------------------------------------------------------
 
@@ -143,6 +169,8 @@ class CodeCache:
             self.stats.store_errors += 1
             return False
         blob = _MAGIC + hashlib.sha256(payload).digest() + payload
+        if self._bytes_since_check is None:
+            self._enforce_budget()
         try:
             self._atomic_write(path, blob)
         except OSError:
@@ -291,20 +319,21 @@ class CodeCache:
             return True
         return False
 
-    # -- pygen emit payloads (p/) ----------------------------------------------
+    # -- pygen payloads (p/) ---------------------------------------------------
 
     def _p_path(self, code: bytes, emit_version: int, variant: int = 0) -> str:
         h = hashlib.sha256(
-            b"pygen:%d:%d:" % (emit_version, variant) + code
+            b"pygen:%d:%d:" % (emit_version, variant) + _PY_MAGIC + b":"
+            + code
         ).hexdigest()
         return os.path.join(self._dirs["p"], f"{h[:24]}.tcp")
 
     def load_pygen(
         self, code: bytes, fastpath: bool = False
-    ) -> Optional[Tuple[str, tuple]]:
-        """Return ``(src, spec)`` for *code*, decoded from disk.  The
-        *fastpath* emission variant (inlined Memcheck shadow accesses,
-        see backend.pygen) keys a distinct payload."""
+    ) -> Optional[Tuple[str, tuple, types.CodeType]]:
+        """Return ``(src, spec, code object)`` for *code*, decoded from
+        disk.  The *fastpath* emission variant (inlined Memcheck shadow
+        accesses, see backend.pygen) keys a distinct payload."""
         from ..backend import pygen as _pygen
 
         path = self._p_path(code, _pygen.PYGEN_EMIT_VERSION,
@@ -314,21 +343,26 @@ class CodeCache:
             self.stats.pygen_misses += 1
             return None
         try:
-            src, enc = obj
+            src, enc, blob = obj
             spec = _pygen.decode_spec(enc)
             if not isinstance(src, str):
                 raise ValueError("source is not a string")
+            pycode = marshal.loads(blob)
+            if not isinstance(pycode, types.CodeType):
+                raise ValueError("bytecode is not a code object")
         except Exception:
             self._quarantine(path)
             self.stats.pygen_misses += 1
             return None
         self.stats.pygen_hits += 1
         self._touch(path)
-        return src, spec
+        return src, spec, pycode
 
     def store_pygen(
-        self, code: bytes, src: str, spec: tuple, fastpath: bool = False
+        self, code: bytes, src: str, spec: tuple, pycode: types.CodeType,
+        fastpath: bool = False,
     ) -> bool:
+        """Store *src*, its env *spec* and *pycode* (``compile(src)``)."""
         from ..backend import pygen as _pygen
 
         try:
@@ -338,7 +372,7 @@ class CodeCache:
             return False
         if self._write_entry(self._p_path(code, _pygen.PYGEN_EMIT_VERSION,
                                           1 if fastpath else 0),
-                             (src, enc)):
+                             (src, enc, marshal.dumps(pycode))):
             self.stats.pygen_stores += 1
             return True
         return False
@@ -379,17 +413,20 @@ class CodeCache:
     # -- size budget ------------------------------------------------------------
 
     def _enforce_budget(self) -> None:
-        """Walk the store; evict oldest entries past the byte budget."""
+        """Walk every ``v<N>/`` tree under the root (any format version,
+        quarantine and stray temp files included); evict oldest files
+        past the byte budget."""
         self._bytes_since_check = 0
         entries = []
         total = 0
-        for key in ("t", "p", "x"):
-            top = self._dirs[key]
-            try:
-                walker = os.walk(top)
-            except OSError:
-                continue
-            for dirpath, _dirnames, filenames in walker:
+        try:
+            tops = [name for name in os.listdir(self.root)
+                    if _FORMAT_DIR.fullmatch(name)]
+        except OSError:
+            tops = []
+        for top in tops:
+            for dirpath, _dirnames, filenames in os.walk(
+                    os.path.join(self.root, top)):
                 for name in filenames:
                     path = os.path.join(dirpath, name)
                     try:

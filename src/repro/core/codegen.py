@@ -213,6 +213,7 @@ class CodegenTiers:
                 "hits": cpu.pygen_cache_hits,
                 "misses": cpu.pygen_cache_misses,
                 "unique_blocks": len(cpu._pygen_cache),
+                "compiles": cpu.pygen_compiles,
             },
             "emit_cache": _emit_cache_stats(),
         }

@@ -32,7 +32,7 @@ from ..ir.stmt import JumpKind
 from ..ir.types import Ty
 from ..kernel import kernel as K
 from ..kernel.kernel import Kernel, ProcessExit, SigInfo
-from ..kernel.memory import GuestFault, GuestMemory, PROT_RWX
+from ..kernel.memory import PAGE_SIZE, GuestFault, GuestMemory, PROT_RWX
 from ..kernel.sigframe import FRAME_PUSH, pop_signal_frame, push_signal_frame
 from . import clientreq as CR
 from .codegen import CodegenTiers
@@ -452,14 +452,28 @@ class Scheduler:
         return self.threads[self.current_tid]
 
     def _fetch(self, addr: int, n: int) -> bytes:
-        """Fetch up to n executable bytes (for the disassembler)."""
-        out = bytearray(self.memory.fetch(addr, 1))
-        for i in range(1, n):
+        """Fetch up to n executable bytes (at least one), for the
+        disassembler, cache-hit verification and SMC hashes.
+
+        One ``memory.fetch`` per in-page run; the bytes stop at the first
+        unfetchable page, wrapping at 0xFFFFFFFF.  An unfetchable first
+        byte raises the same one-byte exec fault a byte-at-a-time fetch
+        would."""
+        fetch = self.memory.fetch
+        addr &= 0xFFFFFFFF
+        n = max(n, 1)
+        run = min(n, PAGE_SIZE - (addr & (PAGE_SIZE - 1)))
+        try:
+            out = fetch(addr, run)
+        except GuestFault as exc:
+            raise GuestFault(exc.addr, 1, exc.access, exc.reason) from None
+        while len(out) < n:
+            a = (addr + len(out)) & 0xFFFFFFFF
             try:
-                out += self.memory.fetch(addr + i, 1)
+                out += fetch(a, min(n - len(out), PAGE_SIZE))
             except GuestFault:
                 break
-        return bytes(out)
+        return out
 
     def _fetch_exact(self, addr: int, n: int) -> bytes:
         return self.memory.fetch(addr, n)

@@ -53,6 +53,9 @@ over the retranslated code.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import pickle
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -100,10 +103,10 @@ _CALLSTACK_MAX = 16384
 VG_TRACE_CALL = "vg_trace_call"
 VG_TRACE_RET = "vg_trace_ret"
 
-#: Process-wide cache: sha1 of stitched pre-opt IR -> (host code bytes,
-#: n_blocks, total_insns).  See the content-addressing note in
-#: :meth:`TraceManager._build`.  LRU-bounded (entries never go stale —
-#: content addressing — so eviction is purely a memory bound), and
+#: Process-wide cache: :func:`_ir_signature` of stitched pre-opt IR ->
+#: (host code bytes, n_blocks, total_insns).  See the content-addressing
+#: note in :meth:`TraceManager._build`.  LRU-bounded (entries never go
+#: stale — content addressing — so eviction is purely a memory bound), and
 #: round-tripped through the persistent code cache when one is bound
 #: (core.codecache), so re-recorded traces skip the build across
 #: processes too.
@@ -476,19 +479,10 @@ class TraceManager:
         # caches (backend.hostcpu).  A fresh run of the same program
         # re-records the same chains and skips straight to the cheap
         # per-run pygen binding.
-        import hashlib
-        import pickle
         import time as _time
 
         t0 = _time.perf_counter()
-        # pickle is a C-speed structural serializer and deterministic for
-        # the identical construction paths a re-recorded trace takes; a
-        # sharing difference can only cause a false miss (a rebuild),
-        # never a false hit.
-        sig = hashlib.sha1(pickle.dumps(
-            (sorted(trace.tyenv.items()), trace.next, trace.jumpkind,
-             trace.stmts),
-        )).digest()
+        sig = _ir_signature(trace)
         disk = getattr(self.hostcpu, "codecache", None)
         hit = _BUILD_CACHE.get(sig)
         if hit is not None:
@@ -625,6 +619,24 @@ class TraceManager:
                 "entries": len(_BUILD_CACHE),
             },
         }
+
+
+def _ir_signature(trace: IRSB) -> bytes:
+    """SHA-1 of a memo-free pickle of *trace*'s stitched IR.
+
+    pickle is a C-speed structural serializer, but its memo writes a
+    shared object once and back-references it after, so the bytes
+    depend on object sharing: IR read back from the code cache's ``t/``
+    entries pickles differently from IR fresh out of the translator.
+    Fast mode (no memo) writes every occurrence out in full, so equal
+    IR gives an equal signature however it was built or loaded.
+    """
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=4)
+    pickler.fast = True
+    pickler.dump((sorted(trace.tyenv.items()), trace.next, trace.jumpkind,
+                  trace.stmts))
+    return hashlib.sha1(buf.getvalue()).digest()
 
 
 def _last_real_stmt(stmts: List[Stmt]) -> Optional[Stmt]:

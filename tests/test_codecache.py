@@ -10,7 +10,9 @@ hammered by kill plans must never leave a corrupt entry behind.
 
 from __future__ import annotations
 
+import marshal
 import os
+import pickle
 import zlib
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 import repro
 from repro import api
 from repro.backend import pygen as _pygen
+from repro.core import codecache as _codecache
 from repro.core import traces as _traces
 from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
 
@@ -58,17 +61,62 @@ def assert_same_run(a, b):
     assert a.log == b.log
 
 
+#: A loop whose hot chain spans two distinct blocks (the loop body and
+#: the function it calls), so its trace stitches IR from two cache
+#: entries.
+CALL_LOOP_SRC = """
+        .text
+main:   movi r6, 0
+        movi r7, 60
+loop:   call fn1
+        dec  r7
+        jnz  loop
+        push r6
+        call putint
+        addi sp, 4
+        movi r0, 0
+        push r0
+        call exit
+fn1:    add  r6, r7
+        xor  r6, r7
+        ret
+"""
+
+
 def drop_in_memory_caches():
     """Forget every in-process translation product, so the next run must
     go through the disk cache (simulating a fresh process)."""
     _pygen.clear_emit_cache()
+    _pygen._PYGEN_SRC_CACHE.clear()
     _traces._BUILD_CACHE.clear()
+
+
+def compiles(res) -> int:
+    """pygen ``compile()`` calls the run made."""
+    return res.stats()["codegen"]["pygen_cache"]["compiles"]
+
+
+def p_entries(cache_dir):
+    pdir = cache_dir / f"v{CACHE_FORMAT_VERSION}" / "p"
+    return sorted(str(pdir / name) for name in os.listdir(pdir))
+
+
+def rewrite_p_entries(cache_dir, blob_fn):
+    """Replace every ``p/`` entry's bytecode blob by ``blob_fn(blob)``,
+    re-sealed with a valid digest (only the decode checks can catch it)."""
+    cache = CodeCache(str(cache_dir))
+    paths = p_entries(cache_dir)
+    for path in paths:
+        src, enc, blob = cache._read_entry(path)
+        assert cache._write_entry(path, (src, enc, blob_fn(blob)))
+    return len(paths)
 
 
 class TestWarmEqualsCold:
     @pytest.mark.parametrize("tool", ["none", "memcheck", "cachegrind"])
     @pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
     def test_warm_byte_identical(self, tmp_path, tool, codegen):
+        drop_in_memory_caches()  # the cold run stores every pygen block
         cold = run_cached(tmp_path, tool, codegen=codegen,
                           trace_threshold=5)
         drop_in_memory_caches()
@@ -79,6 +127,14 @@ class TestWarmEqualsCold:
         assert cache["hits"] > 0
         assert cache["misses"] == 0
         assert cache["quarantined"] == 0
+        if codegen != "closures":
+            # pygen blocks run the bytecode stored in p/: no compile().
+            assert compiles(cold) > 0
+            assert compiles(warm) == 0
+            assert cache["pygen_hits"] > 0 and cache["pygen_misses"] == 0
+            runners = warm.core.scheduler.hostcpu._pygen_cache.values()
+            assert all(fn.pygen_source.startswith("def _pygen(")
+                       for fn in runners)
 
     def test_nocache_equals_cached(self, tmp_path):
         plain = run_cached(None, codegen="pygen")
@@ -122,6 +178,25 @@ main:   movi r1, 64
                 == [e.kind for e in warm.errors])
 
 
+class TestTraceBuildKeys:
+    def test_first_warm_run_rebuilds_no_trace(self, tmp_path):
+        """Trace builds are keyed by the stitched IR's content, not by
+        how its objects happen to be shared: IR read back from ``t/``
+        must find the builds the cold run stored."""
+        drop_in_memory_caches()
+        cold = run_cached(tmp_path, "memcheck", src=CALL_LOOP_SRC,
+                          codegen="traces", trace_threshold=5)
+        assert cold.stats()["traces"]["traces_built"] > 0
+        drop_in_memory_caches()
+        warm = run_cached(tmp_path, "memcheck", src=CALL_LOOP_SRC,
+                          codegen="traces", trace_threshold=5)
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["trace_hits"] > 0
+        assert c["trace_misses"] == 0
+        assert c["bytes_written"] == 0
+
+
 class TestInvalidation:
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         run_cached(tmp_path)
@@ -131,6 +206,22 @@ class TestInvalidation:
         warm = run_cached(tmp_path)
         c = warm.stats()["cache"]
         assert c["hits"] == 0 and c["misses"] > 0
+
+    def test_other_interpreter_bytecode_is_a_miss(self, tmp_path,
+                                                  monkeypatch):
+        """``p/`` keys carry the interpreter's bytecode magic number: an
+        entry another Python version stored is a miss, never exec'd."""
+        drop_in_memory_caches()
+        with monkeypatch.context() as m:
+            m.setattr(_codecache, "_PY_MAGIC", b"\xff\xff\r\n")
+            cold = run_cached(tmp_path, codegen="pygen")
+        drop_in_memory_caches()
+        warm = run_cached(tmp_path, codegen="pygen")
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["hits"] > 0  # t/ entries do not depend on the interpreter
+        assert c["pygen_hits"] == 0 and c["pygen_misses"] > 0
+        assert compiles(warm) > 0
 
     def test_tool_options_invalidate(self, tmp_path):
         run_cached(tmp_path, "taintcheck", codegen="pygen")
@@ -178,6 +269,48 @@ class TestCorruption:
         assert c["hits"] == 0
         qdir = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "quarantine"
         assert any(qdir.iterdir())
+
+    def test_tampered_bytecode_quarantined(self, tmp_path):
+        """A flipped byte inside a stored code object fails the payload
+        digest: the entry is quarantined and the block recompiled."""
+        drop_in_memory_caches()
+        cold = run_cached(tmp_path, codegen="pygen")
+        paths = p_entries(tmp_path)
+        assert paths
+        for path in paths:
+            with open(path, "rb") as f:
+                raw = bytearray(f.read())
+            _src, _enc, blob = pickle.loads(bytes(raw[36:]))
+            at = bytes(raw).index(blob) + len(blob) // 2
+            raw[at] ^= 0xFF
+            with open(path, "wb") as f:
+                f.write(bytes(raw))
+        drop_in_memory_caches()
+        warm = run_cached(tmp_path, codegen="pygen")
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["quarantined"] == len(paths)
+        assert c["pygen_hits"] == 0
+        assert compiles(warm) > 0
+
+    @pytest.mark.parametrize("blob_fn", [
+        lambda blob: marshal.dumps(42),
+        lambda blob: blob[: len(blob) // 2],
+    ], ids=["not-code", "truncated"])
+    def test_bad_bytecode_quarantined(self, tmp_path, blob_fn):
+        """A digest-valid entry whose bytecode does not unmarshal to a
+        code object is quarantined, and the job takes the cold path."""
+        drop_in_memory_caches()
+        cold = run_cached(tmp_path, codegen="pygen")
+        n = rewrite_p_entries(tmp_path, blob_fn)
+        assert n > 0
+        drop_in_memory_caches()
+        warm = run_cached(tmp_path, codegen="pygen")
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["quarantined"] == n
+        assert c["pygen_hits"] == 0
+        assert compiles(warm) > 0
 
     def test_truncated_entry_quarantined(self, tmp_path):
         cold = run_cached(tmp_path)
@@ -241,6 +374,59 @@ class TestBudget:
         hit = cache.lookup_translation(b"\x02" * 32, 0x2000 + 19, fetch)
         assert hit is not None  # newest survived
         assert cache.lookup_translation(b"\x02" * 32, 0x2000, fetch) is None
+
+    def test_orphans_and_quarantine_evicted_first(self, tmp_path):
+        """Entries of an older format and quarantined entries count
+        against the budget and, being oldest, are evicted first; files
+        outside the cache's ``v<N>/`` trees are never touched."""
+        kb = 128 * 1024
+        now = 1_700_000_000
+
+        def seed(path, age):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as f:
+                f.write(os.urandom(kb))
+            os.utime(path, (now - age, now - age))
+            return path
+
+        old = f"v{CACHE_FORMAT_VERSION - 1}"
+        orphans = [seed(str(tmp_path / old / "t" / "ab" / f"{i}.tce"),
+                        1000 - i) for i in range(8)]
+        bad = [seed(str(tmp_path / f"v{CACHE_FORMAT_VERSION}" / "quarantine"
+                        / f"{i}.tcp.1.bad"), 500 - i) for i in range(4)]
+        foreign = seed(str(tmp_path / "notes.bin"), 5000)
+        seeded = orphans + bad
+
+        cache = CodeCache(str(tmp_path), max_mb=1)
+        assert all(os.path.exists(p) for p in seeded)  # open walks nothing
+        blob = os.urandom(kb)
+
+        def fetch(start, length):
+            return blob[start:start + length]
+
+        def store(i):
+            assert cache.store_translation(
+                b"\x04" * 32, 0x4000 + i, fetch,
+                code=blob, ranges=((i, 64),), irsb=None, stats=None,
+            )
+
+        def cache_bytes():
+            return sum(os.path.getsize(os.path.join(d, f))
+                       for d, _dirs, files in os.walk(tmp_path)
+                       for f in files if os.path.join(d, f) != foreign)
+
+        store(0)  # the first write walks the 1.5 MB store first
+        gone = [p for p in seeded if not os.path.exists(p)]
+        assert gone == orphans[:len(gone)] and gone  # oldest first
+        assert cache.lookup_translation(b"\x04" * 32, 0x4000, fetch)
+        assert cache_bytes() <= cache.max_bytes + kb + 1024
+
+        for i in range(1, 10):
+            store(i)
+        cache._enforce_budget()
+        assert not any(os.path.exists(p) for p in seeded)
+        assert cache_bytes() <= cache.max_bytes + kb + 1024
+        assert os.path.exists(foreign)
 
     def test_emit_cache_lru_counts_evictions(self):
         budget = _pygen._EMIT_CACHE_BUDGET

@@ -2,12 +2,20 @@
 serialisation, signals, stack events, client requests, function
 wrapping/redirection, and syscall-wrapper events."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Options
 from repro.core import clientreq as CR
+from repro.core.scheduler import Scheduler
 from repro.core.valgrind import Valgrind
-from repro.kernel.memory import PAGE_SIZE
+from repro.kernel.memory import (
+    PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_RWX, PROT_RX, GuestFault,
+    GuestMemory,
+)
 from repro.core.tool import Tool
 from repro.kernel.kernel import SIGUSR1, SYS_KILL, SYS_SIGACTION
 
@@ -608,3 +616,81 @@ main:   movi r0, 7          ; mmap(0, 4096, rwx)
         res = vg(src)
         assert res.stdout.strip() == "5"
         assert res.core.scheduler.transtab.stats.discarded >= 1
+
+
+def byte_loop_fetch(memory, addr: int, n: int) -> bytes:
+    """Reference model of ``Scheduler._fetch``: one byte at a time."""
+    out = bytearray(memory.fetch(addr, 1))
+    for i in range(1, n):
+        try:
+            out += memory.fetch(addr + i, 1)
+        except GuestFault:
+            break
+    return bytes(out)
+
+
+def _outcome(fetch, addr: int, n: int):
+    try:
+        return ("bytes", fetch(addr, n))
+    except GuestFault as exc:
+        return ("fault", exc.addr, exc.size, exc.access, exc.reason,
+                str(exc))
+
+
+#: A four-page window's first page: low memory, and the top of the
+#: address space (the window wraps to page 0).
+_WINDOW_PAGES = st.sampled_from([0, 1, 0x400, 0xFFFFE, 0xFFFFF])
+#: Per page: unmapped (None), mapped without exec, or executable.
+_PAGE_PROT = st.sampled_from([None, 0, PROT_READ, PROT_EXEC, PROT_RX,
+                              PROT_RWX])
+
+
+class TestSchedulerFetch:
+    """``Scheduler._fetch`` reads a page-sized run per call; it must
+    agree with the byte-at-a-time model on every layout."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        first=_WINDOW_PAGES,
+        prots=st.lists(_PAGE_PROT, min_size=4, max_size=4),
+        offset=st.integers(0, 4 * PAGE_SIZE - 1),
+        n=st.one_of(st.integers(0, 24), st.integers(0, 3 * PAGE_SIZE)),
+        unmasked=st.booleans(),
+    )
+    def test_matches_byte_loop(self, first, prots, offset, n, unmasked):
+        mem = GuestMemory()
+        for i, prot in enumerate(prots):
+            pn = (first + i) & 0xFFFFF
+            if prot is None:
+                continue
+            mem.map(pn * PAGE_SIZE, PAGE_SIZE, prot)
+            mem.write_raw(pn * PAGE_SIZE,
+                          bytes((pn + j) & 0xFF for j in range(PAGE_SIZE)))
+        addr = (first * PAGE_SIZE + offset) & 0xFFFFFFFF
+        if unmasked:
+            addr += 1 << 32  # fetch masks its address, like the model
+        sched = SimpleNamespace(memory=mem)
+        got = _outcome(lambda a, k: Scheduler._fetch(sched, a, k), addr, n)
+        want = _outcome(lambda a, k: byte_loop_fetch(mem, a, k), addr, n)
+        assert got == want
+
+    def test_wraps_at_top_of_address_space(self):
+        mem = GuestMemory()
+        mem.map(0xFFFFF000, PAGE_SIZE, PROT_RX)
+        mem.map(0, PAGE_SIZE, PROT_RX)
+        mem.write_raw(0xFFFFFFFE, b"\xaa\xbb")
+        mem.write_raw(0, b"\xcc\xdd")
+        sched = SimpleNamespace(memory=mem)
+        assert Scheduler._fetch(sched, 0xFFFFFFFE, 4) == b"\xaa\xbb\xcc\xdd"
+
+    def test_unfetchable_first_byte_faults_like_one_byte_fetch(self):
+        mem = GuestMemory()
+        mem.map(0x1000, PAGE_SIZE, PROT_READ)
+        sched = SimpleNamespace(memory=mem)
+        for addr, reason in ((0x1ff0, "permission denied"),
+                             (0x5000, "unmapped")):
+            with pytest.raises(GuestFault) as info:
+                Scheduler._fetch(sched, addr, 16)
+            exc = info.value
+            assert (exc.addr, exc.size, exc.access, exc.reason) == (
+                addr, 1, "exec", reason)
