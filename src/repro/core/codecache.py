@@ -12,12 +12,18 @@ stored bytecode.
 Three namespaces share one directory (under a format-versioned subdir,
 so a format bump simply stops seeing old entries):
 
-``t/``  whole translations: assembled host code + the flat instrumented
-        IR + pipeline stats, keyed by *(context hash, guest address)*
+``t/``  whole translations: assembled host code, pipeline stats and the
+        flat instrumented IR, keyed by *(context hash, guest address)*
         and **verified** on every hit by re-fetching the guest bytes
         over the stored ranges and comparing their SHA-256 — a stale
         entry (SMC, a different program at the same address) is a miss,
-        never a wrong translation.
+        never a wrong translation.  The IR is a separately pickled blob
+        inside the payload, stored with its SHA-1
+        (``core.translate.pickle_ir``).  A hit hands out the digest and
+        leaves the blob undecoded: the trace tier keys its builds by
+        member digests, and only a build that misses calls
+        :meth:`CodeCache.load_ir`, which quarantines an entry whose blob
+        does not decode to an ``IRSB``.
 ``p/``  pygen payloads: ``(source text, encoded env spec,
         marshal.dumps(code object))`` keyed by the host code bytes
         (emission is a pure function of them), the emit version and
@@ -27,8 +33,13 @@ so a format bump simply stops seeing old entries):
         the canonical payload; the code object is derived from it by one
         ``compile()`` at store time, and a blob that does not unmarshal
         to a code object is quarantined like any other damaged entry.
-``x/``  trace build results: assembled superblock code keyed by the
-        stitched pre-opt IR signature (see core.traces).
+``x/``  trace build outcomes ``(host code, members used, blocks, guest
+        insns)``, keyed by the trace tier's build key: the trace-build,
+        spec, opt-pipeline and host-ISA versions plus each member's
+        (guest address, IR digest), see core.traces.  Seam truncation is
+        decided from IR, so the entry records how many members the build
+        used, and an unstitchable recording is stored as
+        ``(None, 0, 0, 0)``: a warm run answers every build from here.
 
 The *context hash* folds in every version and configuration input the
 pipeline output depends on: frontend spec version, opt pipeline
@@ -45,10 +56,11 @@ Durability properties:
   format; entries live under ``v<N>/`` so a format bump orphans old
   entries instead of misreading them, and the budget walk evicts them.
 * **Corruption tolerance** — every entry carries magic + SHA-256 over
-  its payload; a damaged entry is quarantined (moved aside, counted)
-  and treated as a miss.  Nothing a hostile byte can do produces a
-  wrong translation: the payload digest guards decode, and the guest
-  byte re-verification guards semantic staleness.
+  its whole payload, a ``t/`` entry's undecoded IR blob included; a
+  damaged entry is quarantined (moved aside, counted) and treated as a
+  miss.  Nothing a hostile byte can do produces a wrong translation:
+  the payload digest guards decode, and the guest byte re-verification
+  guards semantic staleness.
 * **LRU size budget** — ``--cache-max-mb`` bounds the store; hits touch
   mtimes, eviction removes oldest-first.  Opening a cache does not walk
   the store: the budget walk runs just before a process's first write
@@ -75,7 +87,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 #: On-disk format version: bump whenever entry layout, the pickled
 #: payload schema, or any versioned pipeline input changes shape.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 _MAGIC = b"RCC1"
 _PICKLE_PROTO = 4
@@ -101,7 +113,7 @@ class CacheStats:
         "hits", "misses", "stores", "store_errors", "quarantined",
         "evictions", "evicted_bytes", "bytes_read", "bytes_written",
         "pygen_hits", "pygen_misses", "pygen_stores",
-        "trace_hits", "trace_misses", "trace_stores",
+        "trace_hits", "trace_misses", "trace_stores", "ir_loads",
     )
 
     def __init__(self) -> None:
@@ -269,6 +281,12 @@ class CodeCache:
                 code = obj["code"]
                 if not isinstance(code, bytes):
                     raise ValueError("code is not bytes")
+                ir, ir_digest = obj["ir"], obj["ir_digest"]
+                if not (ir is None or isinstance(ir, bytes)):
+                    raise ValueError("IR blob is not bytes")
+                if not (ir_digest is None or (isinstance(ir_digest, bytes)
+                                              and len(ir_digest) == 20)):
+                    raise ValueError("bad IR digest")
             except Exception:
                 self._quarantine(path)
                 continue
@@ -282,6 +300,7 @@ class CodeCache:
             self._touch(path)
             obj["ranges"] = ranges
             obj["smc_crc"] = zlib.crc32(raw)
+            obj["path"] = path
             return obj
         self.stats.misses += 1
         return None
@@ -290,8 +309,11 @@ class CodeCache:
         self, ctx: bytes, addr: int,
         fetch: Callable[[int, int], bytes],
         *, code: bytes, ranges: Tuple[Tuple[int, int], ...],
-        irsb: object, stats: object,
+        stats: object, ir: Optional[bytes] = None,
+        ir_digest: Optional[bytes] = None,
     ) -> bool:
+        """Store one translation; *ir* and *ir_digest* are the flat IR's
+        blob and digest (``core.translate.pickle_ir``), None if not kept."""
         try:
             raw = b"".join(fetch(start, length) for start, length in ranges)
         except Exception:
@@ -303,7 +325,8 @@ class CodeCache:
             "ranges": tuple(ranges),
             "guest_sha": guest_sha,
             "code": code,
-            "irsb": irsb,
+            "ir": ir,
+            "ir_digest": ir_digest,
             "stats": stats,
         }
         d = self._t_dir(ctx)
@@ -318,6 +341,23 @@ class CodeCache:
                 names.append(name)
             return True
         return False
+
+    def load_ir(self, path: str, blob: bytes) -> Optional[object]:
+        """Decode the flat-IR *blob* of the ``t/`` entry at *path* (a trace
+        build missed and must stitch).  A blob that does not decode to an
+        ``IRSB`` gets the entry quarantined; the caller regenerates the
+        IR instead."""
+        from ..ir.block import IRSB
+
+        try:
+            sb = pickle.loads(blob)
+            if not isinstance(sb, IRSB):
+                raise ValueError("IR blob is not an IRSB")
+        except Exception:
+            self._quarantine(path)
+            return None
+        self.stats.ir_loads += 1
+        return sb
 
     # -- pygen payloads (p/) ---------------------------------------------------
 
@@ -379,20 +419,30 @@ class CodeCache:
 
     # -- trace build results (x/) ----------------------------------------------
 
-    def _x_path(self, sig: bytes) -> str:
-        h = hashlib.sha256(b"trace:%d:" % CACHE_FORMAT_VERSION + sig)
+    def _x_path(self, key: bytes) -> str:
+        h = hashlib.sha256(b"trace:%d:" % CACHE_FORMAT_VERSION + key)
         return os.path.join(self._dirs["x"], f"{h.hexdigest()[:24]}.tcx")
 
-    def load_trace(self, sig: bytes) -> Optional[Tuple[bytes, int, int]]:
-        path = self._x_path(sig)
+    def load_trace(
+        self, key: bytes,
+    ) -> Optional[Tuple[Optional[bytes], int, int, int]]:
+        """Return the stored build outcome ``(code, members used, blocks,
+        guest insns)`` for build *key*; code None: unstitchable."""
+        path = self._x_path(key)
         obj = self._read_entry(path)
         if obj is None:
             self.stats.trace_misses += 1
             return None
         try:
-            code, n_blocks, total_insns = obj
-            if not (isinstance(code, bytes) and isinstance(n_blocks, int)
-                    and isinstance(total_insns, int)):
+            code, n_members, n_blocks, total_insns = obj
+            if not all(isinstance(n, int)
+                       for n in (n_members, n_blocks, total_insns)):
+                raise ValueError("bad trace entry")
+            if code is None:
+                if n_members or n_blocks or total_insns:
+                    raise ValueError("bad unstitchable entry")
+            elif not (isinstance(code, bytes) and n_members >= 2
+                      and 1 <= n_blocks <= n_members and total_insns >= 1):
                 raise ValueError("bad trace entry")
         except Exception:
             self._quarantine(path)
@@ -400,12 +450,13 @@ class CodeCache:
             return None
         self.stats.trace_hits += 1
         self._touch(path)
-        return code, n_blocks, total_insns
+        return code, n_members, n_blocks, total_insns
 
-    def store_trace(self, sig: bytes, code: bytes,
+    def store_trace(self, key: bytes, code: Optional[bytes], n_members: int,
                     n_blocks: int, total_insns: int) -> bool:
-        if self._write_entry(self._x_path(sig),
-                             (code, int(n_blocks), int(total_insns))):
+        if self._write_entry(self._x_path(key),
+                             (code, int(n_members), int(n_blocks),
+                              int(total_insns))):
             self.stats.trace_stores += 1
             return True
         return False
@@ -502,8 +553,12 @@ class TranslationCacheView:
     def lookup(self, addr: int, fetch) -> Optional[dict]:
         return self.cache.lookup_translation(self._ctx(), addr, fetch)
 
-    def store(self, addr: int, fetch, *, code, ranges, irsb, stats) -> bool:
+    def store(self, addr: int, fetch, *, code, ranges, stats, ir=None,
+              ir_digest=None) -> bool:
         return self.cache.store_translation(
-            self._ctx(), addr, fetch,
-            code=code, ranges=ranges, irsb=irsb, stats=stats,
+            self._ctx(), addr, fetch, code=code, ranges=ranges, stats=stats,
+            ir=ir, ir_digest=ir_digest,
         )
+
+    def load_ir(self, path: str, blob: bytes) -> Optional[object]:
+        return self.cache.load_ir(path, blob)

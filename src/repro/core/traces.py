@@ -42,6 +42,21 @@ maintain the shadow call stack through the :func:`vg_trace_call` /
 :func:`vg_trace_ret` dirty helpers, mirroring the dispatcher's own
 bookkeeping byte for byte.
 
+Builds are content-addressed by their members, not by stitched IR: the
+build key (:meth:`TraceManager._build_key`) hashes the trace-build, spec,
+opt-pipeline and host-ISA versions plus each member's guest address and
+IR digest (``Translation.ir_digest``: the SHA-1 of its pickled flat IR,
+made once per translation — when it is stored in the code cache, else on
+first use).  The stitched IR is a pure function of exactly those inputs,
+and the versions cover the passes and back end that turn it into host
+code, so a key hit reuses the assembled result — from the process-wide
+build cache or the persistent code cache's ``x/`` namespace — without
+touching member IR.  A warm start therefore neither stitches nor decodes
+the IR its ``t/`` hits carry; only a miss decodes it
+(``Translation.flat_ir``).  The outcome a key maps to includes how many
+members survived seam truncation, and an unstitchable recording is
+cached like any other outcome.
+
 Traces live *off* the translation table in the manager's own maps, so
 they never perturb transtab capacity, eviction order or the
 ``translations`` counter (record/replay logs stay tier-portable).  When
@@ -54,11 +69,13 @@ over the retranslated code.
 from __future__ import annotations
 
 import hashlib
-import io
-import pickle
+import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import opt as _opt
+from ..backend import hostisa as _hostisa
+from ..frontend import spec as _spec
 from ..frontend.spec import vx32_spec_helper
 from ..ir.block import IRSB
 from ..ir.expr import Binop, Const, RdTmp, Unop, c32
@@ -88,7 +105,7 @@ from ..opt.treebuild import build_trees
 from ..backend.hostisa import TRACE_REGFILE, encode_insns
 from ..backend.isel import select
 from ..backend.regalloc import allocate
-from .translate import Translation, hash_guest_ranges
+from .translate import Translation, hash_guest_ranges, pickle_ir
 
 _M32 = 0xFFFFFFFF
 #: Edge kinds the recorder may follow and the stitcher may sew across.
@@ -103,22 +120,30 @@ _CALLSTACK_MAX = 16384
 VG_TRACE_CALL = "vg_trace_call"
 VG_TRACE_RET = "vg_trace_ret"
 
-#: Process-wide cache: :func:`_ir_signature` of stitched pre-opt IR ->
-#: (host code bytes, n_blocks, total_insns).  See the content-addressing
-#: note in :meth:`TraceManager._build`.  LRU-bounded (entries never go
-#: stale — content addressing — so eviction is purely a memory bound), and
-#: round-tripped through the persistent code cache when one is bound
-#: (core.codecache), so re-recorded traces skip the build across
-#: processes too.
-_BUILD_CACHE: "OrderedDict[bytes, Tuple[bytes, int, int]]" = OrderedDict()
+#: Bump on any change to seam planning, stitching or the trace
+#: optimisation and back-end calls that alters build output: part of
+#: every build key.
+TRACE_BUILD_VERSION = 1
+
+#: A build outcome: (host code, members used, post-opt member blocks,
+#: guest insns); code None means the recording is unstitchable.
+BuildOutcome = Tuple[Optional[bytes], int, int, int]
+_UNSTITCHABLE: BuildOutcome = (None, 0, 0, 0)
+
+#: Process-wide cache: build key (:meth:`TraceManager._build_key`) ->
+#: :data:`BuildOutcome`.  LRU-bounded (entries never go stale — content
+#: addressing — so eviction is purely a memory bound), and round-tripped
+#: through the persistent code cache when one is bound (core.codecache),
+#: so re-recorded traces skip the build across processes too.
+_BUILD_CACHE: "OrderedDict[bytes, BuildOutcome]" = OrderedDict()
 _BUILD_CACHE_MAX = 4096
 _BUILD_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def _build_cache_put(sig: bytes, hit: Tuple[bytes, int, int]) -> None:
-    if sig in _BUILD_CACHE:
+def _build_cache_put(key: bytes, outcome: BuildOutcome) -> None:
+    if key in _BUILD_CACHE:
         return
-    _BUILD_CACHE[sig] = hit
+    _BUILD_CACHE[key] = outcome
     while len(_BUILD_CACHE) > _BUILD_CACHE_MAX:
         _BUILD_CACHE.popitem(last=False)
         _BUILD_CACHE_STATS["evictions"] += 1
@@ -265,6 +290,12 @@ class TraceManager:
         #: severed trace's surviving head (set by the scheduler).
         self.rewrap: Optional[Callable] = None
         self.max_blocks = max(2, options.max_trace_blocks)
+        #: Every input of a build besides its members (read per run, so
+        #: a version bump between runs takes effect).
+        self._key_base = b"trace-build:%d:%d:%d:%d:" % (
+            TRACE_BUILD_VERSION, _spec.SPEC_VERSION,
+            _opt.OPT_PIPELINE_VERSION, _hostisa.HOSTISA_FORMAT_VERSION,
+        )
         #: Live traces by head guest address.
         self.traces: Dict[int, Trace] = {}
         #: id(member Translation) -> traces containing it (sever index).
@@ -280,6 +311,8 @@ class TraceManager:
         self.active = False
         # Counters (reported under --stats=json as the "traces" section).
         self.traces_built = 0
+        #: Builds that stitched member IR (a build-key miss).
+        self.stitched = 0
         self.compile_failures = 0
         self.recordings_aborted = 0
         self.demotions = 0
@@ -374,35 +407,81 @@ class TraceManager:
     # -- stitching ---------------------------------------------------------
 
     def _build(self, members: List[Translation]) -> Optional[Trace]:
-        """Stitch *members* into a compiled trace (None: unstitchable)."""
-        translator = self.translator
-        fetch = translator._fetch
-        opts = self.options
-
-        # Phase 1: collect each member's instrumented flat IR (stashed on
-        # the translation at translate time; regenerated through the front
-        # end if missing) and verify it still matches the guest bytes it
-        # was translated from.
-        parts = []
+        """Compile *members* into a trace (None: unstitchable)."""
+        fetch = self.translator._fetch
+        # Phase 1, no IR needed: stop at the first dead member or one
+        # whose guest bytes changed since it was translated.
+        parts: List[Translation] = []
         for m in members:
-            if m.dead:
-                break
-            sb = m.irsb
-            if sb is not None:
-                ranges = m.ranges
-            else:
-                sb, ranges, _ginsns = translator.front_ir(
-                    self.resolve(m.guest_addr))
-            if (
+            if m.dead or (
                 m.smc_hash is not None
-                and hash_guest_ranges(fetch, ranges) != m.smc_hash
+                and hash_guest_ranges(fetch, m.ranges) != m.smc_hash
             ):
                 break
-            parts.append((m, sb, ranges))
+            parts.append(m)
+        if len(parts) < 2:
+            return None
+
+        t0 = time.perf_counter()
+        key = self._build_key(parts)
+        disk = getattr(self.hostcpu, "codecache", None)
+        outcome = _BUILD_CACHE.get(key)
+        if outcome is not None:
+            _BUILD_CACHE.move_to_end(key)
+            _BUILD_CACHE_STATS["hits"] += 1
+        else:
+            _BUILD_CACHE_STATS["misses"] += 1
+            if disk is not None:
+                outcome = disk.load_trace(key)
+            if outcome is None:
+                outcome = self._stitch_and_compile(parts)
+                if disk is not None:
+                    disk.store_trace(key, *outcome)
+            _build_cache_put(key, outcome)
+        code, n_members, n_blocks, total_insns = outcome
+        fn = self.hostcpu.compile_pygen(code) if code is not None else None
+        self.compile_seconds += time.perf_counter() - t0
+        if code is None:
+            return None
+        parts = parts[:n_members]
+        return Trace(
+            head_addr=parts[0].guest_addr,
+            members=parts,
+            ranges=tuple(r for m in parts[:n_blocks] for r in m.ranges),
+            n_blocks=n_blocks,
+            total_insns=total_insns,
+            compiled_fn=fn,
+        )
+
+    def _build_key(self, parts: List[Translation]) -> bytes:
+        """Hash everything a build of *parts* depends on (see the module
+        docstring): the versions and each member's address and IR digest."""
+        h = hashlib.sha1(self._key_base)
+        for m in parts:
+            digest = m.ir_digest
+            if digest is None:
+                digest = m.ir_digest = pickle_ir(self._member_ir(m))[1]
+            h.update(m.guest_addr.to_bytes(4, "little"))
+            h.update(digest)
+        return h.digest()
+
+    def _member_ir(self, m: Translation) -> IRSB:
+        """*m*'s flat instrumented IR: kept at translate time, decoded
+        from the code cache, or regenerated through the front end."""
+        sb = m.flat_ir()
+        if sb is None:
+            sb = m.irsb = self.translator.front_ir(self.resolve(m.guest_addr))
+        return sb
+
+    def _stitch_and_compile(self, members: List[Translation]) -> BuildOutcome:
+        """Stitch *members*' IR into one superblock, optimise it across
+        the seams and assemble it."""
+        self.stitched += 1
+        parts = [(m, self._member_ir(m)) for m in members]
 
         # Validate every seam, truncating at the first unprovable edge.
         plans: List[tuple] = []
-        for j, (m, sb, _r) in enumerate(parts):
+        for j, (m, sb) in enumerate(parts):
             if j + 1 == len(parts):
                 plans.append(("tail",))
                 break
@@ -430,12 +509,12 @@ class TraceManager:
             plans.append(("guard", jk))
         parts = parts[: len(plans)]
         if len(parts) < 2:
-            return None
+            return _UNSTITCHABLE
 
-        # Phase 2: stitch members into one IRSB, renaming temporaries.
+        # Stitch members into one IRSB, renaming temporaries.
         head = parts[0][0]
         trace = IRSB(jumpkind=JumpKind.Boring, guest_addr=head.guest_addr)
-        for j, (m, sb, _r) in enumerate(parts):
+        for j, (m, sb) in enumerate(parts):
             delta = (max(trace.tyenv) + 1) if trace.tyenv else 0
             for tmp, ty in sb.tyenv.items():
                 trace.tyenv[tmp + delta] = ty
@@ -472,73 +551,30 @@ class TraceManager:
                 trace.next = _rename_expr(sb.next, delta)
                 trace.jumpkind = sb.jumpkind
 
-        # Content-addressing: the stitched pre-optimisation IR is the
-        # complete input to the deterministic opt + back-end pipeline, so
-        # its hash keys a process-wide cache of the assembled result —
-        # the trace-tier analogue of the content-addressed block runner
-        # caches (backend.hostcpu).  A fresh run of the same program
-        # re-records the same chains and skips straight to the cheap
-        # per-run pygen binding.
-        import time as _time
+        # Cross-block optimisation over the merged IR: the same Phase-2
+        # passes, now seeing PUTs, CC thunks and guard computations from
+        # *all* members at once.
+        trace = forward_pass(trace, vx32_spec_helper)
+        trace = cse(trace)
+        trace = forward_pass(trace, vx32_spec_helper)
+        trace = redundant_put_elim(trace)
+        trace = dead_code(trace)
+        if self.options.sanity_level >= 1:
+            validate(trace, flat=True)
 
-        t0 = _time.perf_counter()
-        sig = _ir_signature(trace)
-        disk = getattr(self.hostcpu, "codecache", None)
-        hit = _BUILD_CACHE.get(sig)
-        if hit is not None:
-            _BUILD_CACHE.move_to_end(sig)
-            _BUILD_CACHE_STATS["hits"] += 1
-        else:
-            _BUILD_CACHE_STATS["misses"] += 1
-            if disk is not None:
-                hit = disk.load_trace(sig)
-                if hit is not None:
-                    _build_cache_put(sig, hit)
-        if hit is not None:
-            code, n_blocks, total_insns = hit
-        else:
-            # Cross-block optimisation over the merged IR: the same
-            # Phase-2 passes, now seeing PUTs, CC thunks and guard
-            # computations from *all* members at once.
-            trace = forward_pass(trace, vx32_spec_helper)
-            trace = cse(trace)
-            trace = forward_pass(trace, vx32_spec_helper)
-            trace = redundant_put_elim(trace)
-            trace = dead_code(trace)
-            if opts.sanity_level >= 1:
-                validate(trace, flat=True)
+        # Exact post-optimisation accounting: constant folding may have
+        # truncated the stitched block at an always-taken seam.
+        total_insns = sum(1 for s in trace.stmts if isinstance(s, IMark))
+        n_blocks = sum(1 for s in trace.stmts if isinstance(s, TraceMark))
+        if not (1 <= n_blocks and 1 <= total_insns < _MAX_TRACE_INSNS):
+            return _UNSTITCHABLE
 
-            # Exact post-optimisation accounting: constant folding may
-            # have truncated the stitched block at an always-taken seam.
-            total_insns = sum(1 for s in trace.stmts if isinstance(s, IMark))
-            n_blocks = sum(1 for s in trace.stmts if isinstance(s, TraceMark))
-            if not (1 <= n_blocks and 1 <= total_insns < _MAX_TRACE_INSNS):
-                return None
-
-            # Back end: tree building, instruction selection, allocation
-            # (over the wide trace register file), assembly.
-            tree = build_trees(trace)
-            vcode = select(tree)
-            hcode, _alloc = allocate(vcode, regfile=TRACE_REGFILE)
-            code = encode_insns(hcode)
-            _build_cache_put(sig, (code, n_blocks, total_insns))
-            if disk is not None:
-                disk.store_trace(sig, code, n_blocks, total_insns)
-
-        ranges: List[Tuple[int, int]] = []
-        for _m, _sb, r in parts[:n_blocks]:
-            ranges.extend(r)
-        fn = self.hostcpu.compile_pygen(code)
-        self.compile_seconds += _time.perf_counter() - t0
-
-        return Trace(
-            head_addr=head.guest_addr,
-            members=[p[0] for p in parts],
-            ranges=tuple(ranges),
-            n_blocks=n_blocks,
-            total_insns=total_insns,
-            compiled_fn=fn,
-        )
+        # Back end: tree building, instruction selection, allocation (over
+        # the wide trace register file), assembly.
+        tree = build_trees(trace)
+        vcode = select(tree)
+        hcode, _alloc = allocate(vcode, regfile=TRACE_REGFILE)
+        return encode_insns(hcode), len(parts), n_blocks, total_insns
 
     def _emit_seam_helper(self, trace: IRSB, jk: JumpKind, target: int) -> None:
         """Maintain the shadow call stack across a Call/Ret seam."""
@@ -604,6 +640,7 @@ class TraceManager:
             "trace_threshold": self.options.trace_threshold,
             "max_trace_blocks": self.max_blocks,
             "traces_built": self.traces_built,
+            "stitched": self.stitched,
             "live_traces": len(self.traces),
             "compile_failures": self.compile_failures,
             "recordings_aborted": self.recordings_aborted,
@@ -619,24 +656,6 @@ class TraceManager:
                 "entries": len(_BUILD_CACHE),
             },
         }
-
-
-def _ir_signature(trace: IRSB) -> bytes:
-    """SHA-1 of a memo-free pickle of *trace*'s stitched IR.
-
-    pickle is a C-speed structural serializer, but its memo writes a
-    shared object once and back-references it after, so the bytes
-    depend on object sharing: IR read back from the code cache's ``t/``
-    entries pickles differently from IR fresh out of the translator.
-    Fast mode (no memo) writes every occurrence out in full, so equal
-    IR gives an equal signature however it was built or loaded.
-    """
-    buf = io.BytesIO()
-    pickler = pickle.Pickler(buf, protocol=4)
-    pickler.fast = True
-    pickler.dump((sorted(trace.tyenv.items()), trace.next, trace.jumpkind,
-                  trace.stmts))
-    return hashlib.sha1(buf.getvalue()).digest()
 
 
 def _last_real_stmt(stmts: List[Stmt]) -> Optional[Stmt]:

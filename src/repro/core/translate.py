@@ -20,6 +20,9 @@ performed by the tool.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import pickle
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -116,8 +119,28 @@ class Translation:
     trace: Optional[object] = None
     #: The instrumented flat IR, kept for quarantined translations (the
     #: interpreter runner executes it directly) and under traces mode
-    #: (the stitcher stitches member IR without re-translating).
+    #: (the stitcher stitches member IR without re-translating).  A
+    #: code-cache hit leaves it None and decodes it on demand, see
+    #: :meth:`flat_ir`.
     irsb: Optional[IRSB] = None
+    #: SHA-1 of the pickled flat IR (:func:`pickle_ir`): what the trace
+    #: tier keys the builds this block joins by, so a build that hits
+    #: needs no IR at all (core.traces).  Made when the translation is
+    #: stored in the code cache; otherwise on first use.
+    ir_digest: Optional[bytes] = None
+    #: Decodes the flat IR from a code-cache entry; called at most once,
+    #: by :meth:`flat_ir` (core.codecache).
+    ir_load: Optional[Callable[[], Optional[IRSB]]] = None
+
+    def flat_ir(self) -> Optional[IRSB]:
+        """The flat instrumented IR, decoded from the code cache on the
+        first call after a hit; None if there is none (or it did not
+        decode)."""
+        load = self.ir_load
+        if load is not None:
+            self.ir_load = None
+            self.irsb = load()
+        return self.irsb
 
     @property
     def guest_len(self) -> int:
@@ -128,6 +151,19 @@ class Translation:
             start < addr + size and addr < start + length
             for start, length in self.ranges
         )
+
+
+def pickle_ir(sb: IRSB) -> Tuple[bytes, bytes]:
+    """``(blob, digest)`` for flat IR *sb*: its pickle, as a ``t/``
+    code-cache entry stores it, and the blob's SHA-1.
+
+    The blob depends on object sharing (pickle writes a shared object
+    once and back-references it), but the pipeline builds the same
+    sharing for the same block in every process, and a pickle round trip
+    restores it, so equal IR gives an equal digest however it was made.
+    """
+    blob = pickle.dumps(sb, protocol=4)
+    return blob, hashlib.sha1(blob).digest()
 
 
 def _imark_ranges(sb: IRSB) -> Tuple[Tuple[int, int], ...]:
@@ -311,14 +347,18 @@ class Translator:
             # checking itself is off.
             smc_hash = hash_guest_ranges(self._fetch, ranges)
 
+        ir_digest = None
         self.translations_made += 1
         if self.cache is not None:
             from dataclasses import replace as _dc_replace
 
+            ir_blob, ir_digest = pickle_ir(sb)
+
             # Phase timings are wall-clock noise; persist the structural
             # counters only, so warm and cold entries are byte-identical.
             self.cache.store(
-                addr, self._fetch, code=code, ranges=ranges, irsb=sb,
+                addr, self._fetch, code=code, ranges=ranges, ir=ir_blob,
+                ir_digest=ir_digest,
                 stats=_dc_replace(stats, phase_seconds={}),
             )
         return Translation(
@@ -330,6 +370,7 @@ class Translator:
             # Traces mode keeps the flat instrumented IR so the stitcher
             # reuses it instead of re-running Phases 1-4 per member.
             irsb=sb if opts.codegen == "traces" else None,
+            ir_digest=ir_digest,
         )
 
     def _from_cache(self, addr: int, hit: dict, opts: Options) -> Translation:
@@ -346,19 +387,25 @@ class Translator:
         stats = hit.get("stats")
         if not isinstance(stats, TranslationStats):
             stats = TranslationStats()
+        # The IR stays pickled: only a trace build that misses decodes it.
+        ir_load = None
+        if opts.codegen == "traces" and hit["ir"] is not None:
+            ir_load = functools.partial(self.cache.load_ir, hit["path"],
+                                        hit["ir"])
         return Translation(
             guest_addr=addr,
             code=hit["code"],
             ranges=hit["ranges"],
             smc_hash=smc_hash,
             stats=stats,
-            irsb=hit["irsb"] if opts.codegen == "traces" else None,
+            ir_digest=hit["ir_digest"],
+            ir_load=ir_load,
         )
 
-    def front_ir(self, addr: int) -> Tuple[IRSB, Tuple[Tuple[int, int], ...], int]:
-        """Run the front half of the pipeline (Phases 1-4) for *addr*.
+    def front_ir(self, addr: int) -> IRSB:
+        """Run the front half of the pipeline (Phases 1-4) for *addr* and
+        return the flat instrumented IR.
 
-        Returns ``(flat instrumented IR, guest ranges, guest insns)``.
         Used by the trace stitcher (core.traces) to regenerate member
         blocks' IR; deliberately does NOT bump ``translations_made`` —
         traces live outside the translation table and must not perturb
@@ -366,8 +413,6 @@ class Translator:
         """
         opts = self.options
         sb = self.disasm.disasm_block(addr)
-        guest_insns = sum(1 for s in sb.stmts if isinstance(s, IMark))
-        ranges = _imark_ranges(sb)
         if opts.opt1:
             sb = optimise1(sb, spec_helper=vx32_spec_helper, unroll=opts.unroll)
         else:
@@ -381,7 +426,7 @@ class Translator:
             sb = optimise2(sb, spec_helper=vx32_spec_helper)
         if opts.sanity_level >= 1:
             validate(sb, flat=True)
-        return sb, ranges, guest_insns
+        return sb
 
 
     def translate_interp(self, addr: int) -> Translation:

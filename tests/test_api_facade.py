@@ -218,7 +218,7 @@ class TestOpenCache:
 
         assert cache.store_translation(
             b"\x07" * 32, 0x100, fetch,
-            code=b"HOSTCODE", ranges=((0, 32),), irsb=None, stats=None,
+            code=b"HOSTCODE", ranges=((0, 32),), stats=None,
         )
         again = api.open_cache(str(tmp_path / "cc"), max_mb=8)
         hit = again.lookup_translation(b"\x07" * 32, 0x100, fetch)

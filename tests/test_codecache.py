@@ -19,10 +19,14 @@ import pytest
 
 import repro
 from repro import api
+from repro import opt as _opt
+from repro.backend import hostisa as _hostisa
 from repro.backend import pygen as _pygen
 from repro.core import codecache as _codecache
 from repro.core import traces as _traces
 from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
+from repro.core.translate import Translator
+from repro.workloads import suite
 
 from .helpers import asm_image, vg
 
@@ -112,6 +116,35 @@ def rewrite_p_entries(cache_dir, blob_fn):
     return len(paths)
 
 
+def rewrite_t_entries(cache_dir, blob_fn):
+    """Replace every ``t/`` entry's flat-IR blob by ``blob_fn(blob)``,
+    re-sealed with a valid digest; the stored IR digest is left as is."""
+    cache = CodeCache(str(cache_dir))
+    tdir = cache_dir / f"v{CACHE_FORMAT_VERSION}" / "t"
+    paths = [os.path.join(d, f) for d, _dirs, files in os.walk(tdir)
+             for f in files]
+    for path in paths:
+        obj = cache._read_entry(path)
+        obj["ir"] = blob_fn(obj["ir"])
+        assert cache._write_entry(path, obj)
+    return len(paths)
+
+
+def trace_set(res):
+    """The live traces of a run: head, member addresses and sizes."""
+    mgr = res.core.scheduler.traces
+    return (mgr.traces_built, {
+        (head, tuple(m.guest_addr for m in tr.members), tr.n_blocks,
+         tr.total_insns)
+        for head, tr in mgr.traces.items()
+    })
+
+
+def run_traced(cache_dir, src=CALL_LOOP_SRC, tool="memcheck", **kw):
+    return run_cached(cache_dir, tool, src=src, codegen="traces",
+                      trace_threshold=5, **kw)
+
+
 class TestWarmEqualsCold:
     @pytest.mark.parametrize("tool", ["none", "memcheck", "cachegrind"])
     @pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
@@ -135,6 +168,15 @@ class TestWarmEqualsCold:
             runners = warm.core.scheduler.hostcpu._pygen_cache.values()
             assert all(fn.pygen_source.startswith("def _pygen(")
                        for fn in runners)
+        if codegen == "traces":
+            # Every build is answered by its member key: the warm run
+            # decodes no IR, stitches nothing and writes nothing.
+            assert cache["trace_hits"] > 0
+            assert cache["trace_misses"] == 0
+            assert cache["ir_loads"] == 0
+            assert cache["bytes_written"] == 0
+            assert warm.stats()["traces"]["stitched"] == 0
+            assert trace_set(warm) == trace_set(cold)
 
     def test_nocache_equals_cached(self, tmp_path):
         plain = run_cached(None, codegen="pygen")
@@ -180,21 +222,174 @@ main:   movi r1, 64
 
 class TestTraceBuildKeys:
     def test_first_warm_run_rebuilds_no_trace(self, tmp_path):
-        """Trace builds are keyed by the stitched IR's content, not by
-        how its objects happen to be shared: IR read back from ``t/``
-        must find the builds the cold run stored."""
+        """Trace builds are keyed by their members' addresses and IR
+        digests, which ``t/`` hits carry: the first warm run finds every
+        build the cold run stored."""
         drop_in_memory_caches()
-        cold = run_cached(tmp_path, "memcheck", src=CALL_LOOP_SRC,
-                          codegen="traces", trace_threshold=5)
+        cold = run_traced(tmp_path)
         assert cold.stats()["traces"]["traces_built"] > 0
+        assert cold.stats()["traces"]["stitched"] > 0
         drop_in_memory_caches()
-        warm = run_cached(tmp_path, "memcheck", src=CALL_LOOP_SRC,
-                          codegen="traces", trace_threshold=5)
+        warm = run_traced(tmp_path)
         assert_same_run(cold, warm)
         c = warm.stats()["cache"]
         assert c["trace_hits"] > 0
         assert c["trace_misses"] == 0
         assert c["bytes_written"] == 0
+        assert c["ir_loads"] == 0
+
+    def test_warm_run_never_stitches(self, tmp_path, monkeypatch):
+        """A warm run builds every trace without the stitcher."""
+        drop_in_memory_caches()
+        cold = run_traced(tmp_path)
+        drop_in_memory_caches()
+
+        def no_stitching(s, delta):
+            raise AssertionError("a warm trace build stitched IR")
+
+        monkeypatch.setattr(_traces, "_rename_stmt", no_stitching)
+        warm = run_traced(tmp_path)
+        assert_same_run(cold, warm)
+        assert warm.stats()["traces"]["compile_failures"] == 0
+        assert trace_set(warm) == trace_set(cold)
+
+    def test_pygen_filled_cache_serves_traces(self, tmp_path):
+        """``t/`` entries a pygen run stored carry IR and digests: the
+        first traced run decodes the IR only to build its traces, the
+        next one decodes and stitches nothing."""
+        drop_in_memory_caches()
+        run_cached(tmp_path, src=CALL_LOOP_SRC, codegen="pygen")
+        drop_in_memory_caches()
+        first = run_traced(tmp_path)
+        assert_same_run(first, run_traced(None))
+        c = first.stats()["cache"]
+        assert c["misses"] == 0 and c["ir_loads"] > 0
+        drop_in_memory_caches()
+        second = run_traced(tmp_path)
+        c = second.stats()["cache"]
+        assert c["ir_loads"] == 0 and c["trace_misses"] == 0
+        assert second.stats()["traces"]["stitched"] == 0
+        assert trace_set(second) == trace_set(first)
+
+    def test_regenerated_ir_digests_alike(self):
+        """A member without a digest gets one from its IR on first use;
+        IR regenerated through the front end digests like the IR its
+        translation made, so the build key does not change."""
+        res = run_traced(None)
+        mgr = res.core.scheduler.traces
+        members = next(iter(mgr.traces.values())).members
+        key = mgr._build_key(members)
+        for m in members:
+            m.irsb = m.ir_digest = None
+        assert mgr._build_key(members) == key
+
+    @pytest.mark.parametrize("module, name", [
+        (_hostisa, "HOSTISA_FORMAT_VERSION"),
+        (_opt, "OPT_PIPELINE_VERSION"),
+    ])
+    def test_back_end_version_bump_misses(self, tmp_path, monkeypatch,
+                                          module, name):
+        """The trace optimiser and back end turn stitched IR into host
+        code, so their versions are part of every build key: after a
+        bump no stored trace code reaches the new decoder."""
+        img = suite.build("gzip", 0.05).image
+        drop_in_memory_caches()
+        cold = run_traced(tmp_path, src=img, tool="none")
+        assert cold.stats()["cache"]["trace_stores"] > 0
+        monkeypatch.setattr(module, name, getattr(module, name) + 1)
+        drop_in_memory_caches()
+        warm = run_traced(tmp_path, src=img, tool="none")
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["hits"] == 0
+        assert c["trace_hits"] == 0
+        assert c["trace_misses"] == cold.stats()["cache"]["trace_misses"]
+        assert trace_set(warm) == trace_set(cold)
+
+    def test_changed_member_gets_a_new_key(self, tmp_path):
+        """A member whose guest bytes changed is retranslated, its IR
+        digest changes with it, and so does the key of every build it
+        joins: the trace is rebuilt, never taken from the old program."""
+        other = CALL_LOOP_SRC.replace("xor  r6, r7", "sub  r6, r7")
+        drop_in_memory_caches()
+        run_traced(tmp_path)
+        old_keys = set(_traces._BUILD_CACHE)
+        drop_in_memory_caches()
+        changed = run_traced(tmp_path, src=other)
+        assert_same_run(changed, run_traced(None, src=other))
+        c = changed.stats()["cache"]
+        assert c["misses"] > 0 and c["trace_misses"] > 0
+        assert changed.stats()["traces"]["stitched"] > 0
+        assert set(_traces._BUILD_CACHE) - old_keys
+
+    @pytest.mark.parametrize("at", [0, 1], ids=["unstitchable",
+                                                "two-members"])
+    def test_truncated_outcome_is_cached(self, tmp_path, monkeypatch, at):
+        """Seam truncation is decided from IR, so a build's stored outcome
+        records how many members survived it, and a recording that
+        truncates below two members is stored too: the warm run neither
+        misses nor stitches, and builds the traces the cold run built."""
+        build = _traces.TraceManager._build
+
+        def swap(mgr, members):
+            # The recordings here follow fn1 -> dec/jnz -> loop -> fn1 (or
+            # start at dec/jnz).  Swapped, members *at* and *at* + 1 leave
+            # a seam whose first member's constant next is not its
+            # successor and that no branch reaches: no seam plan holds.
+            members = list(members)
+            if len(members) > at + 1:
+                members[at], members[at + 1] = members[at + 1], members[at]
+            return build(mgr, members)
+
+        monkeypatch.setattr(_traces.TraceManager, "_build", swap)
+        drop_in_memory_caches()
+        cold = run_traced(tmp_path)
+        if at == 0:
+            assert (None, 0, 0, 0) in _traces._BUILD_CACHE.values()
+        drop_in_memory_caches()
+        warm = run_traced(tmp_path)
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["trace_hits"] > 0 and c["trace_misses"] == 0
+        assert warm.stats()["traces"]["stitched"] == 0
+        assert (warm.stats()["traces"]["recordings_aborted"]
+                == cold.stats()["traces"]["recordings_aborted"])
+        assert trace_set(warm) == trace_set(cold)
+        if at == 1:
+            live = warm.core.scheduler.traces.traces.values()
+            assert live and all(len(tr.members) == 2 for tr in live)
+
+    @pytest.mark.parametrize("blob_fn", [
+        lambda blob: pickle.dumps(42),
+        lambda blob: blob[: len(blob) // 2],
+    ], ids=["not-irsb", "truncated"])
+    def test_undecodable_ir_blob_quarantined(self, tmp_path, monkeypatch,
+                                             blob_fn):
+        """A digest-valid ``t/`` entry whose IR blob does not decode to an
+        IRSB is quarantined when a build needs it, and the member's IR
+        is regenerated through the front end."""
+        drop_in_memory_caches()
+        cold = run_traced(tmp_path)
+        assert rewrite_t_entries(tmp_path, blob_fn) > 0
+        # A new trace-build version misses every build, so each member's
+        # IR must be decoded.
+        monkeypatch.setattr(_traces, "TRACE_BUILD_VERSION",
+                            _traces.TRACE_BUILD_VERSION + 1)
+        regenerated = []
+        front_ir = Translator.front_ir
+
+        def spy(translator, addr):
+            regenerated.append(addr)
+            return front_ir(translator, addr)
+
+        monkeypatch.setattr(Translator, "front_ir", spy)
+        drop_in_memory_caches()
+        warm = run_traced(tmp_path)
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["ir_loads"] == 0
+        assert c["quarantined"] == len(regenerated) > 0
+        assert trace_set(warm) == trace_set(cold)
 
 
 class TestInvalidation:
@@ -341,7 +536,7 @@ class TestBudget:
         for i in range(30):  # ~6MB through a 1MB budget
             cache.store_translation(
                 b"\x01" * 32, 0x1000 + i, fetch,
-                code=blob, ranges=((i, 1024),), irsb=None, stats=None,
+                code=blob, ranges=((i, 1024),), stats=None,
             )
             stored += 1
         assert cache.stats.evictions > 0
@@ -364,7 +559,7 @@ class TestBudget:
         for i in range(20):
             cache.store_translation(
                 b"\x02" * 32, 0x2000 + i, fetch,
-                code=raw, ranges=((i, 64),), irsb=None, stats=None,
+                code=raw, ranges=((i, 64),), stats=None,
             )
             # Deterministic mtimes: later stores look more recent.
             d = cache._t_dir(b"\x02" * 32)
@@ -407,7 +602,7 @@ class TestBudget:
         def store(i):
             assert cache.store_translation(
                 b"\x04" * 32, 0x4000 + i, fetch,
-                code=blob, ranges=((i, 64),), irsb=None, stats=None,
+                code=blob, ranges=((i, 64),), stats=None,
             )
 
         def cache_bytes():
@@ -546,7 +741,7 @@ class TestSmcInteraction:
 
         cache.store_translation(
             b"\x03" * 32, 0x3000, fetch,
-            code=b"CODE", ranges=((0, 64),), irsb=None, stats=None,
+            code=b"CODE", ranges=((0, 64),), stats=None,
         )
         hit = cache.lookup_translation(b"\x03" * 32, 0x3000, fetch)
         assert hit is not None
