@@ -146,6 +146,11 @@ def run(
     stats = result.stats() if want_stats else None
     if stats is not None and opts.stats_out:
         _write_json(opts.stats_out, stats)
+    # The finished core is a cyclic object graph that only a full cyclic
+    # collection reclaims, and a process running many jobs (translated
+    # once each, by the memory tier) can go several jobs without one:
+    # free the guest pages, the bulk of it, now.
+    vg.memory.unmap_all()
     return JobResult(
         exit_code=result.exit_code,
         stdout=result.stdout,

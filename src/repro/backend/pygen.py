@@ -93,10 +93,9 @@ _PYGEN_SRC_CACHE: Dict[str, CodeType] = {}
 #: Process-wide encoded host code -> (source, env spec) cache.  Decode +
 #: emission dominate compile_pygen; both are pure functions of the code
 #: bytes, so fresh runs (benchmarks, fleets, replay) reuse the text and
-#: only re-bind per-run objects.  An LRU with both an entry cap and a
-#: byte budget (the same budget plumbing as the on-disk cache, set from
-#: --cache-max-mb via set_emit_cache_budget); content addressing means
-#: entries never go stale, so eviction is purely a memory bound.
+#: only re-bind per-run objects.  An LRU with a fixed entry cap and
+#: byte budget; content addressing means entries never go stale, so
+#: eviction is purely a memory bound.
 _PYGEN_EMIT_CACHE: "OrderedDict[bytes, Tuple[str, tuple]]" = OrderedDict()
 _PYGEN_EMIT_CACHE_MAX = 8192
 _EMIT_CACHE_BUDGET = 64 * 1024 * 1024
@@ -107,13 +106,6 @@ _EMIT_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0,
 
 def _emit_entry_bytes(code: bytes, hit: Tuple[str, tuple]) -> int:
     return len(code) + len(hit[0]) + 64 * len(hit[1]) + 128
-
-
-def set_emit_cache_budget(n_bytes: int) -> None:
-    """Bound the in-process emit cache (LRU eviction past the budget)."""
-    global _EMIT_CACHE_BUDGET
-    _EMIT_CACHE_BUDGET = max(1, int(n_bytes))
-    _emit_cache_trim()
 
 
 def _emit_cache_trim() -> None:

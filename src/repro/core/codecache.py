@@ -1,8 +1,9 @@
 """Persistent, cross-process translation cache (``--cache-dir``).
 
 The paper's central cost is the 8-phase translation pipeline, and the
-in-process caches (``hostcpu._pygen_cache``, ``_PYGEN_EMIT_CACHE``, the
-traces ``_BUILD_CACHE``) amortize it only within one process lifetime.
+in-process caches (the memory translation tier ``core.translate._TIER``,
+``hostcpu._pygen_cache``, ``_PYGEN_EMIT_CACHE``, the traces
+``_BUILD_CACHE``) amortize it only within one process lifetime.
 This module makes the amortization *persistent*: an on-disk,
 content-addressed store keyed by everything a translation's output
 depends on, so a warm start skips decode -> IR -> opt -> isel ->
@@ -41,12 +42,15 @@ so a format bump simply stops seeing old entries):
         used, and an unstitchable recording is stored as
         ``(None, 0, 0, 0)``: a warm run answers every build from here.
 
-The *context hash* folds in every version and configuration input the
-pipeline output depends on: frontend spec version, opt pipeline
-version, host ISA encoding format, cache format, tool identity +
-unclaimed tool options, opt1/opt2/unroll, SP-tracking, and the live
-guest redirect table (redirects steer the disassembler's chase
-decisions, so they are re-read on every lookup).
+The *context hash* (:func:`translation_context`) folds in every version
+and configuration input the pipeline output depends on: frontend spec
+version, opt pipeline version, host ISA encoding format, cache format,
+tool identity + unclaimed tool options, opt1/opt2/unroll, SP-tracking,
+and the live guest redirect table (redirects steer the disassembler's
+chase decisions, so they are re-read on every lookup).  The scheduler
+builds it once per run, with or without a cache directory: the memory
+translation tier in front of ``t/`` keys by the same hash, and fills
+from ``t/`` hits as well as from fresh translations.
 
 Durability properties:
 
@@ -265,7 +269,9 @@ class CodeCache:
         Verification re-fetches the guest bytes over the entry's stored
         ranges and compares digests, then recomputes the SMC CRC from
         those same bytes — so a hit can never disagree with what a cold
-        translation of the current memory image would have seen.
+        translation of the current memory image would have seen.  The
+        bytes themselves come back as ``guest`` (the memory tier keeps
+        them to verify its own hits).
         """
         d = self._t_dir(ctx)
         for name in tuple(self._t_index[d].get(addr, ())):
@@ -299,6 +305,7 @@ class CodeCache:
             self.stats.hits += 1
             self._touch(path)
             obj["ranges"] = ranges
+            obj["guest"] = raw
             obj["smc_crc"] = zlib.crc32(raw)
             obj["path"] = path
             return obj
@@ -347,13 +354,10 @@ class CodeCache:
         build missed and must stitch).  A blob that does not decode to an
         ``IRSB`` gets the entry quarantined; the caller regenerates the
         IR instead."""
-        from ..ir.block import IRSB
+        from .translate import unpickle_ir
 
-        try:
-            sb = pickle.loads(blob)
-            if not isinstance(sb, IRSB):
-                raise ValueError("IR blob is not an IRSB")
-        except Exception:
+        sb = unpickle_ir(blob)
+        if sb is None:
             self._quarantine(path)
             return None
         self.stats.ir_loads += 1
@@ -501,64 +505,57 @@ class CodeCache:
             self.stats.evicted_bytes += size
         self._t_index.clear()  # dropped files may be indexed: relist lazily
 
-    # -- context binding ---------------------------------------------------------
-
-    def translation_view(
-        self, *, tool_key: str, tool_options: tuple, options,
-        track_stack_events: bool, redirects_fn=None,
-    ) -> "TranslationCacheView":
-        """Bind this cache to one run's translation context."""
-        from ..frontend.spec import SPEC_VERSION
-        from ..opt import OPT_PIPELINE_VERSION
-        from ..backend.hostisa import HOSTISA_FORMAT_VERSION
-
-        base = (
-            CACHE_FORMAT_VERSION,
-            SPEC_VERSION,
-            OPT_PIPELINE_VERSION,
-            HOSTISA_FORMAT_VERSION,
-            tool_key,
-            tuple(sorted(tool_options)),
-            bool(options.opt1), bool(options.opt2), bool(options.unroll),
-            bool(track_stack_events),
-        )
-        return TranslationCacheView(self, base, redirects_fn)
-
     def stats_dict(self) -> dict:
         return self.stats.as_dict()
 
 
-class TranslationCacheView:
-    """One run's window onto a :class:`CodeCache`: the context hash is
-    precomputed from the static configuration and refreshed against the
-    live redirect table (redirects change the disassembler's
-    chase-through decisions, so they are part of the key)."""
+def translation_context(
+    *, tool, options, track_stack_events: bool, redirects_fn=None,
+) -> "TranslationContext":
+    """The translation context of one run: everything a translation's
+    output depends on besides the guest bytes and its address.
 
-    def __init__(self, cache: CodeCache, base_ctx: tuple, redirects_fn=None):
-        self.cache = cache
-        self._base = base_ctx
+    Both translation tiers key by it: the process-wide memory tier
+    (core.translate) and the ``t/`` namespace.  Tool class identity +
+    name + unclaimed options: two tools instrumenting differently must
+    never share a context.  *redirects_fn* returns the live guest
+    redirect table, which steers the disassembler's chase decisions and
+    which tools change at run time, so it is re-read on every lookup.
+    Versions are read here, once per run.
+    """
+    from ..frontend.spec import SPEC_VERSION
+    from ..opt import OPT_PIPELINE_VERSION
+    from ..backend.hostisa import HOSTISA_FORMAT_VERSION
+
+    base = (
+        CACHE_FORMAT_VERSION,
+        SPEC_VERSION,
+        OPT_PIPELINE_VERSION,
+        HOSTISA_FORMAT_VERSION,
+        f"{type(tool).__module__}.{type(tool).__qualname__}:{tool.name}",
+        tuple(sorted(options.tool_options)),
+        bool(options.opt1), bool(options.opt2), bool(options.unroll),
+        bool(track_stack_events),
+    )
+    return TranslationContext(base, redirects_fn)
+
+
+class TranslationContext:
+    """One run's translation context (see :func:`translation_context`):
+    the static configuration, hashed together with the live redirect
+    table into the digest both translation tiers key by."""
+
+    def __init__(self, base: tuple, redirects_fn=None):
+        self._base = base
         self._redirects_fn = redirects_fn
-        self._ctx_by_extra: Dict[tuple, bytes] = {}
+        self._digest_by_redirects: Dict[tuple, bytes] = {}
 
-    def _ctx(self) -> bytes:
+    def digest(self) -> bytes:
         extra = self._redirects_fn() if self._redirects_fn is not None else ()
-        ctx = self._ctx_by_extra.get(extra)
+        ctx = self._digest_by_redirects.get(extra)
         if ctx is None:
             ctx = hashlib.sha256(
                 repr((self._base, extra)).encode("utf-8")
             ).digest()
-            self._ctx_by_extra[extra] = ctx
+            self._digest_by_redirects[extra] = ctx
         return ctx
-
-    def lookup(self, addr: int, fetch) -> Optional[dict]:
-        return self.cache.lookup_translation(self._ctx(), addr, fetch)
-
-    def store(self, addr: int, fetch, *, code, ranges, stats, ir=None,
-              ir_digest=None) -> bool:
-        return self.cache.store_translation(
-            self._ctx(), addr, fetch, code=code, ranges=ranges, stats=stats,
-            ir=ir, ir_digest=ir_digest,
-        )
-
-    def load_ir(self, path: str, blob: bytes) -> Optional[object]:
-        return self.cache.load_ir(path, blob)

@@ -146,7 +146,7 @@ class Options:
     #: (core.codecache); None disables persistence.
     cache_dir: Optional[str] = field(default_factory=_default_cache_dir)
     #: Size budget for the persistent cache, in MB (LRU eviction past
-    #: it); also bounds the in-process pygen emit cache.
+    #: it).  The in-process caches have fixed budgets of their own.
     cache_max_mb: int = 256
     #: Inline Memcheck's LOADV/STOREV shadow fast paths in the pygen
     #: tier (backend.pygen).  Tool output is byte-identical either way;

@@ -35,6 +35,7 @@ from ..kernel.kernel import Kernel, ProcessExit, SigInfo
 from ..kernel.memory import PAGE_SIZE, GuestFault, GuestMemory, PROT_RWX
 from ..kernel.sigframe import FRAME_PUSH, pop_signal_frame, push_signal_frame
 from . import clientreq as CR
+from .codecache import CodeCache, translation_context
 from .codegen import CodegenTiers
 from .dispatch import Dispatcher
 from .errors import ExitCode
@@ -350,29 +351,12 @@ class Scheduler:
         #: blocks across runs and fleet workers (core.codecache).
         self.codecache = None
         # --trace-translations prints per-phase IR *during* translation;
-        # a cache hit skips those phases, so debug-trace runs stay
-        # uncached to keep their output meaningful.
-        if options.cache_dir and not options.trace_translations:
-            from .codecache import CodeCache
-
-            try:
-                self.codecache = CodeCache(
-                    options.cache_dir, max_mb=options.cache_max_mb
-                )
-            except OSError:
-                self.codecache = None  # unusable directory: run uncached
-        if self.codecache is not None:
-            # pygen emit payloads and trace build results persist through
-            # the same store (backend.pygen / core.traces find it here).
-            self.hostcpu.codecache = self.codecache
+        # a hit skips those phases, so debug-trace runs bypass both
+        # translation tiers to keep their output meaningful.
+        if not options.trace_translations:
             _redir = self.redirector
-            self.translator.cache = self.codecache.translation_view(
-                # Tool class identity + name + unclaimed options: two
-                # tools instrumenting differently must never share a
-                # translation context.
-                tool_key=(f"{type(tool).__module__}."
-                          f"{type(tool).__qualname__}:{tool.name}"),
-                tool_options=tuple(options.tool_options),
+            self.translator.context = translation_context(
+                tool=tool,
                 options=options,
                 track_stack_events=events.tracks_stack_events,
                 # Redirects steer the disassembler's chase decisions
@@ -382,10 +366,19 @@ class Scheduler:
                     sorted(_redir._guest_redirects.items())
                 ),
             )
-            from ..backend.pygen import set_emit_cache_budget
-
-            # The in-process emit cache shares the disk budget knob.
-            set_emit_cache_budget(options.cache_max_mb * 1024 * 1024)
+            if options.cache_dir:
+                try:
+                    self.codecache = CodeCache(
+                        options.cache_dir, max_mb=options.cache_max_mb
+                    )
+                except OSError:
+                    pass  # unusable directory: run uncached
+                else:
+                    # pygen emit payloads and trace build results persist
+                    # through the same store (backend.pygen / core.traces
+                    # find it here).
+                    self.hostcpu.codecache = self.codecache
+                    self.translator.cache = self.codecache
         self.dispatcher = Dispatcher(
             self.transtab, self.hostcpu, options, smc_recheck=self.smc.recheck
         )

@@ -461,6 +461,9 @@ class TraceManager:
             digest = m.ir_digest
             if digest is None:
                 digest = m.ir_digest = pickle_ir(self._member_ir(m))[1]
+                if m.resident is not None:
+                    # Later runs' memory-tier hits carry it from here.
+                    m.resident.ir_digest = digest
             h.update(m.guest_addr.to_bytes(4, "little"))
             h.update(digest)
         return h.digest()

@@ -16,6 +16,24 @@ Phase     What                        Module
 
 All phases are performed by the core except instrumentation, which is
 performed by the tool.
+
+Two translation tiers stand in front of the pipeline, both keyed by the
+run's translation context (``core.codecache.translation_context``: the
+versions, the tool and its options, the pipeline settings and the live
+redirect table) plus the guest address, and both verified on every hit
+against the guest bytes the translation was made from:
+
+* the process-wide memory tier (:data:`_TIER`), LRU-bounded by an entry
+  cap and a byte budget, so every run in one process — embedders, fleet
+  workers, benchmarks — translates each block once;
+* the persistent code cache's ``t/`` namespace (``--cache-dir``), so a
+  fresh process translates nothing an earlier one stored.
+
+A hit in either behaves exactly like a fresh translation to the rest of
+the engine: it fires the fault-injection hook, counts in
+``translations_made`` and yields a new :class:`Translation` whose SMC
+hash is taken from the bytes just fetched.  ``--trace-translations``
+bypasses both, since a hit runs none of the phases it prints.
 """
 
 from __future__ import annotations
@@ -25,7 +43,8 @@ import hashlib
 import pickle
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from ..frontend.disasm import Disassembler
@@ -36,6 +55,7 @@ from ..ir.expr import Expr, Get, RdTmp
 from ..ir.stmt import Dirty, IMark, Put, StateFx, Stmt
 from ..ir.types import Ty
 from ..ir.validate import validate
+from ..kernel.memory import GuestFault
 from ..opt.opt1 import optimise1
 from ..opt.opt2 import optimise2
 from ..opt.treebuild import build_trees
@@ -131,6 +151,10 @@ class Translation:
     #: Decodes the flat IR from a code-cache entry; called at most once,
     #: by :meth:`flat_ir` (core.codecache).
     ir_load: Optional[Callable[[], Optional[IRSB]]] = None
+    #: The memory-tier entry this translation shares its payload with
+    #: (None when the tier was bypassed); a trace build stores the IR
+    #: digest it makes back into it.
+    resident: Optional["_Resident"] = None
 
     def flat_ir(self) -> Optional[IRSB]:
         """The flat instrumented IR, decoded from the code cache on the
@@ -164,6 +188,114 @@ def pickle_ir(sb: IRSB) -> Tuple[bytes, bytes]:
     """
     blob = pickle.dumps(sb, protocol=4)
     return blob, hashlib.sha1(blob).digest()
+
+
+def unpickle_ir(blob: bytes) -> Optional[IRSB]:
+    """Decode a :func:`pickle_ir` blob; None if it is not an IRSB."""
+    try:
+        sb = pickle.loads(blob)
+    except Exception:
+        return None
+    return sb if isinstance(sb, IRSB) else None
+
+
+class _Resident:
+    """One translation as the memory tier holds it: the guest bytes it was
+    made from and the read-only payload every hit shares — host code,
+    ranges, structural stats, the flat IR as the translating run had it
+    (an ``IRSB``, an undecoded :func:`pickle_ir` blob, or neither) and
+    its digest.  The ``IRSB`` and the stats are never mutated once here;
+    only a digest a trace build makes later is stored back."""
+
+    __slots__ = ("guest", "ranges", "code", "stats", "irsb", "ir_blob",
+                 "ir_digest", "nbytes")
+
+    def __init__(self, guest: bytes, ranges, code: bytes,
+                 stats: TranslationStats, irsb: Optional[IRSB],
+                 ir_blob: Optional[bytes], ir_digest: Optional[bytes]):
+        self.guest = guest
+        self.ranges = ranges
+        self.code = code
+        self.stats = stats
+        self.irsb = irsb
+        self.ir_blob = ir_blob
+        self.ir_digest = ir_digest
+        self.nbytes = (_RESIDENT_OVERHEAD + len(code) + len(guest)
+                       + (len(ir_blob) if ir_blob is not None else 0)
+                       + (_IR_STMT_BYTES * len(irsb.stmts)
+                          if irsb is not None else 0))
+
+
+#: The process-wide memory tier: (context digest, guest address) -> the
+#: :class:`_Resident` translations made there, most recently used first
+#: — one per distinct guest code seen at the address, as ``t/`` keeps
+#: one entry per guest-byte digest, so programs that share an address
+#: do not evict each other.  An LRU over addresses with a fixed cap on
+#: versions per address, on entries and on bytes (estimated: payload
+#: bytes plus a per-statement charge for retained IR); every hit
+#: re-verifies the guest bytes, so eviction is purely a memory bound.
+_TIER: "OrderedDict[Tuple[bytes, int], List[_Resident]]" = OrderedDict()
+_TIER_VERSIONS = 8
+_TIER_MAX = 8192
+_TIER_BUDGET = 64 * 1024 * 1024
+_TIER_STATS = {"entries": 0, "bytes": 0, "evictions": 0}
+_RESIDENT_OVERHEAD = 512
+_IR_STMT_BYTES = 400
+
+
+def _tier_lookup(key: Tuple[bytes, int],
+                 fetch: Callable[[int, int], bytes]):
+    """``(resident, guest bytes)`` of the version at *key* whose guest
+    bytes match memory now, or None."""
+    versions = _TIER.get(key)
+    if versions is None:
+        return None
+    for i, resident in enumerate(versions):
+        try:
+            raw = _guest_bytes(fetch, resident.ranges)
+        except GuestFault:
+            continue  # code pages gone or unreadable: not this one
+        if raw == resident.guest:
+            _TIER.move_to_end(key)
+            if i:
+                versions.insert(0, versions.pop(i))
+            return resident, raw
+    return None
+
+
+def _tier_put(key: Tuple[bytes, int], resident: _Resident) -> None:
+    stats = _TIER_STATS
+    versions = _TIER.setdefault(key, [])
+    _TIER.move_to_end(key)
+    versions.insert(0, resident)
+    stats["entries"] += 1
+    stats["bytes"] += resident.nbytes
+    while len(versions) > _TIER_VERSIONS:
+        _tier_drop(versions.pop())
+    while _TIER and (stats["bytes"] > _TIER_BUDGET
+                     or stats["entries"] > _TIER_MAX):
+        versions = next(iter(_TIER.values()))
+        _tier_drop(versions.pop())
+        if not versions:
+            _TIER.popitem(last=False)
+
+
+def _tier_drop(resident: _Resident) -> None:
+    _TIER_STATS["entries"] -= 1
+    _TIER_STATS["bytes"] -= resident.nbytes
+    _TIER_STATS["evictions"] += 1
+
+
+def clear_translation_cache() -> None:
+    """Drop every memory-tier entry (keeps the eviction count), as a
+    fresh process would start."""
+    _TIER.clear()
+    _TIER_STATS["entries"] = _TIER_STATS["bytes"] = 0
+
+
+def _guest_bytes(fetch: Callable[[int, int], bytes],
+                 ranges: Tuple[Tuple[int, int], ...]) -> bytes:
+    return b"".join(fetch(start, length) for start, length in ranges)
 
 
 def _imark_ranges(sb: IRSB) -> Tuple[Tuple[int, int], ...]:
@@ -242,27 +374,48 @@ class Translator:
         #: instruction selection; may raise to simulate an internal JIT
         #: failure (exercises the quarantine path).
         self.fail_hook: Optional[Callable[[int], None]] = None
-        #: Persistent translation cache view (core.codecache), bound by
-        #: the scheduler under --cache-dir; None runs every block through
-        #: the full pipeline.
+        #: The run's translation context (core.codecache), bound by the
+        #: scheduler unless --trace-translations is on; None bypasses
+        #: both translation tiers.
+        self.context = None
+        #: Persistent code cache (core.codecache.CodeCache), bound by
+        #: the scheduler under --cache-dir (with a context).
         self.cache = None
+        #: Memory-tier lookups of this run that hit / missed.
+        self.tier_hits = 0
+        self.tier_misses = 0
 
     def translate(self, addr: int) -> Translation:
-        """Translate the code block at guest address *addr*."""
+        """Translate the code block at guest address *addr*: from the
+        memory tier, else the code cache, else the pipeline."""
         opts = self.options
-        if self.cache is not None:
-            hit = self.cache.lookup(addr, self._fetch)
-            if hit is not None:
-                # The fail hook fires exactly once per translate() on the
-                # cold path (just before isel), so it must fire on the hit
-                # path too: --inject=isel@N plans and chaos/replay runs
-                # stay deterministic warm vs cold.  A raise here follows
-                # the same quarantine route as a cold pipeline failure —
-                # before the entry is consumed or counted.
-                if self.fail_hook is not None:
-                    self.fail_hook(addr)
-                self.translations_made += 1
-                return self._from_cache(addr, hit, opts)
+        ctx = key = None
+        if self.context is not None:
+            ctx = self.context.digest()
+            key = (ctx, addr)
+            found = _tier_lookup(key, self._fetch)
+            if found is not None:
+                self.tier_hits += 1
+                return self._hit(addr, *found, None, opts)
+            self.tier_misses += 1
+            if self.cache is not None:
+                hit = self.cache.lookup_translation(ctx, addr, self._fetch)
+                if hit is not None:
+                    stats = hit.get("stats")
+                    if not isinstance(stats, TranslationStats):
+                        stats = TranslationStats()
+                    resident = _Resident(
+                        hit["guest"], hit["ranges"], hit["code"], stats,
+                        None, hit["ir"], hit["ir_digest"],
+                    )
+                    ir_load = None
+                    if hit["ir"] is not None:
+                        ir_load = functools.partial(
+                            self.cache.load_ir, hit["path"], hit["ir"])
+                    t = self._hit(addr, resident, hit["guest"], ir_load,
+                                  opts)
+                    _tier_put(key, resident)
+                    return t
         stats = TranslationStats()
         times = stats.phase_seconds
         clock = time.perf_counter if self.collect_phase_times else None
@@ -340,66 +493,99 @@ class Translator:
         code = encode_insns(hcode)
         tick("assemble", t0)
 
+        raw = None
+        if key is not None:
+            raw = _guest_bytes(self._fetch, ranges)
         smc_hash = None
         if opts.smc_check != "none" or opts.codegen == "traces":
             # Traces mode always hashes: a trace build re-verifies every
             # member against its translation-time bytes, even when SMC
             # checking itself is off.
-            smc_hash = hash_guest_ranges(self._fetch, ranges)
+            smc_hash = (zlib.crc32(raw) if raw is not None
+                        else hash_guest_ranges(self._fetch, ranges))
 
-        ir_digest = None
         self.translations_made += 1
+        # Phase timings are wall-clock noise: the tiers share the
+        # structural counters only, so warm and cold entries are
+        # byte-identical.
+        shared_stats = (replace(stats, phase_seconds={})
+                        if stats.phase_seconds else stats)
+        # Traces mode keeps the flat instrumented IR so the stitcher
+        # reuses it instead of re-running Phases 1-4 per member.
+        kept_ir = sb if opts.codegen == "traces" else None
+        ir_blob = ir_digest = None
         if self.cache is not None:
-            from dataclasses import replace as _dc_replace
-
             ir_blob, ir_digest = pickle_ir(sb)
-
-            # Phase timings are wall-clock noise; persist the structural
-            # counters only, so warm and cold entries are byte-identical.
-            self.cache.store(
-                addr, self._fetch, code=code, ranges=ranges, ir=ir_blob,
-                ir_digest=ir_digest,
-                stats=_dc_replace(stats, phase_seconds={}),
+            self.cache.store_translation(
+                ctx, addr, self._fetch, code=code, ranges=ranges,
+                ir=ir_blob, ir_digest=ir_digest, stats=shared_stats,
             )
+        resident = None
+        if key is not None:
+            resident = _Resident(
+                raw, ranges, code, shared_stats, kept_ir,
+                ir_blob if kept_ir is None else None, ir_digest,
+            )
+            _tier_put(key, resident)
         return Translation(
             guest_addr=addr,
             code=code,
             ranges=ranges,
             smc_hash=smc_hash,
             stats=stats,
-            # Traces mode keeps the flat instrumented IR so the stitcher
-            # reuses it instead of re-running Phases 1-4 per member.
-            irsb=sb if opts.codegen == "traces" else None,
+            irsb=kept_ir,
             ir_digest=ir_digest,
+            resident=resident,
         )
 
-    def _from_cache(self, addr: int, hit: dict, opts: Options) -> Translation:
-        """Materialize a Translation from a verified cache entry.
+    def tier_stats(self) -> dict:
+        """The ``translation_cache`` stats section: this run's memory-tier
+        hits and misses, and the process-wide tier's entries, estimated
+        bytes and evictions."""
+        return {
+            "hits": self.tier_hits,
+            "misses": self.tier_misses,
+            **_TIER_STATS,
+        }
 
-        The entry's guest bytes were already re-fetched and digest-checked
-        by the lookup, which also recomputed ``smc_crc`` from those exact
-        bytes — so the SMC hash matches what a cold translation of the
-        current memory image would have produced.
+    def _hit(self, addr: int, resident: _Resident, raw: bytes, ir_load,
+             opts: Options) -> Translation:
+        """A fresh Translation sharing *resident*'s payload, after a
+        verified hit in either tier; *raw* are the guest bytes just
+        fetched over its ranges, *ir_load* a code-cache IR decoder.
+
+        The fail hook fires exactly once per translate() on the cold path
+        (just before isel), so it fires on a hit too: --inject=isel@N
+        plans and chaos/replay runs stay deterministic warm vs cold.  A
+        raise here follows the same quarantine route as a cold pipeline
+        failure.
         """
+        if self.fail_hook is not None:
+            self.fail_hook(addr)
+        self.translations_made += 1
         smc_hash = None
         if opts.smc_check != "none" or opts.codegen == "traces":
-            smc_hash = hit["smc_crc"]
-        stats = hit.get("stats")
-        if not isinstance(stats, TranslationStats):
-            stats = TranslationStats()
-        # The IR stays pickled: only a trace build that misses decodes it.
-        ir_load = None
-        if opts.codegen == "traces" and hit["ir"] is not None:
-            ir_load = functools.partial(self.cache.load_ir, hit["path"],
-                                        hit["ir"])
+            smc_hash = zlib.crc32(raw)
+        irsb = None
+        if opts.codegen == "traces":
+            # The IR stays shared or pickled: only a trace build that
+            # misses reads it, and only such a build decodes it.
+            irsb = resident.irsb
+            if (irsb is None and ir_load is None
+                    and resident.ir_blob is not None):
+                ir_load = functools.partial(unpickle_ir, resident.ir_blob)
+        else:
+            ir_load = None
         return Translation(
             guest_addr=addr,
-            code=hit["code"],
-            ranges=hit["ranges"],
+            code=resident.code,
+            ranges=resident.ranges,
             smc_hash=smc_hash,
-            stats=stats,
-            ir_digest=hit["ir_digest"],
+            stats=resident.stats,
+            irsb=irsb,
+            ir_digest=resident.ir_digest,
             ir_load=ir_load,
+            resident=resident,
         )
 
     def front_ir(self, addr: int) -> IRSB:
@@ -427,7 +613,6 @@ class Translator:
         if opts.sanity_level >= 1:
             validate(sb, flat=True)
         return sb
-
 
     def translate_interp(self, addr: int) -> Translation:
         """Build an interpreter-backed translation for the block at *addr*.

@@ -161,6 +161,7 @@ class Valgrind:
             "compiled_code": {"host_insns": sched.hostcpu.host_insns},
             "smc": {"checks": sched.smc.checks, "misses": sched.smc.misses},
             "translations_made": sched.translator.translations_made,
+            "translation_cache": sched.translator.tier_stats(),
             "codegen": sched.codegen.stats_dict(sched.transtab),
             "traces": (sched.traces.stats_dict()
                        if sched.traces is not None else None),

@@ -89,6 +89,11 @@ class GuestMemory:
         for pn in range(first, last + 1):
             self._pages.pop(pn, None)
 
+    def unmap_all(self) -> None:
+        """Unmap every page (the address space is being torn down)."""
+        self._pages.clear()
+        self.code_pages.clear()
+
     def protect(self, addr: int, size: int, prot: int) -> None:
         if size <= 0:
             return

@@ -17,6 +17,7 @@ import pytest
 import repro
 from repro import api
 from repro.core.errors import ExitCode
+from repro.core.translate import clear_translation_cache
 
 from .helpers import asm_image, vg
 
@@ -52,6 +53,24 @@ class TestRun:
         assert job.exit_code == direct.exit_code == 0
         assert job.stdout == direct.stdout == "42\n"
         assert job.log == direct.log
+
+    def test_run_frees_the_finished_guest_memory(self, monkeypatch):
+        """A finished job's guest pages go when ``run`` returns, not at
+        the next cyclic collection of its core."""
+        from repro.kernel.memory import GuestMemory
+
+        freed = []
+        unmap_all = GuestMemory.unmap_all
+
+        def spy(mem):
+            freed.append(len(list(mem.pages())))
+            unmap_all(mem)
+
+        monkeypatch.setattr(GuestMemory, "unmap_all", spy)
+        job = api.run(asm_image(SRC), "memcheck",
+                      repro.Options(log_target="capture"))
+        assert job.stdout == "42\n"
+        assert len(freed) == 1 and freed[0] > 0
 
     def test_run_native_baseline(self):
         job = api.run(asm_image(SRC))
@@ -249,6 +268,9 @@ class TestCliIsThin:
         with open(program, "w") as f:
             f.write(LOOP_FILE_SRC)
         cache_dir = str(tmp_path / "cc")
+        # Workers fork from this process: start them from an empty memory
+        # translation tier so the fleet translates and stores.
+        clear_translation_cache()
         code = cli_main([
             "fleet", "--workers=2", "--repeat=2", "--tool=none",
             f"--cache-dir={cache_dir}", "--cache-max-mb=16",

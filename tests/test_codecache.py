@@ -24,6 +24,7 @@ from repro.backend import hostisa as _hostisa
 from repro.backend import pygen as _pygen
 from repro.core import codecache as _codecache
 from repro.core import traces as _traces
+from repro.core import translate as _translate
 from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
 from repro.core.translate import Translator
 from repro.workloads import suite
@@ -49,6 +50,9 @@ loop:   add  r6, r7
 
 
 def run_cached(cache_dir, tool="memcheck", src=SRC, **kw):
+    # Each run starts from an empty memory translation tier, as a fresh
+    # process does, so its translations go through the disk cache.
+    _translate.clear_translation_cache()
     kw.setdefault("stats_format", "json")
     # Explicit always (None = disabled), overriding any REPRO_CACHE_DIR
     # ambient default — these tests control their own cache directories.
@@ -93,6 +97,7 @@ def drop_in_memory_caches():
     _pygen.clear_emit_cache()
     _pygen._PYGEN_SRC_CACHE.clear()
     _traces._BUILD_CACHE.clear()
+    _translate.clear_translation_cache()
 
 
 def compiles(res) -> int:
@@ -623,19 +628,22 @@ class TestBudget:
         assert cache_bytes() <= cache.max_bytes + kb + 1024
         assert os.path.exists(foreign)
 
-    def test_emit_cache_lru_counts_evictions(self):
-        budget = _pygen._EMIT_CACHE_BUDGET
+    def test_emit_cache_lru_counts_evictions(self, monkeypatch):
         stats0 = dict(_pygen._EMIT_CACHE_STATS)
-        try:
-            _pygen.set_emit_cache_budget(2048)
-            # cache_dir=None: with a disk cache open the scheduler would
-            # re-plumb the budget from --cache-max-mb, masking ours.
-            vg(SRC, "memcheck", codegen="pygen", cache_dir=None)
-            s = _pygen.emit_cache_stats()
-            assert s["evictions"] > stats0.get("evictions", 0)
-            assert s["bytes"] <= 2048
-        finally:
-            _pygen.set_emit_cache_budget(budget)
+        monkeypatch.setattr(_pygen, "_EMIT_CACHE_BUDGET", 2048)
+        drop_in_memory_caches()
+        vg(SRC, "memcheck", codegen="pygen", cache_dir=None)
+        s = _pygen.emit_cache_stats()
+        assert s["evictions"] > stats0.get("evictions", 0)
+        assert s["bytes"] <= 2048
+
+    def test_cache_max_mb_leaves_the_emit_cache_budget(self, tmp_path):
+        """``--cache-max-mb`` bounds the disk store only: a later run in
+        the same process keeps the emit cache's own budget."""
+        budget = _pygen._EMIT_CACHE_BUDGET
+        run_cached(tmp_path, codegen="pygen", cache_max_mb=1)
+        run_cached(None, codegen="pygen")
+        assert _pygen._EMIT_CACHE_BUDGET == budget
 
     def test_emit_cache_stats_in_codegen_section(self, tmp_path):
         res = run_cached(tmp_path, codegen="pygen")

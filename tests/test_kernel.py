@@ -93,6 +93,13 @@ class TestGuestMemory:
         m.unmap(0x1000, PAGE_SIZE)
         assert not m.is_mapped(0x1000)
 
+    def test_unmap_all(self):
+        m = GuestMemory()
+        m.map(0x1000, 3 * PAGE_SIZE, PROT_RW)
+        m.unmap_all()
+        assert not any(m.is_mapped(0x1000 + i * PAGE_SIZE) for i in range(3))
+        assert list(m.pages()) == []
+
     def test_remap_zeroes(self):
         m = GuestMemory()
         m.map(0x1000, PAGE_SIZE, PROT_RW)

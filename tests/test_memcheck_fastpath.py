@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import Options, assemble, run_tool
+from repro.core.translate import clear_translation_cache
 
 from helpers import asm_image, programs, vg
 
@@ -122,6 +123,10 @@ def observe(res):
 
 
 def run_one(src, fast, **kw):
+    if kw.get("cache_dir"):
+        # Start from an empty memory translation tier, as a fresh
+        # process does, so translations go through the disk cache.
+        clear_translation_cache()
     return vg(src, "memcheck", memcheck_fastpath=fast, **kw)
 
 
