@@ -14,13 +14,18 @@ What the emitted function does differently from the closure tier
   every host instruction as straight-line Python, with the hot integer
   ops inlined as expressions (:data:`OP_INLINE`), instead of one closure
   call per instruction.
-* **Registers are locals** (``i0..i7``, ``f0..``, ``v0..``), not
-  ``_ir[n]`` list cells: every operand access is a LOAD_FAST/STORE_FAST.
-* **Spill slots are locals** (``s0..``): SPILL/RELOAD never touch the
-  ThreadState spill area (nothing else reads it — helpers and the
-  fault-replay engine only see architected offsets).
-* **Guest-state writeback is batched**: STG/SETPC pend into per-offset
-  temps (``g{off}_{size}``) and are flushed at block exits, before
+* **Single-assignment locals**: every host-register or spill-slot
+  definition binds a fresh local (``t0``, ``t1``, ...) and no local is
+  ever reassigned.  MOVR, SPILL, RELOAD, LI and LIF emit nothing: they
+  only point their destination at the source's current local, an int
+  literal or a bound constant, so the copies the allocator leaves
+  behind (Phase 7 coalesces only some of them) cost no statement.  A
+  register read before any definition is bound once in a prologue
+  (``i0 = _ir[0]``).  Spill slots never touch the ThreadState spill
+  area (nothing else reads it — helpers and the fault-replay engine
+  only see architected offsets).
+* **Guest-state writeback is batched**: STG/SETPC pend, naming the
+  stored value's own local, and are flushed at block exits, before
   dirty helper calls (which may read/write the state out-of-band), and
   — for shadow offsets ≥ GUEST_STATE_SIZE only — before potential
   fault points (loads/stores, div/mod), because precise-fault recovery
@@ -28,6 +33,12 @@ What the emitted function does differently from the closure tier
   the shadow state the partial run committed.  Flushing early is always
   legal: a pending value is exactly what the closure tier would already
   have stored at that point.
+* **Writebacks sink into error branches**: a guarded call to a helper
+  in :data:`repro.backend.isel.MC_NO_STATE_WRITE` (Memcheck's value
+  checks and LOADV/STOREV, which only read SP/PC to report an error)
+  flushes pending state inside its ``if`` and leaves it pending, so
+  the clean path skips those writebacks and later stores to the same
+  slots coalesce.
 * **LDG reads are forwarded** from pending/loaded values of the same
   offset, size and decode class, so e.g. repeated CC-thunk reads hit a
   local.  F32 slots are excluded (the 4-byte round-trip narrows
@@ -44,6 +55,7 @@ tiers are interchangeable mid-run.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import sys
 from collections import OrderedDict
@@ -84,28 +96,29 @@ from .hostisa import (
 #: Emission format version, part of the persistent code cache's pygen
 #: payload key (core.codecache): bump on any change to emit_pygen output
 #: or the spec entry shapes.
-PYGEN_EMIT_VERSION = 2
+PYGEN_EMIT_VERSION = 3
 
-#: Process-wide pygen source -> code object cache, also seeded with the
-#: bytecode a persistent code cache hit carries (see compile_pygen_code).
-_PYGEN_SRC_CACHE: Dict[str, CodeType] = {}
-
-#: Process-wide encoded host code -> (source, env spec) cache.  Decode +
-#: emission dominate compile_pygen; both are pure functions of the code
-#: bytes, so fresh runs (benchmarks, fleets, replay) reuse the text and
-#: only re-bind per-run objects.  An LRU with a fixed entry cap and
-#: byte budget; content addressing means entries never go stale, so
-#: eviction is purely a memory bound.
-_PYGEN_EMIT_CACHE: "OrderedDict[bytes, Tuple[str, tuple]]" = OrderedDict()
+#: Process-wide encoded host code -> (source, env spec, code object,
+#: estimated entry bytes) cache.  Decode, emission and ``compile()`` are
+#: pure functions of the code bytes, so fresh runs (benchmarks, fleets,
+#: replay) reuse the bytecode and only re-bind per-run objects.  An LRU
+#: with a fixed entry cap and byte budget, which bound the code objects
+#: too: nothing else keeps one alive.  Content addressing means entries
+#: never go stale, so eviction is purely a memory bound.
+_PYGEN_EMIT_CACHE: "OrderedDict[bytes, Tuple[str, tuple, CodeType, int]]" = (
+    OrderedDict()
+)
 _PYGEN_EMIT_CACHE_MAX = 8192
 _EMIT_CACHE_BUDGET = 64 * 1024 * 1024
 _EMIT_CACHE_BYTES = 0
 _EMIT_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0,
                      "evicted_bytes": 0}
 
-
-def _emit_entry_bytes(code: bytes, hit: Tuple[str, tuple]) -> int:
-    return len(code) + len(hit[0]) + 64 * len(hit[1]) + 128
+#: Process-wide emission counters (``--stats=json`` ``codegen.emit``):
+#: functions emitted, their source lines, moves/spills/reloads/constant
+#: loads emitted as renames, and guarded calls whose writebacks were
+#: sunk into the guard.
+_EMIT_STATS = {"functions": 0, "lines": 0, "renamed": 0, "sunk": 0}
 
 
 def _emit_cache_trim() -> None:
@@ -113,19 +126,21 @@ def _emit_cache_trim() -> None:
     while _PYGEN_EMIT_CACHE and (
             _EMIT_CACHE_BYTES > _EMIT_CACHE_BUDGET
             or len(_PYGEN_EMIT_CACHE) > _PYGEN_EMIT_CACHE_MAX):
-        old_code, old_hit = _PYGEN_EMIT_CACHE.popitem(last=False)
-        n = _emit_entry_bytes(old_code, old_hit)
-        _EMIT_CACHE_BYTES -= n
+        _, old_hit = _PYGEN_EMIT_CACHE.popitem(last=False)
+        _EMIT_CACHE_BYTES -= old_hit[3]
         _EMIT_CACHE_STATS["evictions"] += 1
-        _EMIT_CACHE_STATS["evicted_bytes"] += n
+        _EMIT_CACHE_STATS["evicted_bytes"] += old_hit[3]
 
 
-def _emit_cache_put(code: bytes, hit: Tuple[str, tuple]) -> None:
+def _emit_cache_put(code: bytes, src: str, spec: tuple,
+                    pycode: CodeType) -> None:
     global _EMIT_CACHE_BYTES
-    if code in _PYGEN_EMIT_CACHE:
-        return
-    _PYGEN_EMIT_CACHE[code] = hit
-    _EMIT_CACHE_BYTES += _emit_entry_bytes(code, hit)
+    # The code object is counted at its source's length: emitted
+    # functions marshal to 1.3x their source, and measuring each one
+    # would cost a warm start more than the estimate is worth.
+    n = len(code) + 2 * len(src) + 64 * len(spec) + 128
+    _PYGEN_EMIT_CACHE[code] = (src, spec, pycode, n)
+    _EMIT_CACHE_BYTES += n
     _emit_cache_trim()
 
 
@@ -145,6 +160,11 @@ def emit_cache_stats() -> dict:
         "entries": len(_PYGEN_EMIT_CACHE),
         "bytes": _EMIT_CACHE_BYTES,
     }
+
+
+def emit_stats() -> dict:
+    """Emission counters for the --stats=json codegen section."""
+    return dict(_EMIT_STATS)
 
 #: Per-run env names always bound by bind_pygen, in emission order —
 #: emit_pygen seeds them as placeholders so generated names (``_k5``…)
@@ -268,59 +288,6 @@ def _slot(n: int) -> str:
     return f"s{n}"
 
 
-def _insn_io(insn: HInsn) -> Tuple[List[str], List[str]]:
-    """(local names read, local names defined) by one instruction."""
-    if isinstance(insn, (LI, LIF)):
-        return [], [_reg(insn.dst)]
-    if isinstance(insn, MOVR):
-        return [_reg(insn.src)], [_reg(insn.dst)]
-    if isinstance(insn, BIN):
-        return [_reg(insn.src1), _reg(insn.src2)], [_reg(insn.dst)]
-    if isinstance(insn, UN):
-        return [_reg(insn.src)], [_reg(insn.dst)]
-    if isinstance(insn, LDG):
-        return [], [_reg(insn.dst)]
-    if isinstance(insn, STG):
-        return [_reg(insn.src)], []
-    if isinstance(insn, LDM):
-        return [_reg(insn.addr)], [_reg(insn.dst)]
-    if isinstance(insn, STM):
-        return [_reg(insn.addr), _reg(insn.src)], []
-    if isinstance(insn, CSEL):
-        return (
-            [_reg(insn.cond), _reg(insn.a), _reg(insn.b)],
-            [_reg(insn.dst)],
-        )
-    if isinstance(insn, CALL):
-        reads: List[str] = []
-        for a in insn.args:
-            if isinstance(a, Reg):
-                reads.append(_reg(a))
-            elif isinstance(a, Slot):
-                reads.append(_slot(a.n))
-        if insn.guard is not None:
-            reads.append(_reg(insn.guard))
-            if insn.dst is not None:
-                # A guarded call's destination must already be bound if
-                # the guard is false: count it as a read so the def-scan
-                # pre-initializes it.
-                reads.append(_reg(insn.dst))
-        defs = [_reg(insn.dst)] if insn.dst is not None else []
-        return reads, defs
-    if isinstance(insn, SIDEEXIT):
-        return [_reg(insn.cond)], []
-    if isinstance(insn, SIDEEXITR):
-        return [_reg(insn.cond), _reg(insn.src)], []
-    if isinstance(insn, SETPCR):
-        return [_reg(insn.src)], []
-    if isinstance(insn, SPILL):
-        return [_reg(insn.src)], [_slot(insn.slot)]
-    if isinstance(insn, RELOAD):
-        return [_slot(insn.slot)], [_reg(insn.dst)]
-    # SETPCI, RET, TRACEMARK
-    return [], []
-
-
 def _is_fault_point(insn: HInsn) -> bool:
     """Can executing *insn* raise a recoverable guest fault?"""
     if isinstance(insn, (LDM, STM)):
@@ -334,16 +301,13 @@ def _is_fault_point(insn: HInsn) -> bool:
     return False
 
 
-def build_pygen_runner(cpu, insns: Sequence[HInsn]) -> Callable:
-    """Emit + compile one specialized function for a decoded block.
-
-    Returns ``runner(ts) -> (jump-kind, guest_insns)``, semantically
-    identical to ``cpu.run(cpu.compile(code), ts)``.
-    """
-    src, spec = emit_pygen(
-        insns, fastpath=bool(getattr(cpu, "shadow_fastpath", False))
-    )
-    return bind_pygen(cpu, src, spec)
+def _to_bytes(val: str, size: int) -> str:
+    """Source for the little-endian bytes of value *val* (a local or a
+    literal).  A literal that fits folds to a bytes literal; one that
+    does not stays a call, which raises at run time as the local did."""
+    if val.isdigit() and int(val) < 1 << (8 * size):
+        return repr(int(val).to_bytes(size, "little"))
+    return f"({val}).to_bytes({size}, 'little')"
 
 
 def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tuple]:
@@ -400,24 +364,17 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
             spec.append(("attr", name, attr))
 
     def lit(val: object) -> str:
-        # Ints always repr round-trip; floats may be inf/nan — bind.
-        return repr(val) if type(val) is int else bind(val)
+        # Ints always repr round-trip (a negative one is parenthesized
+        # so the literal works wherever a local does); floats may be
+        # inf/nan — bind.
+        if type(val) is int:
+            return repr(val) if val >= 0 else f"({val})"
+        return bind(val)
 
-    # -- def-before-use pre-scan ------------------------------------------------
-    io = [_insn_io(insn) for insn in insns]
-    defined: set = set()
-    preinit: List[str] = []
-    last_def: Dict[str, int] = {}
-    for idx, (reads, defs) in enumerate(io):
-        for name in reads:
-            if name not in defined and name not in preinit:
-                preinit.append(name)
-        defined.update(defs)
-        for name in defs:
-            last_def[name] = idx
-
-    body: List[str] = ["_cpu.ts = ts", "_d = ts.data"]
+    body: List[str] = []
+    prologue: List[str] = []
     flags = {"m": False}
+    renamed = sunk = 0
 
     def emit(line: str, depth: int = 0) -> None:
         body.append("    " * depth + line)
@@ -426,35 +383,55 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
         flags["m"] = True
         return f"_m[{off >> 2}]"
 
-    for name in preinit:
-        if name[0] == "i":
-            need("_ir", "ir")
-            emit(f"{name} = _ir[{name[1:]}]")
-        elif name[0] == "f":
-            need("_fr", "fr")
-            emit(f"{name} = _fr[{name[1:]}]")
-        elif name[0] == "v":
-            need("_vr", "vr")
-            emit(f"{name} = _vr[{name[1:]}]")
-        else:  # spill slot read before any SPILL (regalloc never does this)
-            emit(f"{name} = 0")
+    # -- single assignment -----------------------------------------------------
+    # Host register / spill slot name -> its current value: a local bound
+    # exactly once, an int literal or a bound constant.  A definition
+    # binds a fresh local; a rename only repoints the name.
+    cur: Dict[str, str] = {}
+    fresh = itertools.count()
+
+    def value(name: str) -> str:
+        v = cur.get(name)
+        if v is None:
+            # Read before any definition: bind the entry value once.
+            if name[0] == "i":
+                need("_ir", "ir")
+                prologue.append(f"{name} = _ir[{name[1:]}]")
+            elif name[0] == "f":
+                need("_fr", "fr")
+                prologue.append(f"{name} = _fr[{name[1:]}]")
+            elif name[0] == "v":
+                need("_vr", "vr")
+                prologue.append(f"{name} = _vr[{name[1:]}]")
+            else:  # spill slot read before any SPILL (regalloc never does this)
+                prologue.append(f"{name} = 0")
+            v = cur[name] = name
+        return v
+
+    def rd(r: Reg) -> str:
+        return value(_reg(r))
+
+    def define(name: str) -> str:
+        t = cur[name] = f"t{next(fresh)}"
+        return t
+
+    def rename(name: str, v: str) -> None:
+        nonlocal renamed
+        cur[name] = v
+        renamed += 1
 
     # -- pending guest-state writes --------------------------------------------
-    # off -> (size, value, ty, dirty); value is a local/expression string,
-    # or a compile-time int constant (SETPCI).  dirty entries need a
-    # writeback; clean entries only forward LDG reads.
-    known: Dict[int, Tuple[int, object, Ty, bool]] = {}
+    # off -> (size, value, ty, dirty); value is a local, an int literal or
+    # a bound constant, never reassigned.  dirty entries need a writeback;
+    # clean entries only forward LDG reads.
+    known: Dict[int, Tuple[int, str, Ty, bool]] = {}
 
     def writeback(off: int, entry, depth: int = 0) -> None:
         size, val, ty, _ = entry
         if ty.is_int and size == 4 and _LE and not off % 4:
             emit(f"{m_slot(off)} = {val}", depth)
-        elif isinstance(val, int):
-            emit(f"_d[{off}:{off + size}] = {val.to_bytes(size, 'little')!r}",
-                 depth)
         elif ty.is_int:
-            emit(f"_d[{off}:{off + size}] = {val}.to_bytes({size}, 'little')",
-                 depth)
+            emit(f"_d[{off}:{off + size}] = {_to_bytes(val, size)}", depth)
         elif ty is Ty.F64:
             emit(f"{bind(_F64_PACK_INTO, key='pf64')}(_d, {off}, {val})", depth)
         else:
@@ -472,25 +449,16 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
                 if e[3]:
                     writeback(o, e)
 
-    def on_def(name: str) -> None:
-        """A local is about to be redefined: entries valued by it can no
-        longer forward (dirty ones cannot exist — STG only skips the
-        snapshot temp when the source has no later definition)."""
-        for o in list(known):
-            e = known[o]
-            if e[1] == name:
-                del known[o]
-                if e[3]:  # defensive: value is still live on this line
-                    writeback(o, e)
-
     def flush_dirty(shadow_only: bool = False, depth: int = 0,
-                    keep_pending: bool = False, skip_pc: bool = False) -> None:
-        """Write back pending entries (sorted for determinism).
+                    keep_pending: bool = False, skip_pc: bool = False) -> int:
+        """Write back pending entries (sorted for determinism); returns
+        how many.
 
         *keep_pending* emits the writebacks without marking entries clean
-        — used inside a conditional side exit, where the fall-through
-        path has not actually stored anything yet.
+        — used inside a conditional branch, where the fall-through path
+        has not actually stored anything yet.
         """
+        n = 0
         for o in sorted(known):
             e = known[o]
             if not e[3]:
@@ -500,94 +468,88 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
             if skip_pc and o == OFFSET_PC and e[0] == 4:
                 continue
             writeback(o, e, depth)
+            n += 1
             if not keep_pending:
                 known[o] = (e[0], e[1], e[2], False)
+        return n
 
     def forwardable(entry, ty: Ty) -> bool:
         size, _, ety, _ = entry
         return size == ty.size and (ety is ty or (ety.is_int and ty.is_int))
 
-    files = {RC.INT: "i", RC.FLT: "f", RC.VEC: "v"}
-
     PO, PO4 = OFFSET_PC, OFFSET_PC + 4
     done = False
     for i, insn in enumerate(insns):
-        reads, defs = io[i]
         if _is_fault_point(insn):
             # Recovery replays architected state from the entry snapshot,
             # but shadow state keeps what the partial run committed: make
             # the committed shadow state match the closure tier's.
             flush_dirty(shadow_only=True)
-        for name in defs:
-            on_def(name)
         if isinstance(insn, (LI, LIF)):
-            emit(f"{_reg(insn.dst)} = {lit(insn.imm)}")
+            rename(_reg(insn.dst), lit(insn.imm))
         elif isinstance(insn, MOVR):
-            emit(f"{_reg(insn.dst)} = {_reg(insn.src)}")
+            rename(_reg(insn.dst), rd(insn.src))
         elif isinstance(insn, BIN):
+            a, b = rd(insn.src1), rd(insn.src2)
             tmpl = _OP_INLINE_ALL.get(insn.op)
             if tmpl is not None:
-                expr = tmpl.format(a=_reg(insn.src1), b=_reg(insn.src2))
+                expr = tmpl.format(a=a, b=b)
             else:
                 op = bind(get_op(insn.op).fn, key=("op", insn.op))
-                expr = f"{op}({_reg(insn.src1)}, {_reg(insn.src2)})"
-            emit(f"{_reg(insn.dst)} = {expr}")
+                expr = f"{op}({a}, {b})"
+            emit(f"{define(_reg(insn.dst))} = {expr}")
         elif isinstance(insn, UN):
+            a = rd(insn.src)
             tmpl = _OP_INLINE_ALL.get(insn.op)
+            if tmpl == "{a}":
+                # A widening that keeps the value: no statement.
+                cur[_reg(insn.dst)] = a
+                continue
             if tmpl is not None:
-                expr = tmpl.format(a=_reg(insn.src))
+                expr = tmpl.format(a=a)
             else:
                 op = bind(get_op(insn.op).fn, key=("op", insn.op))
-                expr = f"{op}({_reg(insn.src)})"
-            emit(f"{_reg(insn.dst)} = {expr}")
+                expr = f"{op}({a})"
+            emit(f"{define(_reg(insn.dst))} = {expr}")
         elif isinstance(insn, LDG):
             off, ty = insn.off, insn.ty
-            dst = _reg(insn.dst)
             entry = known.get(off)
             if entry is not None and forwardable(entry, ty):
-                emit(f"{dst} = {entry[1]}")
+                cur[_reg(insn.dst)] = entry[1]
+                continue
+            invalidate_overlap(off, ty.size)
+            entry = known.get(off)  # exact-size, incompatible decode
+            if entry is not None:
+                if entry[3]:
+                    writeback(off, entry)
+                del known[off]
+            dst = define(_reg(insn.dst))
+            if ty is Ty.F32:
+                emit(f"{dst} = "
+                     f"{bind(_F32_UNPACK_FROM, key='uf32')}(_d, {off})[0]")
+                continue
+            if ty.is_int and ty.size == 4 and _LE and not off % 4:
+                emit(f"{dst} = {m_slot(off)}")
+            elif ty.is_int:
+                emit(f"{dst} = _ifb(_d[{off}:{off + ty.size}], 'little')")
+            elif ty is Ty.F64:
+                emit(f"{dst} = "
+                     f"{bind(_F64_UNPACK_FROM, key='uf64')}(_d, {off})[0]")
             else:
-                invalidate_overlap(off, ty.size)
-                entry = known.get(off)  # exact-size, incompatible decode
-                if entry is not None:
-                    if entry[3]:
-                        writeback(off, entry)
-                    del known[off]
-                if ty is Ty.F32:
-                    emit(f"{dst} = "
-                         f"{bind(_F32_UNPACK_FROM, key='uf32')}(_d, {off})[0]")
-                else:
-                    g = f"g{off}_{ty.size}"
-                    if ty.is_int and ty.size == 4 and _LE and not off % 4:
-                        emit(f"{dst} = {g} = {m_slot(off)}")
-                    elif ty.is_int:
-                        emit(f"{dst} = {g} = "
-                             f"_ifb(_d[{off}:{off + ty.size}], 'little')")
-                    elif ty is Ty.F64:
-                        emit(f"{dst} = {g} = "
-                             f"{bind(_F64_UNPACK_FROM, key='uf64')}(_d, {off})[0]")
-                    else:
-                        emit(f"{dst} = {g} = ts.get({off}, {bind(ty, key=ty)})")
-                    known[off] = (ty.size, g, ty, False)
+                emit(f"{dst} = ts.get({off}, {bind(ty, key=ty)})")
+            known[off] = (ty.size, dst, ty, False)
         elif isinstance(insn, STG):
             off, ty = insn.off, insn.ty
-            src = _reg(insn.src)
+            src = rd(insn.src)
+            invalidate_overlap(off, ty.size)
             if ty is Ty.F32:
-                invalidate_overlap(off, ty.size)
                 known.pop(off, None)
                 emit(f"{bind(_F32_PACK_INTO, key='pf32')}(_d, {off}, {src})")
             else:
-                invalidate_overlap(off, ty.size)
-                if last_def.get(src, -1) > i:
-                    # The source register is redefined later: snapshot the
-                    # pending value so the flush sees today's value.
-                    g = f"g{off}_{ty.size}"
-                    emit(f"{g} = {src}")
-                    known[off] = (ty.size, g, ty, True)
-                else:
-                    known[off] = (ty.size, src, ty, True)
+                known[off] = (ty.size, src, ty, True)
         elif isinstance(insn, LDM):
-            ty, dst, addr = insn.ty, _reg(insn.dst), _reg(insn.addr)
+            ty, addr = insn.ty, rd(insn.addr)
+            dst = define(_reg(insn.dst))
             tyn = bind(ty, key=ty)
             if ty.is_int and ty.size <= 8:
                 size = ty.size
@@ -614,7 +576,7 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
             else:
                 emit(f"{dst} = _ld({addr} & 4294967295, {tyn})")
         elif isinstance(insn, STM):
-            ty, src, addr = insn.ty, _reg(insn.src), _reg(insn.addr)
+            ty, src, addr = insn.ty, rd(insn.src), rd(insn.addr)
             tyn = bind(ty, key=ty)
             if ty.is_int and ty.size <= 8:
                 size = ty.size
@@ -622,8 +584,7 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
                 emit(f"_o = _a & 4095")
                 emit(f"_p = _pg(_a >> 12) if _o <= {4096 - size} else None")
                 emit(f"if _p is not None and _p[1] & {PROT_WRITE}:")
-                emit(f"_p[0][_o:_o + {size}] = {src}.to_bytes({size}, 'little')",
-                     1)
+                emit(f"_p[0][_o:_o + {size}] = {_to_bytes(src, size)}", 1)
                 emit("else:")
                 emit(f"_st(_a, {tyn}, {src})", 1)
             elif ty is Ty.F64 or ty is Ty.F32:
@@ -642,15 +603,15 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
             else:
                 emit(f"_st({addr} & 4294967295, {tyn}, {src})")
         elif isinstance(insn, CSEL):
-            emit(f"{_reg(insn.dst)} = {_reg(insn.a)} if {_reg(insn.cond)}"
-                 f" else {_reg(insn.b)}")
+            c, a, b = rd(insn.cond), rd(insn.a), rd(insn.b)
+            emit(f"{define(_reg(insn.dst))} = {a} if {c} else {b}")
         elif isinstance(insn, CALL):
             args = []
             for a in insn.args:
                 if isinstance(a, Reg):
-                    args.append(_reg(a))
+                    args.append(rd(a))
                 elif isinstance(a, Slot):
-                    args.append(_slot(a.n))
+                    args.append(value(_slot(a.n)))
                 else:  # ImmArg
                     args.append(lit(a.value))
             mc_load = MC_LOADV_SIZES.get(insn.helper) if fastpath else None
@@ -668,7 +629,7 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
                 need("_env", "env")
                 need("_vsg", "shadow_rd_get")
                 need("_shc", "shadow_counters")
-                size, dst = mc_load, _reg(insn.dst)
+                size, dst = mc_load, define(_reg(insn.dst))
                 emit(f"_a = {args[0]} & 4294967295")
                 emit("_o = _a & 4095")
                 if size == 1:
@@ -705,52 +666,68 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
                 if size == 1:
                     emit("_sp = _vsw(_a >> 12)")
                     emit("if _sp is not None and _sp[0][_o]:")
-                    emit(f"_sp[1][_o:_o + 1] = ({val}).to_bytes(1,"
-                         " 'little')", 1)
                 else:
                     emit(f"_sp = _vsw(_a >> 12) if _o <= {4096 - size}"
                          " else None")
                     emit(f"if _sp is not None and"
                          f" 0 not in _sp[0][_o:_o + {size}]:")
-                    emit(f"_sp[1][_o:_o + {size}] = ({val}).to_bytes({size},"
-                         " 'little')", 1)
+                emit(f"_sp[1][_o:_o + {size}] = {_to_bytes(val, size)}", 1)
                 emit("_shc[1] += 1", 1)
                 emit("else:")
                 emit("_shc[3] += 1", 1)
                 flush_dirty(depth=1, keep_pending=True)
                 emit(f"{fname}(_env, _a, {val})", 1)
             else:
-                if insn.dirty:
-                    # The helper may read or write guest state out-of-band:
-                    # commit every pending store first.
+                # A guarded call to a helper that never writes guest
+                # state commits pending state inside its guard only: the
+                # helper still sees SP/PC when it reports, and the clean
+                # path leaves the stores pending.  Every other dirty
+                # helper may read or write guest state out-of-band:
+                # commit every pending store first.
+                sink = (insn.dirty and insn.guard is not None
+                        and insn.helper in MC_NO_STATE_WRITE)
+                if insn.dirty and not sink:
                     flush_dirty()
                 if insn.dirty:
                     need("_env", "env")
                     call = f"{fname}(_env{''.join(', ' + a for a in args)})"
                 else:
                     call = f"{fname}({', '.join(args)})"
-                line = (f"{_reg(insn.dst)} = {call}"
-                        if insn.dst is not None else call)
-                if insn.guard is not None:
-                    emit(f"if {_reg(insn.guard)}:")
-                    emit(line, 1)
+                if insn.guard is None:
+                    emit(f"{define(_reg(insn.dst))} = {call}"
+                         if insn.dst is not None else call)
                 else:
-                    emit(line)
+                    guard = rd(insn.guard)
+                    if insn.dst is not None:
+                        # The destination keeps its value when the guard
+                        # is false.
+                        old = rd(insn.dst)
+                        dst = define(_reg(insn.dst))
+                        emit(f"{dst} = {old}")
+                        call = f"{dst} = {call}"
+                    emit(f"if {guard}:")
+                    if sink and flush_dirty(depth=1, keep_pending=True):
+                        sunk += 1
+                    emit(call, 1)
                 if insn.dirty and insn.helper not in MC_NO_STATE_WRITE:
                     # Error-reporting helpers never write guest state:
-                    # the forwarding map (entries just marked clean by
-                    # the flush) stays valid across the call.
+                    # the forwarding map stays valid across the call.
                     known.clear()
         elif isinstance(insn, SETPCI):
             invalidate_overlap(PO, 4)
-            known[PO] = (4, insn.dst & _M32, Ty.I32, True)
+            known[PO] = (4, str(insn.dst & _M32), Ty.I32, True)
         elif isinstance(insn, SETPCR):
+            src = rd(insn.src)
             invalidate_overlap(PO, 4)
-            emit(f"g{PO}_4 = {_reg(insn.src)} & 4294967295")
-            known[PO] = (4, f"g{PO}_4", Ty.I32, True)
+            if src.isdigit():
+                pc = str(int(src) & _M32)
+            else:
+                pc = f"t{next(fresh)}"
+                emit(f"{pc} = {src} & 4294967295")
+            known[PO] = (4, pc, Ty.I32, True)
         elif isinstance(insn, SIDEEXIT):
             exit_tuple = bind((insn.jk, insn.icnt), key=(insn.jk, insn.icnt))
-            emit(f"if {_reg(insn.cond)}:")
+            emit(f"if {rd(insn.cond)}:")
             flush_dirty(depth=1, keep_pending=True, skip_pc=True)
             if _LE:
                 emit(f"{m_slot(PO)} = {insn.dst & _M32}", 1)
@@ -761,14 +738,15 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
             emit(f"return {exit_tuple}", 1)
         elif isinstance(insn, SIDEEXITR):
             exit_tuple = bind((insn.jk, insn.icnt), key=(insn.jk, insn.icnt))
-            emit(f"if {_reg(insn.cond)}:")
+            cond, src = rd(insn.cond), rd(insn.src)
+            emit(f"if {cond}:")
             flush_dirty(depth=1, keep_pending=True, skip_pc=True)
             if _LE:
-                emit(f"{m_slot(PO)} = {_reg(insn.src)} & 4294967295", 1)
+                emit(f"{m_slot(PO)} = {src} & 4294967295", 1)
             else:
                 emit(
                     f"_d[{PO}:{PO4}] = "
-                    f"({_reg(insn.src)} & 4294967295).to_bytes(4, 'little')",
+                    f"({src} & 4294967295).to_bytes(4, 'little')",
                     1,
                 )
             emit(f"_cpu.host_insns += {i + 1}", 1)
@@ -783,30 +761,36 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
             done = True
             break
         elif isinstance(insn, SPILL):
-            src = _reg(insn.src)
+            src = rd(insn.src)
             if insn.ty is Ty.F32:
                 # Match the closure tier's 4-byte round-trip exactly.
                 f32 = bind(_f32_round, key="f32rt")
-                emit(f"{_slot(insn.slot)} = {f32}({src})")
+                emit(f"{define(_slot(insn.slot))} = {f32}({src})")
             else:
-                emit(f"{_slot(insn.slot)} = {src}")
+                rename(_slot(insn.slot), src)
         elif isinstance(insn, RELOAD):
-            emit(f"{_reg(insn.dst)} = {_slot(insn.slot)}")
+            rename(_reg(insn.dst), value(_slot(insn.slot)))
         else:  # pragma: no cover
             raise TypeError(f"cannot compile {insn!r}")
     if not done:
         raise RuntimeError("translation fell off the end (missing RET)")
+    head = ["_cpu.ts = ts", "_d = ts.data"]
     if flags["m"]:
-        body.insert(2, "_m = ts.u32")
+        head.append("_m = ts.u32")
+    lines = head + prologue + body
     params = ["ts"] + [f"{n}={n}" for n in env]
     src = f"def _pygen({', '.join(params)}):\n" + "".join(
-        f"    {line}\n" for line in body
+        f"    {line}\n" for line in lines
     )
+    _EMIT_STATS["functions"] += 1
+    _EMIT_STATS["lines"] += len(lines) + 1
+    _EMIT_STATS["renamed"] += renamed
+    _EMIT_STATS["sunk"] += sunk
     return src, tuple(spec)
 
 
-def bind_pygen(cpu, src: str, spec: tuple) -> Callable:
-    """Close emitted source over one run's cpu/mem/helpers and compile."""
+def bind_pygen(cpu, src: str, spec: tuple, pycode: CodeType) -> Callable:
+    """Close compiled emitted source over one run's cpu/mem/helpers."""
     mem = cpu.mem
     env: Dict[str, object] = {
         "_cpu": cpu,
@@ -822,26 +806,10 @@ def bind_pygen(cpu, src: str, spec: tuple) -> Callable:
             env[name] = cpu.helpers.lookup(payload).fn
         else:  # attr
             env[name] = getattr(cpu, payload)
-    exec(_pygen_code(cpu, src), env)
+    exec(pycode, env)
     fn = env["_pygen"]
     fn.pygen_source = src
     return fn
-
-
-def _pygen_code(cpu, src: str) -> CodeType:
-    """The code object for *src*, compiled at most once per process.
-
-    Shared process-wide: blocks differing only in bound values reuse the
-    same bytecode with different defaults.  ``cpu.pygen_compiles`` counts
-    the ``compile()`` calls this cpu's run made (``--stats=json``
-    ``codegen.pygen_cache.compiles``).
-    """
-    code = _PYGEN_SRC_CACHE.get(src)
-    if code is None:
-        code = compile(src, "<pygen-block>", "exec")
-        _PYGEN_SRC_CACHE[src] = code
-        cpu.pygen_compiles += 1
-    return code
 
 
 def _code_wants_fastpath(cpu, code: bytes) -> bool:
@@ -859,7 +827,7 @@ def _code_wants_fastpath(cpu, code: bytes) -> bool:
 
 
 def compile_pygen_code(cpu, code: bytes) -> Callable:
-    """Decode + emit + bind, with decode/emit cached by code bytes.
+    """Decode + emit + compile + bind, cached by code bytes.
 
     Emission is deterministic in the encoded bytes (plus the fastpath
     variant bit, folded into the cache keys), so repeated runs of the
@@ -868,9 +836,10 @@ def compile_pygen_code(cpu, code: bytes) -> Callable:
     dict and executing the cached code object.  When the cpu carries a
     persistent :class:`repro.core.codecache.CodeCache`, the source, its
     env spec and its compiled bytecode round-trip through it, so a fresh
-    process skips emission *and* ``compile()``: a disk hit seeds the
-    process-wide code-object cache with the stored bytecode, and a miss
-    compiles once and stores all three.
+    process skips emission *and* ``compile()``; a miss compiles once and
+    stores all three.  ``cpu.pygen_compiles`` counts the ``compile()``
+    calls this cpu's run made (``--stats=json``
+    ``codegen.pygen_cache.compiles``).
     """
     fastpath = _code_wants_fastpath(cpu, code)
     key = b"\x01" + code if fastpath else code
@@ -878,24 +847,23 @@ def compile_pygen_code(cpu, code: bytes) -> Callable:
     if hit is not None:
         _PYGEN_EMIT_CACHE.move_to_end(key)
         _EMIT_CACHE_STATS["hits"] += 1
+        return bind_pygen(cpu, *hit[:3])
+    _EMIT_CACHE_STATS["misses"] += 1
+    disk = getattr(cpu, "codecache", None)
+    loaded = (disk.load_pygen(code, fastpath=fastpath)
+              if disk is not None else None)
+    if loaded is not None:
+        src, spec, pycode = loaded
     else:
-        _EMIT_CACHE_STATS["misses"] += 1
-        disk = getattr(cpu, "codecache", None)
-        loaded = (disk.load_pygen(code, fastpath=fastpath)
-                  if disk is not None else None)
-        if loaded is not None:
-            src, spec, pycode = loaded
-            _PYGEN_SRC_CACHE.setdefault(src, pycode)
-            hit = (src, spec)
-        else:
-            from .hostisa import decode_insns
+        from .hostisa import decode_insns
 
-            hit = emit_pygen(decode_insns(code), fastpath=fastpath)
-            if disk is not None:
-                disk.store_pygen(code, *hit, _pygen_code(cpu, hit[0]),
-                                 fastpath=fastpath)
-        _emit_cache_put(key, hit)
-    return bind_pygen(cpu, *hit)
+        src, spec = emit_pygen(decode_insns(code), fastpath=fastpath)
+        pycode = compile(src, "<pygen-block>", "exec")
+        cpu.pygen_compiles += 1
+        if disk is not None:
+            disk.store_pygen(code, src, spec, pycode, fastpath=fastpath)
+    _emit_cache_put(key, src, spec, pycode)
+    return bind_pygen(cpu, src, spec, pycode)
 
 
 # -- spec (de)serialization for the persistent cache ---------------------------

@@ -193,7 +193,7 @@ class CodegenTiers:
         # Imported here, not at module top: pygen stays unloaded for
         # closure-tier runs that never compile a pygen block (and never
         # ask for stats), keeping their per-process footprint unchanged.
-        from ..backend.pygen import emit_cache_stats as _emit_cache_stats
+        from ..backend.pygen import emit_cache_stats, emit_stats
 
         s = self.stats
         cpu = self.hostcpu
@@ -215,7 +215,8 @@ class CodegenTiers:
                 "unique_blocks": len(cpu._pygen_cache),
                 "compiles": cpu.pygen_compiles,
             },
-            "emit_cache": _emit_cache_stats(),
+            "emit_cache": emit_cache_stats(),
+            "emit": emit_stats(),
         }
         if transtab is not None:
             live: Dict[str, int] = {}

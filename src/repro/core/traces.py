@@ -159,7 +159,7 @@ def vg_trace_call(env, target: int) -> int:
 
     The member block that just ran pushed the return address at [sp] and
     committed SP before this helper runs (pygen flushes pending state
-    ahead of every dirty call), so the load cannot fault.
+    ahead of every unguarded dirty call), so the load cannot fault.
     """
     cs = env.state.callstack
     cs.append((env.mem.load32(env.state.sp), target))

@@ -10,9 +10,11 @@ hammered by kill plans must never leave a corrupt entry behind.
 
 from __future__ import annotations
 
+import gc
 import marshal
 import os
 import pickle
+import weakref
 import zlib
 
 import pytest
@@ -95,7 +97,6 @@ def drop_in_memory_caches():
     """Forget every in-process translation product, so the next run must
     go through the disk cache (simulating a fresh process)."""
     _pygen.clear_emit_cache()
-    _pygen._PYGEN_SRC_CACHE.clear()
     _traces._BUILD_CACHE.clear()
     _translate.clear_translation_cache()
 
@@ -636,6 +637,26 @@ class TestBudget:
         s = _pygen.emit_cache_stats()
         assert s["evictions"] > stats0.get("evictions", 0)
         assert s["bytes"] <= 2048
+
+    def test_emit_cache_cap_bounds_code_objects(self, monkeypatch):
+        """The emit cache's entry cap bounds the compiled code objects
+        too: nothing else keeps an evicted entry's bytecode alive."""
+        cap = 4
+        monkeypatch.setattr(_pygen, "_PYGEN_EMIT_CACHE_MAX", cap)
+        drop_in_memory_caches()
+        made = []
+
+        def compile_and_watch(*args, **kw):
+            code = compile(*args, **kw)
+            made.append(weakref.ref(code))
+            return code
+
+        monkeypatch.setattr(_pygen, "compile", compile_and_watch,
+                            raising=False)
+        vg(SRC, "memcheck", codegen="pygen", cache_dir=None)
+        gc.collect()
+        assert len(made) > cap
+        assert sum(ref() is not None for ref in made) <= cap
 
     def test_cache_max_mb_leaves_the_emit_cache_budget(self, tmp_path):
         """``--cache-max-mb`` bounds the disk store only: a later run in

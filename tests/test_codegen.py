@@ -9,7 +9,9 @@ emitted Python's shape, and the ``--stats=json`` ``codegen`` section.
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 
 import pytest
 
@@ -203,3 +205,118 @@ class TestStatsSection:
         res = run_cg(HOT_LOOP_SRC, codegen="pygen")
         cg = res.stats()["codegen"]
         assert sum(cg["tier_execs"].values()) == 0
+
+
+class TestEmitCounters:
+    def test_emit_section_counts_renames_and_sinks(self):
+        """``codegen.emit`` is process-wide: compare before/after deltas.
+        Memcheck's guarded value checks sink writebacks; Nulgrind has no
+        guarded helper to sink into."""
+        from repro.backend import pygen
+        from repro.core.translate import clear_translation_cache
+
+        def emit_after(tool):
+            pygen.clear_emit_cache()
+            clear_translation_cache()
+            res = run_cg(HOT_LOOP_SRC, tool=tool, codegen="traces",
+                         trace_threshold=5, cache_dir=None)
+            return res.stats()["codegen"]["emit"]
+
+        before = pygen.emit_stats()
+        mc = emit_after("memcheck")
+        assert mc["functions"] > before["functions"]
+        assert mc["lines"] > before["lines"]
+        assert mc["renamed"] > before["renamed"]
+        assert mc["sunk"] > before["sunk"]
+        none = emit_after("none")
+        assert none["functions"] > mc["functions"]
+        assert none["renamed"] > mc["renamed"]
+        assert none["sunk"] == mc["sunk"]
+
+
+#: A host-register or spill-slot name: bound only by the prologue.
+_HOST_NAME = re.compile(r"[ifvs]\d+$")
+#: The value a prologue binds: a register-file cell or a zero slot.
+_PROLOGUE_VALUE = re.compile(r"(_ir|_fr|_vr)\[\d+\]$|0$")
+
+
+def _assigned(stmt) -> set:
+    """Names a statement (and any nested one) assigns."""
+    return {t.id for node in ast.walk(stmt) if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
+def _check_single_assignment(src: str) -> None:
+    fn = ast.parse(src).body[0]
+    stmts = fn.body
+    k = 0
+    while k < len(stmts) and isinstance(stmts[k], ast.Assign) and (
+            ast.unparse(stmts[k]) in ("_cpu.ts = ts", "_d = ts.data",
+                                      "_m = ts.u32")):
+        k += 1
+    prologue = set()
+    while k < len(stmts) and isinstance(stmts[k], ast.Assign):
+        (target,) = stmts[k].targets
+        if not (isinstance(target, ast.Name) and _HOST_NAME.match(target.id)):
+            break
+        assert _PROLOGUE_VALUE.match(ast.unparse(stmts[k].value)), src
+        assert target.id not in prologue, src
+        prologue.add(target.id)
+        k += 1
+    owner = {}
+    for j in range(k, len(stmts)):
+        stmt = stmts[j]
+        names = _assigned(stmt)
+        assert not {n for n in names if _HOST_NAME.match(n)}, (
+            ast.unparse(stmt), src)
+        if (isinstance(stmt, ast.Assign)
+                and isinstance(stmt.targets[0], ast.Name)
+                and isinstance(stmt.value, (ast.Name, ast.Constant))):
+            # A bare copy: only a guarded call's default, which the
+            # next statement's guard may overwrite with the call.
+            (target,) = stmt.targets
+            guarded = stmts[j + 1] if j + 1 < len(stmts) else None
+            assert isinstance(guarded, ast.If), (ast.unparse(stmt), src)
+            last = guarded.body[-1]
+            assert (isinstance(last, ast.Assign)
+                    and ast.unparse(last.targets[0]) == target.id
+                    and isinstance(last.value, ast.Call)), (
+                ast.unparse(stmt), src)
+            assert target.id not in owner, (target.id, src)
+            owner[target.id] = j + 1
+            continue
+        for name in names:
+            if name.startswith("_"):
+                continue  # per-access scratch (_a, _o, _p, _sp)
+            assert owner.setdefault(name, j) == j, (name, src)
+
+
+class TestEmittedCodeShape:
+    def test_suite_emits_single_assignment_code(self, monkeypatch):
+        """Every function the trace engine emits for the suite, under
+        Memcheck and Nulgrind, binds each local once: host-register and
+        spill-slot names only in the pre-init prologue, and the only bare
+        copies are guarded-call defaults."""
+        from repro.backend import pygen
+        from repro.workloads.suite import ALL_WORKLOADS, build
+
+        sources = []
+        emit = pygen.emit_pygen
+
+        def record(insns, fastpath=False):
+            out = emit(insns, fastpath=fastpath)
+            sources.append(out[0])
+            return out
+
+        monkeypatch.setattr(pygen, "emit_pygen", record)
+        pygen.clear_emit_cache()
+        for name in ALL_WORKLOADS:
+            image = build(name, scale=0.005).image
+            for tool in ("none", "memcheck"):
+                res = vg(image, tool, codegen="traces", trace_threshold=5,
+                         cache_dir=None)
+                assert res.exit_code == 0, (name, tool)
+        assert len(sources) > 500
+        assert sum("_cpu.trace_blocks" in s for s in sources) > 50
+        for src in sources:
+            _check_single_assignment(src)

@@ -110,6 +110,128 @@ top:    subi sp, 16
 }
 
 
+#: Errors raised in the middle of a block inside a hot loop: the
+#: reporting helper runs while earlier instructions' guest-state writes
+#: (the PC above all) are still pending, so each engine must commit them
+#: before the report.  Each loop runs 40 times, well past
+#: ``MID_BLOCK_TRACE_THRESHOLD``, so the trace engines report from
+#: inside a trace as well.  The loop counts live in memory, so an engine
+#: that loses a pending register write prints a wrong sum instead of
+#: looping forever.
+MID_BLOCK = {
+    "uninit_condition": """
+        .text
+main:   subi sp, 16
+        movi r2, 0
+loop:   addi r2, 3
+        ld   r0, [sp+4]
+        addi r2, 5
+        cmpi r0, 1
+        je   skip
+        addi r2, 1
+skip:   ld   r3, [count]
+        subi r3, 1
+        st   [count], r3
+        cmpi r3, 0
+        jne  loop
+        addi sp, 16
+        push r2
+        call putint
+        addi sp, 4
+        movi r0, 0
+        ret
+        .data
+count:  .word 40
+""",
+    "uninit_address": """
+        .text
+main:   pushi 64
+        call malloc
+        addi sp, 4
+        mov  r6, r0
+        subi sp, 16
+        movi r2, 0
+loop:   addi r2, 5
+        ld   r7, [sp+8]
+        muli r7, 0
+        add  r7, r6
+        ld   r1, [r7]
+        add  r2, r1
+        ld   r3, [count]
+        subi r3, 1
+        st   [count], r3
+        cmpi r3, 0
+        jne  loop
+        addi sp, 16
+        push r6
+        call free
+        addi sp, 4
+        push r2
+        call putint
+        addi sp, 4
+        movi r0, 0
+        ret
+        .data
+count:  .word 40
+""",
+    "heap_overrun": """
+        .text
+main:   pushi 16
+        call malloc
+        addi sp, 4
+        mov  r6, r0
+        movi r2, 0
+loop:   addi r2, 7
+        ld   r1, [r6+16]
+        add  r2, r1
+        sti  [r6+20], 5
+        ld   r3, [count]
+        subi r3, 1
+        st   [count], r3
+        cmpi r3, 0
+        jne  loop
+        push r6
+        call free
+        addi sp, 4
+        push r2
+        call putint
+        addi sp, 4
+        movi r0, 0
+        ret
+        .data
+count:  .word 40
+""",
+}
+MID_BLOCK_ERRORS = {
+    "uninit_condition": ["UninitCondition"],
+    "uninit_address": ["UninitValue"],
+    "heap_overrun": ["InvalidRead", "InvalidWrite"],
+}
+MID_BLOCK_TRACE_THRESHOLD = 5
+
+#: A call/return loop under Taintcheck, whose guarded sink on every
+#: ``ret`` is a dirty helper outside MC_NO_STATE_WRITE.
+CALL_LOOP = """
+        .text
+main:   movi r2, 0
+loop:   addi r2, 2
+        call fn1
+        ld   r3, [count]
+        subi r3, 1
+        st   [count], r3
+        cmpi r3, 0
+        jne  loop
+        push r2
+        call putint
+        addi sp, 4
+        movi r0, 0
+        ret
+fn1:    addi r2, 1
+        ret
+        .data
+count:  .word 30
+"""
+
 def observe(res):
     """Everything that must not depend on the fast path."""
     return (
@@ -145,6 +267,35 @@ class TestDifferentialAcrossTiers:
         ref = run_one(PROGRAMS["overrun_rw"], False, codegen="closures")
         got = run_one(PROGRAMS["overrun_rw"], True, **ENGINES[engine])
         assert observe(got) == observe(ref)
+
+
+class TestMidBlockErrors:
+    """Error reports raised mid-block: every engine's whole Memcheck log
+    must equal the closure tier's, byte for byte.  Runs with the fast
+    path at its default, which CI sets on and off."""
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("name", sorted(MID_BLOCK))
+    def test_log_matches_closures(self, engine, name):
+        ref = vg(MID_BLOCK[name], "memcheck", codegen="closures")
+        got = vg(MID_BLOCK[name], "memcheck",
+                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD, **ENGINES[engine])
+        assert sorted({e.kind for e in ref.errors}) == MID_BLOCK_ERRORS[name]
+        assert (got.exit_code, got.stdout, got.log) == (
+            ref.exit_code, ref.stdout, ref.log)
+        if ENGINES[engine]["codegen"] == "traces":
+            assert got.stats()["traces"]["traces_built"] > 0
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_guarded_helper_outside_no_state_write(self, engine):
+        """A guarded helper that may write guest state still commits
+        pending state before its guard, on the path that skips it too."""
+        ref = vg(CALL_LOOP, "taintcheck", codegen="closures")
+        got = vg(CALL_LOOP, "taintcheck",
+                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD, **ENGINES[engine])
+        assert ref.exit_code == 0 and ref.stdout.strip() == str(30 * 3)
+        assert (got.exit_code, got.stdout, got.log) == (
+            ref.exit_code, ref.stdout, ref.log)
 
 
 class TestReplayContract:
