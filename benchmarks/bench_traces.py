@@ -1,12 +1,13 @@
 """Superblock/trace tier: blocks/sec vs the per-block pygen tier.
 
 The trace tier (see :mod:`repro.core.traces`) records hot chained
-successor sequences in the dispatcher, stitches the member blocks' IR
-into one superblock, re-runs the optimisation passes across the merged
-IR and compiles the result to a single pygen function.  A trace run
-retires several blocks per dispatcher iteration and lets the optimiser
-delete puts/gets and fold branches *across* the original block seams —
-the Python analogue of Valgrind's chained-and-inlined hot paths.
+successor sequences in the dispatcher, splices the member blocks' host
+code into one superblock (each seam's final jump dropped, inverted into
+a side exit or guarded) and compiles the result to a single pygen
+function.  A trace run retires several blocks per dispatcher iteration,
+and the emitter keeps guest state in Python locals *across* the
+original block seams — the Python analogue of Valgrind's
+chained-and-inlined hot paths.
 
 This bench reuses the ``bench_codegen`` program set and measures
 
@@ -28,7 +29,7 @@ from repro.workloads.suite import build
 from conftest import SCALE, geomean, save_and_show
 
 #: Same reasoning as bench_codegen, with a higher floor: a trace pays
-#: translation *plus* recording, stitching and superblock compilation
+#: translation *plus* recording, splicing and superblock compilation
 #: before its first run, so the steady state it buys only shows at a
 #: scale where execution dominates that warm-up.  --quick smoke runs
 #: keep their tiny scale and get a proportionally relaxed gate.

@@ -33,6 +33,7 @@ from .hostisa import (
     LI,
     LIF,
     MOVR,
+    NUM_REGS,
     RC,
     RELOAD,
     RET,
@@ -60,12 +61,9 @@ class HostCPU:
         #: Execution environment handed to dirty helpers.
         self.env = env
         # Register files are instance state: translations never nest.
-        # Sized for the wide trace register file (hostisa.TRACE_REGFILE),
-        # whose names pygen runners may read through def-before-use
-        # pre-initialisation; block-tier code only ever touches 0-7.
-        self.ir: List[int] = [0] * 16
-        self.fr: List[float] = [0.0] * 16
-        self.vr: List[int] = [0] * 16
+        self.ir: List[int] = [0] * NUM_REGS[RC.INT]
+        self.fr: List[float] = [0.0] * NUM_REGS[RC.FLT]
+        self.vr: List[int] = [0] * NUM_REGS[RC.VEC]
         #: Current thread's state, set by run().
         self.ts = None
         #: Total host instructions executed (a deterministic cost metric).
@@ -309,10 +307,8 @@ class HostCPU:
                 # code on every platform).
                 saved_i = ir[:]
                 saved_f = fr[:]
-                # The frame area holds the 8 architected slots; the wider
-                # trace-tier registers are restored from the snapshot only.
                 cpu.ts.data[save_lo:save_hi] = b"".join(
-                    v.to_bytes(8, "little") for v in saved_i[:8]
+                    v.to_bytes(8, "little") for v in saved_i
                 )
                 args = [g() for g in getters]
                 ret = fn(cpu.env, *args) if dirty else fn(*args)

@@ -58,17 +58,6 @@ NUM_REGS = {RC.INT: 8, RC.FLT: 4, RC.VEC: 4}
 #: Scratch registers reserved for spill-code rewriting (CSEL can need
 #: three reloaded integer sources at once).
 SCRATCH = {RC.INT: (5, 6, 7), RC.FLT: (2, 3), RC.VEC: (2, 3)}
-#: Wider register file used when allocating superblock traces
-#: (core.traces): a stitched multi-block unit carries far more
-#: simultaneously-live values than one block, and the pygen back-end's
-#: "registers" are CPython locals, so the x86-sized file would force
-#: artificial spills.  The extra names sit above the scratch trio and
-#: still fit the 4-bit register field of the instruction encoding.
-TRACE_REGFILE = {
-    RC.INT: tuple(range(ALLOCATABLE[RC.INT])) + tuple(range(8, 16)),
-    RC.FLT: tuple(range(ALLOCATABLE[RC.FLT])) + tuple(range(4, 16)),
-    RC.VEC: tuple(range(ALLOCATABLE[RC.VEC])) + tuple(range(4, 16)),
-}
 
 _RC_PREFIX = {RC.INT: "h", RC.FLT: "hf", RC.VEC: "hv"}
 

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 
 from ..ir.block import IRSB
 from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop
-from ..ir.stmt import Dirty, Exit, IMark, NoOp, Put, Store, TraceMark, WrTmp
+from ..ir.stmt import Dirty, Exit, IMark, NoOp, Put, Store, WrTmp
 from ..ir.types import Ty
 from .hostisa import (
     BIN,
@@ -28,10 +28,8 @@ from .hostisa import (
     SETPCI,
     SETPCR,
     SIDEEXIT,
-    SIDEEXITR,
     STG,
     STM,
-    TRACEMARK,
     UN,
     rc_of_ty,
 )
@@ -177,20 +175,11 @@ class ISel:
             src = self.expr(s.data)
             self.insns.append(STM(ty, addr, src))
             return
-        if isinstance(s, TraceMark):
-            self.insns.append(TRACEMARK(s.index))
-            return
         if isinstance(s, Exit):
             cond = self.expr(s.guard)
-            if s.dst_expr is not None:
-                src = self.expr(s.dst_expr)
-                self.insns.append(
-                    SIDEEXITR(cond, src, s.jumpkind.value, self._imarks_seen)
-                )
-            else:
-                self.insns.append(
-                    SIDEEXIT(cond, s.dst, s.jumpkind.value, self._imarks_seen)
-                )
+            self.insns.append(
+                SIDEEXIT(cond, s.dst, s.jumpkind.value, self._imarks_seen)
+            )
             return
         if isinstance(s, Dirty):
             guard = self.expr(s.guard) if s.guard is not None else None

@@ -39,12 +39,10 @@ from .hostisa import (
     SETPCI,
     SETPCR,
     SIDEEXIT,
-    SIDEEXITR,
     SPILL,
     STG,
     STM,
     Slot,
-    TRACEMARK,
     UN,
 )
 
@@ -106,16 +104,8 @@ def _build_intervals(insns: Sequence[HInsn]) -> Dict[Tuple[RC, int], Interval]:
     return intervals
 
 
-def allocate(
-    insns: Sequence[HInsn],
-    regfile: Optional[Dict[RC, Sequence[int]]] = None,
-) -> Tuple[List[HInsn], AllocStats]:
-    """Run linear-scan allocation and return (rewritten insns, stats).
-
-    *regfile* overrides the allocatable register numbers per class
-    (default ``range(ALLOCATABLE[rc])``); the trace tier passes the wider
-    ``hostisa.TRACE_REGFILE`` so superblocks don't spill artificially.
-    """
+def allocate(insns: Sequence[HInsn]) -> Tuple[List[HInsn], AllocStats]:
+    """Run linear-scan allocation and return (rewritten insns, stats)."""
     stats = AllocStats()
     intervals = _build_intervals(insns)
     if not intervals:
@@ -150,9 +140,7 @@ def allocate(
     by_start = sorted(intervals.values(), key=lambda iv: (iv.start, iv.end))
     active: Dict[RC, List[Interval]] = {rc: [] for rc in RC}
     free: Dict[RC, List[int]] = {
-        rc: (list(regfile[rc]) if regfile is not None
-             else list(range(ALLOCATABLE[rc])))
-        for rc in RC
+        rc: list(range(ALLOCATABLE[rc])) for rc in RC
     }
     next_slot = 0
 
@@ -330,12 +318,9 @@ def allocate(
                        dirty=insn.dirty, guard=guard)
         elif isinstance(insn, SIDEEXIT):
             new = SIDEEXIT(map_use(insn.cond), insn.dst, insn.jk, insn.icnt)
-        elif isinstance(insn, SIDEEXITR):
-            new = SIDEEXITR(map_use(insn.cond), map_use(insn.src), insn.jk,
-                            insn.icnt)
         elif isinstance(insn, SETPCR):
             new = SETPCR(map_use(insn.src))
-        elif isinstance(insn, (SETPCI, RET, TRACEMARK)):
+        elif isinstance(insn, (SETPCI, RET)):
             new = insn
         else:
             raise RegAllocError(f"cannot rewrite {insn!r}")

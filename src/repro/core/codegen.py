@@ -20,7 +20,7 @@ wraps the same list as a runner for pygen blocks demoted to this tier.
 ``--codegen=pygen`` compiles every block to the pygen tier on its *first
 execution* (insert-time compilation is deferred, so blocks that never
 run never compile).  ``--codegen=traces`` does the same and additionally
-stitches hot chains of pygen blocks into superblocks
+splices hot chains of pygen blocks into superblocks
 (:mod:`repro.core.traces`).
 
 A pygen compile failure (real or ``--inject=pygen@N``) *demotes* the

@@ -386,7 +386,7 @@ class Scheduler:
         self.dispatcher.signals_pending = self._signals_pending
         self.dispatcher.attach_runner = self.codegen.attach
         #: Trace tier (--codegen=traces): the manager records hot chains
-        #: and stitches them into compiled superblocks; traces live off
+        #: and splices them into compiled superblocks; traces live off
         #: the translation table, severed through its on_kill hook.
         if options.codegen == "traces":
             from .traces import (
@@ -401,7 +401,6 @@ class Scheduler:
                 self.translator,
                 self.hostcpu,
                 options,
-                resolve=self.redirector.resolve,
                 on_fail=self._on_trace_failed,
             )
             self.codegen.traces = self.traces

@@ -5,57 +5,63 @@ multiple-exit stretch of code" (Section 3.5) — but the front end only
 ever builds single-block superblocks.  This module grows them: the
 dispatcher watches which translations chain hot along Boring/Call/Ret
 edges, records the successor sequence, and the :class:`TraceManager`
-stitches the member blocks' *IR* into one multi-block superblock,
-re-runs the Phase-2 optimisation passes across the merged IR (so
-redundant condition-code thunks, dead PUTs and guard computations are
-eliminated *across* the original block boundaries) and compiles the
-result to a single specialized pygen function.
+splices the member blocks' *host code* into one multi-block superblock
+compiled to a single specialized pygen function.  Every block goes
+through the eight phases once, as a block; a trace re-runs none of
+them.  The gain is the pygen emitter's: it carries pending guest-state
+writebacks and known guest-state values across the seams, so a hot
+chain runs seam to seam in Python locals instead of round-tripping
+guest state through the dispatcher per block.
 
-Correctness model — recorder as hint, stitcher as proof
--------------------------------------------------------
+Correctness model — recorder as hint, splicer as proof
+------------------------------------------------------
 
 The recorded successor sequence is only a *hint*.  At build time every
-seam between consecutive members A -> B is proven, falling into exactly
-one of three plans:
+seam between consecutive members A -> B is proven from the tail of A's
+host code, which always ends ``SETPCI``/``SETPCR`` then ``RET``, falling
+into exactly one of three plans:
 
-* **fall** — A's ``next`` is the constant address of B: control always
-  reaches B, no guard is needed.
-* **invert** — A's ``next`` is a constant that is *not* B, but A ends in
-  a conditional ``Exit`` whose target is B: the branch was observed
-  taken, so the Exit is inverted (``Not1`` of its guard) into a side
-  exit to the fall-through address and the trace continues into B.
-* **guard** — A's ``next`` is computed (an indirect jump, a Ret): a
-  ``CmpNE32(next, B)`` side exit (carrying ``dst_expr`` so the *actual*
-  target is taken on the miss path) guards the seam.
+* **fall** — A ends ``SETPCI B``: control always reaches B, no guard is
+  needed, and A's ``RET`` goes.
+* **invert** — A ends ``SIDEEXIT c -> B`` right before ``SETPCI F``: the
+  branch was observed taken, so the exit is inverted (``Not1 c``) into a
+  side exit to the fall-through address F and the trace continues into
+  B.
+* **guard** — A ends ``SETPCR r`` (an indirect jump, a Ret): a
+  ``CmpNE32(r, B)`` side exit to the computed target (``SIDEEXITR``)
+  guards the seam.  Nothing but ``r`` is live at a block's tail, so the
+  compare borrows any other integer register.
 
-Any edge that fits no plan truncates the trace at A; a recording the
-stitcher cannot prove therefore yields a *shorter* trace, never a wrong
-one.  Members are additionally re-verified against the guest bytes they
-were translated from (the SMC hash), so a stale hint cannot stitch
-stale code.
+Any other tail truncates the trace at A; a recording the splicer cannot
+prove therefore yields a *shorter* trace, never a wrong one.  Members are
+additionally re-verified against the guest bytes they were translated
+from (the SMC hash), so a stale hint cannot splice stale code.
+
+Every seam ends in ``SETPCI B``: the front end writes the guest PC from
+a block's second instruction on, so B's first instruction relies on the
+PC being B on entry (Memcheck's error reports read it).  pygen keeps
+that store pending, so it costs a write only where something reads the
+PC before B's own next write.
 
 Every side exit restores the invariants the block tier maintains: the
 guest PC is written before leaving, the retired-instruction count is
-exact at the exit point (the fault-precision entry-snapshot contract
-extends to every trace side exit unchanged), and Call/Ret seams
-maintain the shadow call stack through the :func:`vg_trace_call` /
-:func:`vg_trace_ret` dirty helpers, mirroring the dispatcher's own
-bookkeeping byte for byte.
+exact at the exit point (each member's exit counts are offset by the
+guest instructions of the members before it, so the fault-precision
+entry-snapshot contract extends to every trace side exit unchanged), and
+Call/Ret seams maintain the shadow call stack through the
+:func:`vg_trace_call` / :func:`vg_trace_ret` dirty helpers, mirroring
+the dispatcher's own bookkeeping byte for byte.  ``TRACEMARK j`` before
+member j's code records progress, so the dispatcher accounts completed
+blocks exactly when a trace faults or side-exits.
 
-Builds are content-addressed by their members, not by stitched IR: the
-build key (:meth:`TraceManager._build_key`) hashes the trace-build, spec,
-opt-pipeline and host-ISA versions plus each member's guest address and
-IR digest (``Translation.ir_digest``: the SHA-1 of its pickled flat IR,
-made once per translation — when it is stored in the code cache, else on
-first use).  The stitched IR is a pure function of exactly those inputs,
-and the versions cover the passes and back end that turn it into host
-code, so a key hit reuses the assembled result — from the process-wide
-build cache or the persistent code cache's ``x/`` namespace — without
-touching member IR.  A warm start therefore neither stitches nor decodes
-the IR its ``t/`` hits carry; only a miss decodes it
-(``Translation.flat_ir``).  The outcome a key maps to includes how many
-members survived seam truncation, and an unstitchable recording is
-cached like any other outcome.
+Builds are content-addressed: the build key
+(:meth:`TraceManager._build_key`) hashes the trace-build and host-ISA
+versions plus each member's guest address and host code, which is all a
+build reads.  A key hit reuses the spliced result — from the
+process-wide build cache or the persistent code cache's ``x/``
+namespace — so a warm start splices nothing.  The outcome a key maps to
+includes how many members survived seam truncation, and an unspliceable
+recording is cached like any other outcome.
 
 Traces live *off* the translation table in the manager's own maps, so
 they never perturb transtab capacity, eviction order or the
@@ -71,45 +77,35 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .. import opt as _opt
 from ..backend import hostisa as _hostisa
-from ..frontend import spec as _spec
-from ..frontend.spec import vx32_spec_helper
-from ..ir.block import IRSB
-from ..ir.expr import Binop, Const, RdTmp, Unop, c32
-from ..ir.stmt import (
-    Dirty,
-    Exit,
-    IMark,
-    JumpKind,
-    MemFx,
-    NoOp,
-    Put,
-    Stmt,
-    Store,
-    TraceMark,
-    WrTmp,
+from ..backend.hostisa import (
+    BIN,
+    CALL,
+    HInsn,
+    ImmArg,
+    LI,
+    RC,
+    RET,
+    Reg,
+    SETPCI,
+    SETPCR,
+    SIDEEXIT,
+    SIDEEXITR,
+    TRACEMARK,
+    UN,
+    decode_insns,
+    encode_insns,
 )
+from ..ir.stmt import JumpKind
 from ..ir.types import Ty
-from ..ir.validate import validate
-from ..opt.opt1 import (
-    _rename_expr,
-    cse,
-    dead_code,
-    forward_pass,
-    redundant_put_elim,
-)
-from ..opt.treebuild import build_trees
-from ..backend.hostisa import TRACE_REGFILE, encode_insns
-from ..backend.isel import select
-from ..backend.regalloc import allocate
-from .translate import Translation, hash_guest_ranges, pickle_ir
+from .translate import Translation, hash_guest_ranges
 
-_M32 = 0xFFFFFFFF
-#: Edge kinds the recorder may follow and the stitcher may sew across.
-_TRACEABLE = (JumpKind.Boring, JumpKind.Call, JumpKind.Ret)
+#: JumpKind values the recorder may follow and the splicer may sew across.
+_TRACEABLE_VALUES = tuple(jk.value for jk in
+                          (JumpKind.Boring, JumpKind.Call, JumpKind.Ret))
 #: u16 instruction-count fields in SIDEEXIT/SIDEEXITR bound trace size.
 _MAX_TRACE_INSNS = 60000
 #: Shadow call-stack depth cap — must match the dispatcher's.
@@ -119,16 +115,17 @@ _CALLSTACK_MAX = 16384
 #: Call/Ret seams (registered by the scheduler under traces mode).
 VG_TRACE_CALL = "vg_trace_call"
 VG_TRACE_RET = "vg_trace_ret"
+_SEAM_HELPERS = {JumpKind.Call.value: VG_TRACE_CALL,
+                 JumpKind.Ret.value: VG_TRACE_RET}
 
-#: Bump on any change to seam planning, stitching or the trace
-#: optimisation and back-end calls that alters build output: part of
-#: every build key.
-TRACE_BUILD_VERSION = 1
+#: Bump on any change to seam planning or splicing that alters build
+#: output: part of every build key.
+TRACE_BUILD_VERSION = 2
 
-#: A build outcome: (host code, members used, post-opt member blocks,
-#: guest insns); code None means the recording is unstitchable.
-BuildOutcome = Tuple[Optional[bytes], int, int, int]
-_UNSTITCHABLE: BuildOutcome = (None, 0, 0, 0)
+#: A build outcome: (host code, members used, guest insns); code None
+#: means the recording is unspliceable.
+BuildOutcome = Tuple[Optional[bytes], int, int]
+_UNSPLICEABLE: BuildOutcome = (None, 0, 0)
 
 #: Process-wide cache: build key (:meth:`TraceManager._build_key`) ->
 #: :data:`BuildOutcome`.  LRU-bounded (entries never go stale — content
@@ -183,36 +180,34 @@ def vg_trace_ret(env, target: int) -> int:
     return 0
 
 
-def _rename_stmt(s: Stmt, delta: int) -> Stmt:
-    """Shift every temporary in *s* by *delta* (flat member IR only)."""
-    if isinstance(s, IMark):
-        return s
-    if isinstance(s, WrTmp):
-        return WrTmp(s.tmp + delta, _rename_expr(s.data, delta))
-    if isinstance(s, Put):
-        return Put(s.offset, _rename_expr(s.data, delta))
-    if isinstance(s, Store):
-        return Store(_rename_expr(s.addr, delta), _rename_expr(s.data, delta))
-    if isinstance(s, Exit):
-        return Exit(
-            _rename_expr(s.guard, delta), s.dst, s.jumpkind,
-            dst_expr=(_rename_expr(s.dst_expr, delta)
-                      if s.dst_expr is not None else None),
-        )
-    if isinstance(s, Dirty):
-        return Dirty(
-            s.callee,
-            tuple(_rename_expr(a, delta) for a in s.args),
-            guard=_rename_expr(s.guard, delta) if s.guard is not None else None,
-            tmp=(s.tmp + delta) if s.tmp is not None else None,
-            retty=s.retty,
-            state_fx=s.state_fx,
-            mem_fx=tuple(
-                MemFx(m.write, _rename_expr(m.addr, delta), m.size)
-                for m in s.mem_fx
-            ),
-        )
-    raise TypeError(f"cannot stitch {s!r}")
+def _seam(insns: List[HInsn], b: int) -> Optional[List[HInsn]]:
+    """A block's host code *insns* rewritten to continue into the member
+    at guest address *b* (the seam plans of the module docstring), or
+    None if no plan proves that edge."""
+    *body, setpc, ret = insns
+    if ret.jk not in _TRACEABLE_VALUES:
+        return None
+    edge = ret.jk
+    if isinstance(setpc, SETPCR):  # guard
+        r = setpc.src
+        s = Reg(RC.INT, 1 if r.n == 0 else 0)
+        body += [LI(s, b), BIN("CmpNE32", s, r, s),
+                 SIDEEXITR(s, r, ret.jk, ret.icnt)]
+    elif not isinstance(setpc, SETPCI):
+        return None
+    elif setpc.dst != b:  # invert, if the last exit goes to b
+        ex = body[-1] if body else None
+        if not (isinstance(ex, SIDEEXIT) and ex.dst == b
+                and ex.jk in _TRACEABLE_VALUES and ex.icnt == ret.icnt):
+            return None
+        edge = ex.jk
+        body[-1] = UN("Not1", ex.cond, ex.cond)
+        body.append(SIDEEXIT(ex.cond, setpc.dst, ret.jk, ret.icnt))
+    helper = _SEAM_HELPERS.get(edge)
+    if helper is not None:
+        body.append(CALL(helper, (ImmArg(b, Ty.I32),), dirty=True))
+    body.append(SETPCI(b))
+    return body
 
 
 class Trace:
@@ -225,7 +220,7 @@ class Trace:
     """
 
     __slots__ = (
-        "head_addr", "members", "ranges", "n_blocks", "total_insns",
+        "head_addr", "members", "ranges", "n_blocks", "code", "total_insns",
         "compiled_fn", "dead", "stats", "runs", "blocks",
     )
 
@@ -235,19 +230,14 @@ class Trace:
         def __init__(self, guest_insns: int):
             self.guest_insns = guest_insns
 
-    def __init__(
-        self,
-        head_addr: int,
-        members: List[Translation],
-        ranges: Tuple[Tuple[int, int], ...],
-        n_blocks: int,
-        total_insns: int,
-        compiled_fn,
-    ):
-        self.head_addr = head_addr
+    def __init__(self, members: List[Translation], code: bytes,
+                 total_insns: int, compiled_fn):
+        self.head_addr = members[0].guest_addr
         self.members = members
-        self.ranges = ranges
-        self.n_blocks = n_blocks
+        self.ranges = tuple(r for m in members for r in m.ranges)
+        self.n_blocks = len(members)
+        #: The spliced host code (core.traces module docstring).
+        self.code = code
         self.total_insns = total_insns
         self.compiled_fn = compiled_fn
         self.dead = False
@@ -270,7 +260,7 @@ class Trace:
 
 
 class TraceManager:
-    """Records hot block chains and stitches them into compiled traces."""
+    """Records hot block chains and splices them into compiled traces."""
 
     def __init__(
         self,
@@ -278,13 +268,11 @@ class TraceManager:
         hostcpu,
         options,
         *,
-        resolve: Optional[Callable[[int], int]] = None,
         on_fail: Optional[Callable] = None,
     ):
         self.translator = translator
         self.hostcpu = hostcpu
         self.options = options
-        self.resolve = resolve if resolve is not None else (lambda a: a)
         self.on_fail = on_fail
         #: Re-attach the codegen layer's execution-counting wrapper to a
         #: severed trace's surviving head (set by the scheduler).
@@ -292,10 +280,8 @@ class TraceManager:
         self.max_blocks = max(2, options.max_trace_blocks)
         #: Every input of a build besides its members (read per run, so
         #: a version bump between runs takes effect).
-        self._key_base = b"trace-build:%d:%d:%d:%d:" % (
-            TRACE_BUILD_VERSION, _spec.SPEC_VERSION,
-            _opt.OPT_PIPELINE_VERSION, _hostisa.HOSTISA_FORMAT_VERSION,
-        )
+        self._key_base = b"trace-build:%d:%d:" % (
+            TRACE_BUILD_VERSION, _hostisa.HOSTISA_FORMAT_VERSION)
         #: Live traces by head guest address.
         self.traces: Dict[int, Trace] = {}
         #: id(member Translation) -> traces containing it (sever index).
@@ -305,13 +291,13 @@ class TraceManager:
         #: Recording in progress: member list and the jump kind that led
         #: *out* of the last appended member.
         self._members: List[Translation] = []
-        self._last_jk: Optional[JumpKind] = None
+        self._last_jk: Optional[str] = None
         #: Fast gate the dispatcher checks per block: True while any
         #: recording is requested or in progress.
         self.active = False
         # Counters (reported under --stats=json as the "traces" section).
         self.traces_built = 0
-        #: Builds that stitched member IR (a build-key miss).
+        #: Builds that spliced member code (a build-key miss).
         self.stitched = 0
         self.compile_failures = 0
         self.recordings_aborted = 0
@@ -404,13 +390,13 @@ class TraceManager:
             self._by_member.setdefault(mid, []).append(tr)
         self.traces_built += 1
 
-    # -- stitching ---------------------------------------------------------
+    # -- splicing ----------------------------------------------------------
 
     def _build(self, members: List[Translation]) -> Optional[Trace]:
-        """Compile *members* into a trace (None: unstitchable)."""
+        """Compile *members* into a trace (None: unspliceable)."""
         fetch = self.translator._fetch
-        # Phase 1, no IR needed: stop at the first dead member or one
-        # whose guest bytes changed since it was translated.
+        # Stop at the first dead member or one whose guest bytes changed
+        # since it was translated.
         parts: List[Translation] = []
         for m in members:
             if m.dead or (
@@ -434,157 +420,49 @@ class TraceManager:
             if disk is not None:
                 outcome = disk.load_trace(key)
             if outcome is None:
-                outcome = self._stitch_and_compile(parts)
+                outcome = self._splice(parts)
                 if disk is not None:
                     disk.store_trace(key, *outcome)
             _build_cache_put(key, outcome)
-        code, n_members, n_blocks, total_insns = outcome
+        code, n_members, total_insns = outcome
         fn = self.hostcpu.compile_pygen(code) if code is not None else None
         self.compile_seconds += time.perf_counter() - t0
         if code is None:
             return None
-        parts = parts[:n_members]
-        return Trace(
-            head_addr=parts[0].guest_addr,
-            members=parts,
-            ranges=tuple(r for m in parts[:n_blocks] for r in m.ranges),
-            n_blocks=n_blocks,
-            total_insns=total_insns,
-            compiled_fn=fn,
-        )
+        return Trace(parts[:n_members], code, total_insns, fn)
 
     def _build_key(self, parts: List[Translation]) -> bytes:
-        """Hash everything a build of *parts* depends on (see the module
-        docstring): the versions and each member's address and IR digest."""
+        """Hash everything a build of *parts* reads (see the module
+        docstring): the versions and each member's address and code."""
         h = hashlib.sha1(self._key_base)
         for m in parts:
-            digest = m.ir_digest
-            if digest is None:
-                digest = m.ir_digest = pickle_ir(self._member_ir(m))[1]
-                if m.resident is not None:
-                    # Later runs' memory-tier hits carry it from here.
-                    m.resident.ir_digest = digest
             h.update(m.guest_addr.to_bytes(4, "little"))
-            h.update(digest)
+            h.update(len(m.code).to_bytes(4, "little"))
+            h.update(m.code)
         return h.digest()
 
-    def _member_ir(self, m: Translation) -> IRSB:
-        """*m*'s flat instrumented IR: kept at translate time, decoded
-        from the code cache, or regenerated through the front end."""
-        sb = m.flat_ir()
-        if sb is None:
-            sb = m.irsb = self.translator.front_ir(self.resolve(m.guest_addr))
-        return sb
-
-    def _stitch_and_compile(self, members: List[Translation]) -> BuildOutcome:
-        """Stitch *members*' IR into one superblock, optimise it across
-        the seams and assemble it."""
+    def _splice(self, members: List[Translation]) -> BuildOutcome:
+        """Splice *members*' host code into one trace, truncating at the
+        first seam no plan proves, and assemble it."""
         self.stitched += 1
-        parts = [(m, self._member_ir(m)) for m in members]
-
-        # Validate every seam, truncating at the first unprovable edge.
-        plans: List[tuple] = []
-        for j, (m, sb) in enumerate(parts):
-            if j + 1 == len(parts):
-                plans.append(("tail",))
+        out: List[HInsn] = []
+        total = 0  # guest insns of the members spliced so far
+        for j, m in enumerate(members):
+            insns = [replace(i, icnt=i.icnt + total)
+                     if total and isinstance(i, (SIDEEXIT, RET)) else i
+                     for i in decode_insns(m.code)]
+            total = insns[-1].icnt
+            out.append(TRACEMARK(j))
+            spliced = (_seam(insns, members[j + 1].guest_addr)
+                       if j + 1 < len(members) else None)
+            if spliced is None:
+                out += insns
                 break
-            b = parts[j + 1][0].guest_addr
-            jk = sb.jumpkind
-            if jk not in _TRACEABLE or sb.next is None:
-                plans.append(("tail",))
-                break
-            nxt = sb.next
-            if isinstance(nxt, Const):
-                if (nxt.value & _M32) == b:
-                    plans.append(("fall", jk))
-                    continue
-                last = _last_real_stmt(sb.stmts)
-                if (
-                    isinstance(last, Exit)
-                    and last.dst_expr is None
-                    and (last.dst & _M32) == b
-                    and last.jumpkind in _TRACEABLE
-                ):
-                    plans.append(("invert", last.jumpkind))
-                    continue
-                plans.append(("tail",))
-                break
-            plans.append(("guard", jk))
-        parts = parts[: len(plans)]
-        if len(parts) < 2:
-            return _UNSTITCHABLE
-
-        # Stitch members into one IRSB, renaming temporaries.
-        head = parts[0][0]
-        trace = IRSB(jumpkind=JumpKind.Boring, guest_addr=head.guest_addr)
-        for j, (m, sb) in enumerate(parts):
-            delta = (max(trace.tyenv) + 1) if trace.tyenv else 0
-            for tmp, ty in sb.tyenv.items():
-                trace.tyenv[tmp + delta] = ty
-            stmts = [s for s in sb.stmts if not isinstance(s, NoOp)]
-            plan = plans[j]
-            trace.add(TraceMark(j, m.guest_addr))
-            if plan[0] == "invert":
-                final_exit = stmts.pop()
-                for s in stmts:
-                    trace.add(_rename_stmt(s, delta))
-                # The branch to the next member was observed taken: invert
-                # it into a side exit on the fall-through address.
-                ng = trace.new_tmp(Ty.I1)
-                trace.add(WrTmp(ng, Unop("Not1",
-                                         _rename_expr(final_exit.guard, delta))))
-                trace.add(Exit(RdTmp(ng), sb.next.value & _M32, sb.jumpkind))
-                self._emit_seam_helper(trace, plan[1],
-                                       parts[j + 1][0].guest_addr)
-                continue
-            for s in stmts:
-                trace.add(_rename_stmt(s, delta))
-            if plan[0] == "fall":
-                self._emit_seam_helper(trace, plan[1],
-                                       parts[j + 1][0].guest_addr)
-            elif plan[0] == "guard":
-                b = parts[j + 1][0].guest_addr
-                nxt = _rename_expr(sb.next, delta)
-                tg = trace.new_tmp(Ty.I1)
-                trace.add(WrTmp(tg, Binop("CmpNE32", nxt, c32(b))))
-                # dst_expr: a seam miss leaves for the *computed* target.
-                trace.add(Exit(RdTmp(tg), 0, sb.jumpkind, dst_expr=nxt))
-                self._emit_seam_helper(trace, plan[1], b)
-            else:  # tail
-                trace.next = _rename_expr(sb.next, delta)
-                trace.jumpkind = sb.jumpkind
-
-        # Cross-block optimisation over the merged IR: the same Phase-2
-        # passes, now seeing PUTs, CC thunks and guard computations from
-        # *all* members at once.
-        trace = forward_pass(trace, vx32_spec_helper)
-        trace = cse(trace)
-        trace = forward_pass(trace, vx32_spec_helper)
-        trace = redundant_put_elim(trace)
-        trace = dead_code(trace)
-        if self.options.sanity_level >= 1:
-            validate(trace, flat=True)
-
-        # Exact post-optimisation accounting: constant folding may have
-        # truncated the stitched block at an always-taken seam.
-        total_insns = sum(1 for s in trace.stmts if isinstance(s, IMark))
-        n_blocks = sum(1 for s in trace.stmts if isinstance(s, TraceMark))
-        if not (1 <= n_blocks and 1 <= total_insns < _MAX_TRACE_INSNS):
-            return _UNSTITCHABLE
-
-        # Back end: tree building, instruction selection, allocation (over
-        # the wide trace register file), assembly.
-        tree = build_trees(trace)
-        vcode = select(tree)
-        hcode, _alloc = allocate(vcode, regfile=TRACE_REGFILE)
-        return encode_insns(hcode), len(parts), n_blocks, total_insns
-
-    def _emit_seam_helper(self, trace: IRSB, jk: JumpKind, target: int) -> None:
-        """Maintain the shadow call stack across a Call/Ret seam."""
-        if jk is JumpKind.Call:
-            trace.add(Dirty(VG_TRACE_CALL, (c32(target),)))
-        elif jk is JumpKind.Ret:
-            trace.add(Dirty(VG_TRACE_RET, (c32(target),)))
+            out += spliced
+        n_members = j + 1
+        if n_members < 2 or not 1 <= total < _MAX_TRACE_INSNS:
+            return _UNSPLICEABLE
+        return encode_insns(out), n_members, total
 
     # -- quality pruning ---------------------------------------------------
 
@@ -659,15 +537,3 @@ class TraceManager:
                 "entries": len(_BUILD_CACHE),
             },
         }
-
-
-def _last_real_stmt(stmts: List[Stmt]) -> Optional[Stmt]:
-    for s in reversed(stmts):
-        if not isinstance(s, NoOp):
-            return s
-    return None
-
-
-#: JumpKind *values* (strings) the dispatcher reports — the recorder
-#: compares against these, the stitcher against the enum members.
-_TRACEABLE_VALUES = tuple(jk.value for jk in _TRACEABLE)

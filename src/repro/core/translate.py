@@ -38,13 +38,9 @@ bypasses both, since a hit runs none of the phases it prints.
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import pickle
-import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..frontend.disasm import Disassembler
@@ -81,7 +77,6 @@ class TranslationStats:
     stmts_opt2: int = 0
     host_insns: int = 0
     alloc: Optional[AllocStats] = None
-    phase_seconds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -137,34 +132,9 @@ class Translation:
     #: resolved, so the non-trace fast path pays no map lookup
     #: (core.traces maintains this on build / sever / prune).
     trace: Optional[object] = None
-    #: The instrumented flat IR, kept for quarantined translations (the
-    #: interpreter runner executes it directly) and under traces mode
-    #: (the stitcher stitches member IR without re-translating).  A
-    #: code-cache hit leaves it None and decodes it on demand, see
-    #: :meth:`flat_ir`.
+    #: The instrumented flat IR of a quarantined translation (the
+    #: interpreter runner executes it directly); None otherwise.
     irsb: Optional[IRSB] = None
-    #: SHA-1 of the pickled flat IR (:func:`pickle_ir`): what the trace
-    #: tier keys the builds this block joins by, so a build that hits
-    #: needs no IR at all (core.traces).  Made when the translation is
-    #: stored in the code cache; otherwise on first use.
-    ir_digest: Optional[bytes] = None
-    #: Decodes the flat IR from a code-cache entry; called at most once,
-    #: by :meth:`flat_ir` (core.codecache).
-    ir_load: Optional[Callable[[], Optional[IRSB]]] = None
-    #: The memory-tier entry this translation shares its payload with
-    #: (None when the tier was bypassed); a trace build stores the IR
-    #: digest it makes back into it.
-    resident: Optional["_Resident"] = None
-
-    def flat_ir(self) -> Optional[IRSB]:
-        """The flat instrumented IR, decoded from the code cache on the
-        first call after a hit; None if there is none (or it did not
-        decode)."""
-        load = self.ir_load
-        if load is not None:
-            self.ir_load = None
-            self.irsb = load()
-        return self.irsb
 
     @property
     def guest_len(self) -> int:
@@ -177,53 +147,20 @@ class Translation:
         )
 
 
-def pickle_ir(sb: IRSB) -> Tuple[bytes, bytes]:
-    """``(blob, digest)`` for flat IR *sb*: its pickle, as a ``t/``
-    code-cache entry stores it, and the blob's SHA-1.
-
-    The blob depends on object sharing (pickle writes a shared object
-    once and back-references it), but the pipeline builds the same
-    sharing for the same block in every process, and a pickle round trip
-    restores it, so equal IR gives an equal digest however it was made.
-    """
-    blob = pickle.dumps(sb, protocol=4)
-    return blob, hashlib.sha1(blob).digest()
-
-
-def unpickle_ir(blob: bytes) -> Optional[IRSB]:
-    """Decode a :func:`pickle_ir` blob; None if it is not an IRSB."""
-    try:
-        sb = pickle.loads(blob)
-    except Exception:
-        return None
-    return sb if isinstance(sb, IRSB) else None
-
-
 class _Resident:
     """One translation as the memory tier holds it: the guest bytes it was
     made from and the read-only payload every hit shares — host code,
-    ranges, structural stats, the flat IR as the translating run had it
-    (an ``IRSB``, an undecoded :func:`pickle_ir` blob, or neither) and
-    its digest.  The ``IRSB`` and the stats are never mutated once here;
-    only a digest a trace build makes later is stored back."""
+    ranges and structural stats, never mutated once here."""
 
-    __slots__ = ("guest", "ranges", "code", "stats", "irsb", "ir_blob",
-                 "ir_digest", "nbytes")
+    __slots__ = ("guest", "ranges", "code", "stats", "nbytes")
 
     def __init__(self, guest: bytes, ranges, code: bytes,
-                 stats: TranslationStats, irsb: Optional[IRSB],
-                 ir_blob: Optional[bytes], ir_digest: Optional[bytes]):
+                 stats: TranslationStats):
         self.guest = guest
         self.ranges = ranges
         self.code = code
         self.stats = stats
-        self.irsb = irsb
-        self.ir_blob = ir_blob
-        self.ir_digest = ir_digest
-        self.nbytes = (_RESIDENT_OVERHEAD + len(code) + len(guest)
-                       + (len(ir_blob) if ir_blob is not None else 0)
-                       + (_IR_STMT_BYTES * len(irsb.stmts)
-                          if irsb is not None else 0))
+        self.nbytes = _RESIDENT_OVERHEAD + len(code) + len(guest)
 
 
 #: The process-wide memory tier: (context digest, guest address) -> the
@@ -232,15 +169,14 @@ class _Resident:
 #: one entry per guest-byte digest, so programs that share an address
 #: do not evict each other.  An LRU over addresses with a fixed cap on
 #: versions per address, on entries and on bytes (estimated: payload
-#: bytes plus a per-statement charge for retained IR); every hit
-#: re-verifies the guest bytes, so eviction is purely a memory bound.
+#: bytes plus a fixed per-entry charge); every hit re-verifies the guest
+#: bytes, so eviction is purely a memory bound.
 _TIER: "OrderedDict[Tuple[bytes, int], List[_Resident]]" = OrderedDict()
 _TIER_VERSIONS = 8
 _TIER_MAX = 8192
 _TIER_BUDGET = 64 * 1024 * 1024
 _TIER_STATS = {"entries": 0, "bytes": 0, "evictions": 0}
 _RESIDENT_OVERHEAD = 512
-_IR_STMT_BYTES = 400
 
 
 def _tier_lookup(key: Tuple[bytes, int],
@@ -360,14 +296,12 @@ class Translator:
         options: Options,
         *,
         track_stack_events: bool = False,
-        collect_phase_times: bool = False,
     ):
         self.disasm = Disassembler(fetch)
         self._fetch = fetch
         self.tool = tool
         self.options = options
         self.track_stack_events = track_stack_events
-        self.collect_phase_times = collect_phase_times
         #: Cumulative pipeline statistics.
         self.translations_made = 0
         #: Fault-injection hook, called with the block address just before
@@ -396,7 +330,7 @@ class Translator:
             found = _tier_lookup(key, self._fetch)
             if found is not None:
                 self.tier_hits += 1
-                return self._hit(addr, *found, None, opts)
+                return self._hit(addr, *found, opts)
             self.tier_misses += 1
             if self.cache is not None:
                 hit = self.cache.lookup_translation(ctx, addr, self._fetch)
@@ -404,30 +338,12 @@ class Translator:
                     stats = hit.get("stats")
                     if not isinstance(stats, TranslationStats):
                         stats = TranslationStats()
-                    resident = _Resident(
-                        hit["guest"], hit["ranges"], hit["code"], stats,
-                        None, hit["ir"], hit["ir_digest"],
-                    )
-                    ir_load = None
-                    if hit["ir"] is not None:
-                        ir_load = functools.partial(
-                            self.cache.load_ir, hit["path"], hit["ir"])
-                    t = self._hit(addr, resident, hit["guest"], ir_load,
-                                  opts)
+                    resident = _Resident(hit["guest"], hit["ranges"],
+                                         hit["code"], stats)
+                    t = self._hit(addr, resident, hit["guest"], opts)
                     _tier_put(key, resident)
                     return t
         stats = TranslationStats()
-        times = stats.phase_seconds
-        clock = time.perf_counter if self.collect_phase_times else None
-
-        def tick(name: str, t0: float) -> float:
-            if clock is None:
-                return 0.0
-            t1 = clock()
-            times[name] = times.get(name, 0.0) + (t1 - t0)
-            return t1
-
-        t0 = clock() if clock else 0.0
         # Phase 1: disassembly.
         sb = self.disasm.disasm_block(addr)
         stats.guest_insns = sum(1 for s in sb.stmts if isinstance(s, IMark))
@@ -435,7 +351,6 @@ class Translator:
         ranges = _imark_ranges(sb)
         if opts.sanity_level >= 2:
             validate(sb)
-        t0 = tick("disasm", t0)
 
         # Phase 2: optimisation 1 (includes flattening).
         if opts.opt1:
@@ -447,7 +362,6 @@ class Translator:
         stats.stmts_opt1 = sb.num_real_stmts()
         if opts.sanity_level >= 1:
             validate(sb, flat=True)
-        t0 = tick("opt1", t0)
 
         # Phase 3: instrumentation, performed by the tool.
         sb = self.tool.instrument(sb)
@@ -456,13 +370,11 @@ class Translator:
         stats.stmts_instrumented = sb.num_real_stmts()
         if opts.sanity_level >= 1:
             validate(sb, flat=True)
-        t0 = tick("instrument", t0)
 
         # Phase 4: optimisation 2.
         if opts.opt2:
             sb = optimise2(sb, spec_helper=vx32_spec_helper)
         stats.stmts_opt2 = sb.num_real_stmts()
-        t0 = tick("opt2", t0)
 
         if opts.trace_translations:
             from ..ir.pretty import fmt_irsb
@@ -475,23 +387,19 @@ class Translator:
         tree = build_trees(sb)
         if opts.sanity_level >= 2:
             validate(tree)
-        t0 = tick("treebuild", t0)
 
         # Phase 6: instruction selection.
         if self.fail_hook is not None:
             self.fail_hook(addr)
         vcode = select(tree)
-        t0 = tick("isel", t0)
 
         # Phase 7: register allocation.
         hcode, alloc_stats = allocate(vcode)
         stats.alloc = alloc_stats
         stats.host_insns = len(hcode)
-        t0 = tick("regalloc", t0)
 
         # Phase 8: assembly.
         code = encode_insns(hcode)
-        tick("assemble", t0)
 
         raw = None
         if key is not None:
@@ -505,37 +413,18 @@ class Translator:
                         else hash_guest_ranges(self._fetch, ranges))
 
         self.translations_made += 1
-        # Phase timings are wall-clock noise: the tiers share the
-        # structural counters only, so warm and cold entries are
-        # byte-identical.
-        shared_stats = (replace(stats, phase_seconds={})
-                        if stats.phase_seconds else stats)
-        # Traces mode keeps the flat instrumented IR so the stitcher
-        # reuses it instead of re-running Phases 1-4 per member.
-        kept_ir = sb if opts.codegen == "traces" else None
-        ir_blob = ir_digest = None
         if self.cache is not None:
-            ir_blob, ir_digest = pickle_ir(sb)
             self.cache.store_translation(
-                ctx, addr, self._fetch, code=code, ranges=ranges,
-                ir=ir_blob, ir_digest=ir_digest, stats=shared_stats,
+                ctx, addr, self._fetch, code=code, ranges=ranges, stats=stats,
             )
-        resident = None
         if key is not None:
-            resident = _Resident(
-                raw, ranges, code, shared_stats, kept_ir,
-                ir_blob if kept_ir is None else None, ir_digest,
-            )
-            _tier_put(key, resident)
+            _tier_put(key, _Resident(raw, ranges, code, stats))
         return Translation(
             guest_addr=addr,
             code=code,
             ranges=ranges,
             smc_hash=smc_hash,
             stats=stats,
-            irsb=kept_ir,
-            ir_digest=ir_digest,
-            resident=resident,
         )
 
     def tier_stats(self) -> dict:
@@ -548,11 +437,11 @@ class Translator:
             **_TIER_STATS,
         }
 
-    def _hit(self, addr: int, resident: _Resident, raw: bytes, ir_load,
+    def _hit(self, addr: int, resident: _Resident, raw: bytes,
              opts: Options) -> Translation:
         """A fresh Translation sharing *resident*'s payload, after a
         verified hit in either tier; *raw* are the guest bytes just
-        fetched over its ranges, *ir_load* a code-cache IR decoder.
+        fetched over its ranges.
 
         The fail hook fires exactly once per translate() on the cold path
         (just before isel), so it fires on a hit too: --inject=isel@N
@@ -566,36 +455,23 @@ class Translator:
         smc_hash = None
         if opts.smc_check != "none" or opts.codegen == "traces":
             smc_hash = zlib.crc32(raw)
-        irsb = None
-        if opts.codegen == "traces":
-            # The IR stays shared or pickled: only a trace build that
-            # misses reads it, and only such a build decodes it.
-            irsb = resident.irsb
-            if (irsb is None and ir_load is None
-                    and resident.ir_blob is not None):
-                ir_load = functools.partial(unpickle_ir, resident.ir_blob)
-        else:
-            ir_load = None
         return Translation(
             guest_addr=addr,
             code=resident.code,
             ranges=resident.ranges,
             smc_hash=smc_hash,
             stats=resident.stats,
-            irsb=irsb,
-            ir_digest=resident.ir_digest,
-            ir_load=ir_load,
-            resident=resident,
         )
 
     def front_ir(self, addr: int) -> IRSB:
         """Run the front half of the pipeline (Phases 1-4) for *addr* and
-        return the flat instrumented IR.
+        return the flat instrumented IR, without counting a translation.
 
-        Used by the trace stitcher (core.traces) to regenerate member
-        blocks' IR; deliberately does NOT bump ``translations_made`` —
-        traces live outside the translation table and must not perturb
-        the record/replay translation accounting.
+        Nothing in the engine calls it.  It stays because perfbench's
+        layer table wraps it (``core.traces.front_ir``), and
+        ``Patches.wrap`` reads ``vars(Translator)["front_ir"]``: without
+        it ``perfbench/run.py --trace 1`` and
+        ``test_layer_wraps_name_real_functions`` fail.
         """
         opts = self.options
         sb = self.disasm.disasm_block(addr)

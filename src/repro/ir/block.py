@@ -109,8 +109,6 @@ class IRSB:
                 yield s.data
             elif isinstance(s, Exit):
                 yield s.guard
-                if s.dst_expr is not None:
-                    yield s.dst_expr
             elif isinstance(s, Dirty):
                 if s.guard is not None:
                     yield s.guard

@@ -60,20 +60,6 @@ class IMark(Stmt):
 
 
 @dataclass(frozen=True)
-class TraceMark(Stmt):
-    """Marks the start of member block *index* inside a stitched trace.
-
-    Compiles to a TRACEMARK host instruction that records progress for
-    exact block accounting when a trace faults or side-exits; a no-op for
-    guest semantics.  Only trace-stitched IR (core/traces.py) contains
-    these.
-    """
-
-    index: int
-    addr: int = 0
-
-
-@dataclass(frozen=True)
 class Put(Stmt):
     """Write to the guest state (ThreadState) at a byte offset."""
 
@@ -143,15 +129,11 @@ class Dirty(Stmt):
 class Exit(Stmt):
     """Conditional side exit: if *guard* holds, jump to constant *dst*.
 
-    Trace-stitched superblocks (core/traces.py) additionally use
-    *dst_expr*: when set, the exit target is the expression's run-time
-    value rather than the constant ``dst`` — this is how a computed seam
-    (Ret / indirect Call) bails out of a trace when the actual target
-    differs from the recorded successor.  Single-block front-end IR never
-    sets it.
+    The target is always a constant.  A trace seam whose successor is a
+    computed target exits through a host-level ``SIDEEXITR`` instead,
+    which the trace splicer writes directly (core/traces.py).
     """
 
     guard: Expr
     dst: int
     jumpkind: JumpKind = JumpKind.Boring
-    dst_expr: Optional[Expr] = None

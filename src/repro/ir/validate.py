@@ -12,7 +12,7 @@ from typing import Optional, Set
 from .block import IRSB, IRTypeError
 from .expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop
 from .ops import get_op
-from .stmt import Dirty, Exit, IMark, NoOp, Put, Stmt, Store, TraceMark, WrTmp
+from .stmt import Dirty, Exit, IMark, NoOp, Put, Stmt, Store, WrTmp
 from .types import Ty, fits
 
 
@@ -82,7 +82,7 @@ def typecheck(sb: IRSB) -> None:
             check_reads(c)
 
     for s in sb.stmts:
-        if isinstance(s, (NoOp, IMark, TraceMark)):
+        if isinstance(s, (NoOp, IMark)):
             continue
         if isinstance(s, WrTmp):
             check_reads(s.data)
@@ -106,10 +106,6 @@ def typecheck(sb: IRSB) -> None:
             check_reads(s.guard)
             if typecheck_expr(sb, s.guard) is not Ty.I1:
                 raise IRTypeError("exit guard must be I1")
-            if s.dst_expr is not None:
-                check_reads(s.dst_expr)
-                if typecheck_expr(sb, s.dst_expr) is not Ty.I32:
-                    raise IRTypeError("exit target expression must be I32")
         elif isinstance(s, Dirty):
             if s.guard is not None:
                 check_reads(s.guard)
@@ -169,8 +165,6 @@ def check_flat(sb: IRSB) -> None:
         elif isinstance(s, Exit):
             if not s.guard.is_atom():
                 raise IRFlatnessError(f"exit guard not an atom: {s!r}")
-            if s.dst_expr is not None and not s.dst_expr.is_atom():
-                raise IRFlatnessError(f"exit target not an atom: {s!r}")
         elif isinstance(s, Dirty):
             for a in s.args:
                 if not a.is_atom():

@@ -24,8 +24,7 @@ from ..ir.block import IRSB
 from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop, c32
 from ..ir.ops import get_op
 from ..ir.stmt import (
-    Dirty, Exit, IMark, JumpKind, MemFx, NoOp, Put, Stmt, Store, TraceMark,
-    WrTmp,
+    Dirty, Exit, IMark, JumpKind, MemFx, NoOp, Put, Stmt, Store, WrTmp,
 )
 from ..ir.types import Ty
 from .flatten import flatten
@@ -135,7 +134,13 @@ class _StateEnv:
 
 
 def forward_pass(sb: IRSB, spec_helper: Optional[SpecHelper] = None) -> IRSB:
-    """One forward rewriting pass over a flat block."""
+    """One forward rewriting pass over a flat block.
+
+    Besides propagation and folding, ``CmpNEZ32(1Uto32(x))`` becomes
+    ``x``: the spec helper widens each condition to I32 and the front end
+    tests it against zero again, which would cost every conditional exit
+    a host instruction.
+    """
     out = IRSB(
         tyenv=dict(sb.tyenv),
         jumpkind=sb.jumpkind,
@@ -143,6 +148,18 @@ def forward_pass(sb: IRSB, spec_helper: Optional[SpecHelper] = None) -> IRSB:
     )
     env: Dict[int, Expr] = {}  # tmp -> atom substitution
     state = _StateEnv()
+    #: tmp -> x for tmps bound to 1Uto32(x): CmpNEZ32 of one is x.
+    widened: Dict[int, Expr] = {}
+
+    def unop(op: str, arg: Expr) -> Expr:
+        if op == "CmpNEZ32" and isinstance(arg, RdTmp) and arg.tmp in widened:
+            return widened[arg.tmp]
+        return _try_fold(Unop(op, arg))
+
+    def bind(tmp: int, data: Expr) -> None:
+        out.add(WrTmp(tmp, data))
+        if isinstance(data, Unop) and data.op == "1Uto32":
+            widened[tmp] = data.arg
 
     def subst(e: Expr) -> Expr:
         if isinstance(e, RdTmp):
@@ -154,7 +171,7 @@ def forward_pass(sb: IRSB, spec_helper: Optional[SpecHelper] = None) -> IRSB:
         if isinstance(e, Load):
             return Load(e.ty, subst(e.addr))
         if isinstance(e, Unop):
-            return _try_fold(Unop(e.op, subst(e.arg)))
+            return unop(e.op, subst(e.arg))
         if isinstance(e, Binop):
             return _try_fold(Binop(e.op, subst(e.arg1), subst(e.arg2)))
         if isinstance(e, ITE):
@@ -169,7 +186,7 @@ def forward_pass(sb: IRSB, spec_helper: Optional[SpecHelper] = None) -> IRSB:
         if isinstance(e, (Const, RdTmp)):
             return e
         if isinstance(e, Unop):
-            e = _try_fold(Unop(e.op, emit_tree(e.arg)))
+            e = unop(e.op, emit_tree(e.arg))
         elif isinstance(e, Binop):
             e = _try_fold(Binop(e.op, emit_tree(e.arg1), emit_tree(e.arg2)))
         elif isinstance(e, ITE):
@@ -178,11 +195,11 @@ def forward_pass(sb: IRSB, spec_helper: Optional[SpecHelper] = None) -> IRSB:
         if isinstance(e, (Const, RdTmp)):
             return e
         t = out.new_tmp(out.type_of(e))
-        out.add(WrTmp(t, e))
+        bind(t, e)
         return RdTmp(t)
 
     for s in sb.stmts:
-        if isinstance(s, (NoOp, IMark, TraceMark)):
+        if isinstance(s, (NoOp, IMark)):
             out.add(s)
             continue
         if isinstance(s, WrTmp):
@@ -198,12 +215,9 @@ def forward_pass(sb: IRSB, spec_helper: Optional[SpecHelper] = None) -> IRSB:
                 if replacement is not None:
                     data = emit_tree(replacement)
             if isinstance(data, (Const, RdTmp)):
+                # The assignment itself becomes dead; DCE will confirm.
                 env[s.tmp] = data
-                # The assignment itself becomes dead; DCE will confirm, but
-                # we can skip emitting it when nothing else types-depends.
-                out.add(WrTmp(s.tmp, data))
-            else:
-                out.add(WrTmp(s.tmp, data))
+            bind(s.tmp, data)
             continue
         if isinstance(s, Put):
             data = subst(s.data)
@@ -216,15 +230,14 @@ def forward_pass(sb: IRSB, spec_helper: Optional[SpecHelper] = None) -> IRSB:
             continue
         if isinstance(s, Exit):
             guard = subst(s.guard)
-            dst_expr = subst(s.dst_expr) if s.dst_expr is not None else None
             if isinstance(guard, Const):
                 if guard.value == 0:
                     continue  # never taken
                 # Always taken: the rest of the block is unreachable.
-                out.next = dst_expr if dst_expr is not None else c32(s.dst)
+                out.next = c32(s.dst)
                 out.jumpkind = s.jumpkind
                 return out
-            out.add(Exit(guard, s.dst, s.jumpkind, dst_expr=dst_expr))
+            out.add(Exit(guard, s.dst, s.jumpkind))
             continue
         if isinstance(s, Dirty):
             guard = subst(s.guard) if s.guard is not None else None
@@ -332,7 +345,7 @@ def redundant_put_elim(sb: IRSB) -> IRSB:
         pass
     for i in range(len(new_stmts) - 1, -1, -1):
         s = new_stmts[i]
-        if isinstance(s, (NoOp, IMark, TraceMark)):
+        if isinstance(s, (NoOp, IMark)):
             continue
         if isinstance(s, Put):
             data = s.data
@@ -392,8 +405,6 @@ def dead_code(sb: IRSB) -> IRSB:
             _expr_tmps(s.data, needed)
         elif isinstance(s, Exit):
             _expr_tmps(s.guard, needed)
-            if s.dst_expr is not None:
-                _expr_tmps(s.dst_expr, needed)
         elif isinstance(s, Dirty):
             if s.guard is not None:
                 _expr_tmps(s.guard, needed)
@@ -463,11 +474,7 @@ def unroll_self_loop(sb: IRSB, *, max_stmts: int = 40) -> IRSB:
         elif isinstance(s, Store):
             out.add(Store(_rename_expr(s.addr, delta), _rename_expr(s.data, delta)))
         elif isinstance(s, Exit):
-            out.add(Exit(
-                _rename_expr(s.guard, delta), s.dst, s.jumpkind,
-                dst_expr=(_rename_expr(s.dst_expr, delta)
-                          if s.dst_expr is not None else None),
-            ))
+            out.add(Exit(_rename_expr(s.guard, delta), s.dst, s.jumpkind))
         elif isinstance(s, Dirty):
             out.add(
                 Dirty(

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set
 from ..ir.block import IRSB
 from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop
 from ..ir.stmt import (
-    Dirty, Exit, IMark, MemFx, NoOp, Put, Stmt, Store, TraceMark, WrTmp,
+    Dirty, Exit, IMark, MemFx, NoOp, Put, Stmt, Store, WrTmp,
 )
 
 
@@ -114,14 +114,6 @@ def build_trees(sb: IRSB) -> IRSB:
         if isinstance(s, IMark):
             out.add(s)
             continue
-        if isinstance(s, TraceMark):
-            # Block-accounting boundary: loads may not migrate across it,
-            # or a deferred faulting load would be charged to the wrong
-            # member block.
-            for stmt in b.flush_loads():
-                out.add(stmt)
-            out.add(s)
-            continue
         if isinstance(s, WrTmp):
             data = b.subst(s.data)
             if b.uses.get(s.tmp, 0) == 1:
@@ -148,10 +140,9 @@ def build_trees(sb: IRSB) -> IRSB:
             continue
         if isinstance(s, Exit):
             guard = b.subst(s.guard)
-            dst_expr = b.subst(s.dst_expr) if s.dst_expr is not None else None
             for stmt in b.flush_all():
                 out.add(stmt)
-            out.add(Exit(guard, s.dst, s.jumpkind, dst_expr=dst_expr))
+            out.add(Exit(guard, s.dst, s.jumpkind))
             continue
         if isinstance(s, Dirty):
             args = tuple(b.subst(a) for a in s.args)

@@ -28,7 +28,6 @@ from repro.core import codecache as _codecache
 from repro.core import traces as _traces
 from repro.core import translate as _translate
 from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
-from repro.core.translate import Translator
 from repro.workloads import suite
 
 from .helpers import asm_image, vg
@@ -72,7 +71,7 @@ def assert_same_run(a, b):
 
 
 #: A loop whose hot chain spans two distinct blocks (the loop body and
-#: the function it calls), so its trace stitches IR from two cache
+#: the function it calls), so its trace splices code from two cache
 #: entries.
 CALL_LOOP_SRC = """
         .text
@@ -122,20 +121,6 @@ def rewrite_p_entries(cache_dir, blob_fn):
     return len(paths)
 
 
-def rewrite_t_entries(cache_dir, blob_fn):
-    """Replace every ``t/`` entry's flat-IR blob by ``blob_fn(blob)``,
-    re-sealed with a valid digest; the stored IR digest is left as is."""
-    cache = CodeCache(str(cache_dir))
-    tdir = cache_dir / f"v{CACHE_FORMAT_VERSION}" / "t"
-    paths = [os.path.join(d, f) for d, _dirs, files in os.walk(tdir)
-             for f in files]
-    for path in paths:
-        obj = cache._read_entry(path)
-        obj["ir"] = blob_fn(obj["ir"])
-        assert cache._write_entry(path, obj)
-    return len(paths)
-
-
 def trace_set(res):
     """The live traces of a run: head, member addresses and sizes."""
     mgr = res.core.scheduler.traces
@@ -176,10 +161,9 @@ class TestWarmEqualsCold:
                        for fn in runners)
         if codegen == "traces":
             # Every build is answered by its member key: the warm run
-            # decodes no IR, stitches nothing and writes nothing.
+            # splices nothing and writes nothing.
             assert cache["trace_hits"] > 0
             assert cache["trace_misses"] == 0
-            assert cache["ir_loads"] == 0
             assert cache["bytes_written"] == 0
             assert warm.stats()["traces"]["stitched"] == 0
             assert trace_set(warm) == trace_set(cold)
@@ -228,8 +212,8 @@ main:   movi r1, 64
 
 class TestTraceBuildKeys:
     def test_first_warm_run_rebuilds_no_trace(self, tmp_path):
-        """Trace builds are keyed by their members' addresses and IR
-        digests, which ``t/`` hits carry: the first warm run finds every
+        """Trace builds are keyed by their members' addresses and host
+        code, which ``t/`` hits carry: the first warm run finds every
         build the cold run stored."""
         drop_in_memory_caches()
         cold = run_traced(tmp_path)
@@ -242,67 +226,65 @@ class TestTraceBuildKeys:
         assert c["trace_hits"] > 0
         assert c["trace_misses"] == 0
         assert c["bytes_written"] == 0
-        assert c["ir_loads"] == 0
 
-    def test_warm_run_never_stitches(self, tmp_path, monkeypatch):
-        """A warm run builds every trace without the stitcher."""
+    def test_warm_run_never_splices(self, tmp_path, monkeypatch):
+        """A warm run builds every trace without the splicer."""
         drop_in_memory_caches()
         cold = run_traced(tmp_path)
         drop_in_memory_caches()
 
-        def no_stitching(s, delta):
-            raise AssertionError("a warm trace build stitched IR")
+        def no_splicing(mgr, members):
+            raise AssertionError("a warm trace build spliced member code")
 
-        monkeypatch.setattr(_traces, "_rename_stmt", no_stitching)
+        monkeypatch.setattr(_traces.TraceManager, "_splice", no_splicing)
         warm = run_traced(tmp_path)
         assert_same_run(cold, warm)
         assert warm.stats()["traces"]["compile_failures"] == 0
         assert trace_set(warm) == trace_set(cold)
 
     def test_pygen_filled_cache_serves_traces(self, tmp_path):
-        """``t/`` entries a pygen run stored carry IR and digests: the
-        first traced run decodes the IR only to build its traces, the
-        next one decodes and stitches nothing."""
+        """``t/`` entries a pygen run stored hold all a trace build reads:
+        the first traced run translates nothing and splices its traces
+        from the members' stored code, the next one splices nothing."""
         drop_in_memory_caches()
         run_cached(tmp_path, src=CALL_LOOP_SRC, codegen="pygen")
         drop_in_memory_caches()
         first = run_traced(tmp_path)
         assert_same_run(first, run_traced(None))
         c = first.stats()["cache"]
-        assert c["misses"] == 0 and c["ir_loads"] > 0
+        assert c["misses"] == 0 and c["trace_misses"] > 0
+        assert first.stats()["traces"]["stitched"] > 0
         drop_in_memory_caches()
         second = run_traced(tmp_path)
-        c = second.stats()["cache"]
-        assert c["ir_loads"] == 0 and c["trace_misses"] == 0
+        assert second.stats()["cache"]["trace_misses"] == 0
         assert second.stats()["traces"]["stitched"] == 0
         assert trace_set(second) == trace_set(first)
 
-    def test_regenerated_ir_digests_alike(self):
-        """A member without a digest gets one from its IR on first use;
-        IR regenerated through the front end digests like the IR its
-        translation made, so the build key does not change."""
+    def test_build_key_reads_addresses_and_code_only(self):
+        """A build key depends on each member's guest address and host
+        code and nothing else the translation carries."""
         res = run_traced(None)
         mgr = res.core.scheduler.traces
         members = next(iter(mgr.traces.values())).members
         key = mgr._build_key(members)
-        for m in members:
-            m.irsb = m.ir_digest = None
-        assert mgr._build_key(members) == key
+        bare = [_translate.Translation(m.guest_addr, m.code, ())
+                for m in members]
+        assert mgr._build_key(bare) == key
+        bare[-1].code = bare[-1].code[:-1] + bytes([bare[-1].code[-1] ^ 1])
+        assert mgr._build_key(bare) != key
+        bare[-1] = _translate.Translation(members[-1].guest_addr + 1,
+                                          members[-1].code, ())
+        assert mgr._build_key(bare) != key
 
-    @pytest.mark.parametrize("module, name", [
-        (_hostisa, "HOSTISA_FORMAT_VERSION"),
-        (_opt, "OPT_PIPELINE_VERSION"),
-    ])
-    def test_back_end_version_bump_misses(self, tmp_path, monkeypatch,
-                                          module, name):
-        """The trace optimiser and back end turn stitched IR into host
-        code, so their versions are part of every build key: after a
-        bump no stored trace code reaches the new decoder."""
+    def test_host_isa_bump_misses(self, tmp_path, monkeypatch):
+        """A build key carries the host-ISA encoding version: after a bump
+        no stored trace code reaches the new decoder."""
         img = suite.build("gzip", 0.05).image
         drop_in_memory_caches()
         cold = run_traced(tmp_path, src=img, tool="none")
         assert cold.stats()["cache"]["trace_stores"] > 0
-        monkeypatch.setattr(module, name, getattr(module, name) + 1)
+        monkeypatch.setattr(_hostisa, "HOSTISA_FORMAT_VERSION",
+                            _hostisa.HOSTISA_FORMAT_VERSION + 1)
         drop_in_memory_caches()
         warm = run_traced(tmp_path, src=img, tool="none")
         assert_same_run(cold, warm)
@@ -312,10 +294,30 @@ class TestTraceBuildKeys:
         assert c["trace_misses"] == cold.stats()["cache"]["trace_misses"]
         assert trace_set(warm) == trace_set(cold)
 
+    def test_opt_pipeline_bump_keeps_builds_of_unchanged_code(
+            self, tmp_path, monkeypatch):
+        """An opt-pipeline bump misses every ``t/`` entry, but a build
+        reads only member code: members retranslated to the same code
+        find the builds the cold run stored."""
+        img = suite.build("gzip", 0.05).image
+        drop_in_memory_caches()
+        cold = run_traced(tmp_path, src=img, tool="none")
+        assert cold.stats()["cache"]["trace_stores"] > 0
+        monkeypatch.setattr(_opt, "OPT_PIPELINE_VERSION",
+                            _opt.OPT_PIPELINE_VERSION + 1)
+        drop_in_memory_caches()
+        warm = run_traced(tmp_path, src=img, tool="none")
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["hits"] == 0
+        assert c["trace_hits"] > 0 and c["trace_misses"] == 0
+        assert warm.stats()["traces"]["stitched"] == 0
+        assert trace_set(warm) == trace_set(cold)
+
     def test_changed_member_gets_a_new_key(self, tmp_path):
-        """A member whose guest bytes changed is retranslated, its IR
-        digest changes with it, and so does the key of every build it
-        joins: the trace is rebuilt, never taken from the old program."""
+        """A member whose guest bytes changed is retranslated, its code
+        changes with it, and so does the key of every build it joins:
+        the trace is rebuilt, never taken from the old program."""
         other = CALL_LOOP_SRC.replace("xor  r6, r7", "sub  r6, r7")
         drop_in_memory_caches()
         run_traced(tmp_path)
@@ -331,10 +333,11 @@ class TestTraceBuildKeys:
     @pytest.mark.parametrize("at", [0, 1], ids=["unstitchable",
                                                 "two-members"])
     def test_truncated_outcome_is_cached(self, tmp_path, monkeypatch, at):
-        """Seam truncation is decided from IR, so a build's stored outcome
-        records how many members survived it, and a recording that
-        truncates below two members is stored too: the warm run neither
-        misses nor stitches, and builds the traces the cold run built."""
+        """Seam truncation is decided from member code, so a build's stored
+        outcome records how many members survived it, and a recording
+        that truncates below two members is stored too: the warm run
+        neither misses nor splices, and builds the traces the cold run
+        built."""
         build = _traces.TraceManager._build
 
         def swap(mgr, members):
@@ -351,7 +354,7 @@ class TestTraceBuildKeys:
         drop_in_memory_caches()
         cold = run_traced(tmp_path)
         if at == 0:
-            assert (None, 0, 0, 0) in _traces._BUILD_CACHE.values()
+            assert (None, 0, 0) in _traces._BUILD_CACHE.values()
         drop_in_memory_caches()
         warm = run_traced(tmp_path)
         assert_same_run(cold, warm)
@@ -364,38 +367,6 @@ class TestTraceBuildKeys:
         if at == 1:
             live = warm.core.scheduler.traces.traces.values()
             assert live and all(len(tr.members) == 2 for tr in live)
-
-    @pytest.mark.parametrize("blob_fn", [
-        lambda blob: pickle.dumps(42),
-        lambda blob: blob[: len(blob) // 2],
-    ], ids=["not-irsb", "truncated"])
-    def test_undecodable_ir_blob_quarantined(self, tmp_path, monkeypatch,
-                                             blob_fn):
-        """A digest-valid ``t/`` entry whose IR blob does not decode to an
-        IRSB is quarantined when a build needs it, and the member's IR
-        is regenerated through the front end."""
-        drop_in_memory_caches()
-        cold = run_traced(tmp_path)
-        assert rewrite_t_entries(tmp_path, blob_fn) > 0
-        # A new trace-build version misses every build, so each member's
-        # IR must be decoded.
-        monkeypatch.setattr(_traces, "TRACE_BUILD_VERSION",
-                            _traces.TRACE_BUILD_VERSION + 1)
-        regenerated = []
-        front_ir = Translator.front_ir
-
-        def spy(translator, addr):
-            regenerated.append(addr)
-            return front_ir(translator, addr)
-
-        monkeypatch.setattr(Translator, "front_ir", spy)
-        drop_in_memory_caches()
-        warm = run_traced(tmp_path)
-        assert_same_run(cold, warm)
-        c = warm.stats()["cache"]
-        assert c["ir_loads"] == 0
-        assert c["quarantined"] == len(regenerated) > 0
-        assert trace_set(warm) == trace_set(cold)
 
 
 class TestInvalidation:

@@ -41,6 +41,9 @@ from repro.opt.opt1 import (
 )
 from repro.opt.opt2 import optimise2
 from repro.opt.treebuild import build_trees
+from repro.backend.hostisa import UN, decode_insns
+
+from .helpers import asm_image, vg
 
 
 def _figure1_block() -> IRSB:
@@ -192,6 +195,53 @@ class TestForwardPass:
         # 1 < 2 signed: the result even constant-folds to 1.
         put0 = [s for s in out.stmts if isinstance(s, Put) and s.offset == 0][0]
         assert put0.data == c32(1)
+
+
+class TestWidenedConditionFold:
+    def test_cmpnez_of_widened_condition_is_the_condition(self):
+        sb = IRSB(guest_addr=0)
+        x, c, w, g = (sb.new_tmp(ty) for ty in (Ty.I32, Ty.I1, Ty.I32, Ty.I1))
+        sb.add(WrTmp(x, Get(0, Ty.I32)))
+        sb.add(WrTmp(c, Binop("CmpNE32", RdTmp(x), c32(1))))
+        sb.add(WrTmp(w, Unop("1Uto32", RdTmp(c))))
+        sb.add(WrTmp(g, Unop("CmpNEZ32", RdTmp(w))))
+        sb.add(Exit(RdTmp(g), 0x100, JumpKind.Boring))
+        sb.next = c32(4)
+        out = dead_code(forward_pass(sb))
+        validate(out, flat=True)
+        exit_ = next(s for s in out.stmts if isinstance(s, Exit))
+        assert exit_.guard == RdTmp(c)
+        assert not any(isinstance(s, WrTmp) and isinstance(s.data, Unop)
+                       for s in out.stmts)
+
+    @pytest.mark.parametrize("tool", ["none", "memcheck"])
+    def test_loop_exit_tests_its_condition_once(self, tool):
+        """The spec helper widens a ``dec``/``jnz`` condition to I32 and
+        the branch tests it against zero again: no block's host code
+        keeps that ``1Uto32`` -> ``CmpNEZ32`` pair."""
+        img = asm_image("""
+main:   movi r6, 0
+        movi r7, 50
+loop:   add  r6, r7
+        dec  r7
+        jnz  loop
+        movi r0, 7
+        push r0
+        call exit
+""")
+        res = vg(img, tool, codegen="pygen")
+        assert res.exit_code == 7
+        loop = img.symbols["loop"]
+        blocks = res.core.scheduler.transtab.all_translations()
+        assert any(t.guest_addr == loop for t in blocks)
+        for t in blocks:
+            widened = set()
+            for insn in decode_insns(t.code):
+                if isinstance(insn, UN) and insn.op == "CmpNEZ32":
+                    assert insn.src not in widened, hex(t.guest_addr)
+                widened -= set(insn.regs_written())
+                if isinstance(insn, UN) and insn.op == "1Uto32":
+                    widened.add(insn.dst)
 
 
 class TestPutElimination:

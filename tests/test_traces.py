@@ -3,18 +3,27 @@
 The differential suites (test_perf_mode, test_fault_precision,
 test_replay_differential) prove the trace tier computes bit-identically
 to the closure engine; this file tests the trace machinery itself:
-recording and stitching, cross-block optimisation wins, side exits,
-invalidation (SMC discard, transtab eviction, munmap), the stale-code
-consistency contract, and the ``--stats=json`` ``traces`` section.
+recording and splicing, the seam plans, side exits, invalidation (SMC
+discard, transtab eviction, munmap), the stale-code consistency
+contract, and the ``--stats=json`` ``traces`` section.
 """
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+
 import pytest
 
 from repro import Options
+from repro.backend.hostisa import (
+    BIN, CALL, LI, RET, SETPCI, SIDEEXIT, SIDEEXITR, TRACEMARK, UN,
+    decode_insns,
+)
+from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
 from repro.core.codegen import CODEGEN_MODES
 from repro.core.options import BadOption
+from repro.core.traces import VG_TRACE_CALL, VG_TRACE_RET
 
 from .helpers import asm_image, native, vg
 
@@ -342,16 +351,187 @@ hot:    call r6
         assert head_t.guest_addr not in mgr._want
 
 
-class TestTraceIRShape:
-    def test_stitched_trace_spans_members_and_merges_ir(self):
-        from repro.core.traces import TraceManager
+#: Seam-plan programs.  Each leaves a freed heap block in r5 and reads
+#: it at the first instruction of a trace member other than the head, so
+#: Memcheck reports there from inside a trace, and each leaves its trace
+#: through a side exit at least once.
+_FREED = """
+        .text
+main:   pushi 64
+        call malloc
+        addi sp, 4
+        mov  r5, r0
+        push r5
+        call free
+        addi sp, 4
+        movi r6, 0
+        movi r7, 41
+"""
+_EXIT = """
+        push r6
+        call putint
+        addi sp, 4
+        movi r0, 0
+        push r0
+        call exit
+"""
+SEAM_SRCS = {
+    # `call fn1` ends its block in SETPCI fn1: a Call seam that falls
+    # into fn1; fn1's `ret` is a Ret seam.
+    "fall": _FREED + """
+loop:   call fn1
+        dec  r7
+        jnz  loop
+""" + _EXIT + """
+fn1:    ld   r1, [r5]
+        add  r6, r1
+        ret
+""",
+    # The taken back edge of a one-block loop: unrolled members join
+    # through inverted exits, and the last iteration leaves mid-trace.
+    "invert": _FREED + """
+loop:   ld   r1, [r5]
+        add  r6, r1
+        dec  r7
+        jnz  loop
+""" + _EXIT,
+    # A computed jump that cycles through three targets: the trace
+    # guards the target it recorded, and as four iterations fill a
+    # trace, runs start out of phase and leave through the guard.
+    "guard": _FREED + """
+        movi r3, t1
+loop:   jmp  r3
+t1:     ld   r1, [r5]
+        add  r6, r1
+        movi r3, t2
+        jmp  next
+t2:     add  r6, r7
+        movi r3, t3
+        jmp  next
+t3:     xor  r6, r7
+        movi r3, t1
+next:   dec  r7
+        jnz  loop
+""" + _EXIT,
+}
 
+
+def segments(trace):
+    """A trace's decoded host code, split at each TRACEMARK."""
+    segs = []
+    for insn in decode_insns(trace.code):
+        if isinstance(insn, TRACEMARK):
+            assert insn.index == len(segs)
+            segs.append([])
+        else:
+            segs[-1].append(insn)
+    return segs
+
+
+def seam_plans(trace):
+    """``(plan, seam helper)`` of every seam of *trace*, checking that
+    each member's segment is that member's own host code up to its seam
+    (exit counts offset by the members before it) and that the last
+    segment is the last member's code whole."""
+    plans = []
+    segs = segments(trace)
+    assert len(segs) == len(trace.members) >= 2
+    base = 0
+    for j, (seg, m) in enumerate(zip(segs, trace.members)):
+        own = [replace(i, icnt=i.icnt + base)
+               if isinstance(i, (SIDEEXIT, RET)) else i
+               for i in decode_insns(m.code)]
+        base = own[-1].icnt
+        if j + 1 == len(segs):
+            assert seg == own
+            break
+        nxt = trace.members[j + 1].guest_addr
+        tail = list(seg)
+        assert tail.pop() == SETPCI(nxt)
+        helper = None
+        if isinstance(tail[-1], CALL):
+            call = tail.pop()
+            helper = call.helper
+            assert helper in (VG_TRACE_CALL, VG_TRACE_RET) and call.dirty
+            assert call.args[0].value == nxt
+        if isinstance(tail[-1], SIDEEXITR):
+            li, cmp, ex = tail[-3:]
+            s, r = li.dst, own[-2].src
+            assert li == LI(s, nxt) and s != r
+            assert cmp == BIN("CmpNE32", s, r, s)
+            assert ex == SIDEEXITR(s, r, own[-1].jk, own[-1].icnt)
+            plan, body = "guard", tail[:-3]
+        elif isinstance(tail[-1], SIDEEXIT):
+            inv, ex = tail[-2:]
+            taken = own[-3]
+            assert taken.dst == nxt and inv == UN("Not1", taken.cond,
+                                                   taken.cond)
+            assert ex == SIDEEXIT(taken.cond, own[-2].dst, own[-1].jk,
+                                  own[-1].icnt)
+            plan, body = "invert", tail[:-2] + [taken]
+        else:
+            assert own[-2] == SETPCI(nxt)
+            plan, body = "fall", tail
+        assert body == own[:len(own) - 2]
+        plans.append((plan, helper))
+    return plans
+
+
+def run_engine(src, codegen, **kw):
+    return vg(src, "memcheck", codegen=codegen, chaining=True,
+              trace_threshold=5, stats_format="json", **kw)
+
+
+class TestSplice:
+    def test_traces_splice_member_code_and_keep_no_ir(self, tmp_path):
+        """Translations hold no IR and ``t/`` entries store none; a
+        trace's code is each member's own host code up to its seam."""
+        res = run_engine(SEAM_SRCS["fall"], "traces",
+                         cache_dir=str(tmp_path))
+        sched = res.core.scheduler
+        assert all(t.irsb is None
+                   for t in sched.transtab.all_translations())
+        cache = CodeCache(str(tmp_path))
+        tdir = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "t"
+        entries = [cache._read_entry(os.path.join(d, f))
+                   for d, _dirs, files in os.walk(tdir) for f in files]
+        assert entries
+        assert all(set(e) == {"format", "addr", "ranges", "guest_sha",
+                              "code", "stats"} for e in entries)
+        traces = list(sched.traces.traces.values())
+        assert traces
+        for tr in traces:
+            plans = seam_plans(tr)
+            assert tr.total_insns == sum(m.stats.guest_insns
+                                         for m in tr.members)
+            assert len(plans) == len(tr.members) - 1
+
+    @pytest.mark.parametrize("plan", sorted(SEAM_SRCS))
+    def test_seam_plan_matches_pygen(self, plan):
+        src = SEAM_SRCS[plan]
+        ref = run_engine(src, "pygen")
+        res = run_engine(src, "traces")
+        assert (res.stdout, res.exit_code, res.log) == (
+            ref.stdout, ref.exit_code, ref.log)
+        assert (res.stats()["dispatch"]["guest_insns"]
+                == ref.stats()["dispatch"]["guest_insns"])
+        assert "Invalid read" in res.log
+        tr = res.stats()["traces"]
+        assert tr["traces_built"] > 0 and tr["side_exits"] > 0
+        seams = {p for trace in res.core.scheduler.traces.traces.values()
+                 for p in seam_plans(trace)}
+        assert plan in {p for p, _ in seams}
+        if plan == "fall":
+            assert ("fall", VG_TRACE_CALL) in seams
+            assert ("guard", VG_TRACE_RET) in seams
+
+    def test_trace_spans_its_members(self):
         res = run_traces(NESTED_LOOP_SRC)
         mgr = res.core.scheduler.traces
-        assert isinstance(mgr, TraceManager)
+        assert mgr.traces
         for trace in mgr.traces.values():
-            # Every member's guest range is covered by the trace.
-            for m in trace.members[: trace.n_blocks]:
+            assert trace.n_blocks == len(trace.members)
+            for m in trace.members:
                 assert trace.covers(m.guest_addr)
             assert trace.total_insns == trace.stats.guest_insns
             assert trace.compiled_fn is not None

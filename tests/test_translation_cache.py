@@ -277,19 +277,20 @@ class TestBounds:
 
 
 class TestSharedPayload:
-    def test_stitching_leaves_shared_ir_and_stats_unchanged(self):
-        """Traced runs read the resident IR and stats of every member;
-        a run that stitches them (its builds miss) must not mutate
+    def test_splicing_leaves_shared_code_and_stats_unchanged(self):
+        """Traced runs read the resident code and stats of every member;
+        a run that splices them (its builds miss) must not mutate
         either."""
         run(codegen="traces", trace_threshold=5)
-        shared = [r for r in residents() if r.irsb is not None]
+        shared = residents()
         assert shared
-        before = [pickle.dumps((r.irsb, r.stats)) for r in shared]
+        before = [pickle.dumps((r.code, r.ranges, r.stats)) for r in shared]
         _traces._BUILD_CACHE.clear()
         res = run(codegen="traces", trace_threshold=5)
         assert tier(res)["hits"] == res.stats()["translations_made"]
         assert res.stats()["traces"]["stitched"] > 0
-        assert [pickle.dumps((r.irsb, r.stats)) for r in shared] == before
+        assert [pickle.dumps((r.code, r.ranges, r.stats))
+                for r in shared] == before
 
 
 class TestFleet:
