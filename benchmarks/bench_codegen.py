@@ -7,9 +7,11 @@ This bench measures what each execution tier buys on the dispatcher
 workloads (the Table 2 subset used by ``bench_dispatcher``):
 
 * ``native``  — the reference CPU, no Valgrind (baseline wall clock);
-* ``default`` — the paper-faithful closure engine;
-* ``chained`` — the closure tier under the chained loop (``--chaining``);
-* ``pygen``   — the same chained loop with every block in the pygen tier.
+* ``default`` — the ``paper`` engine, the paper-faithful closure tier;
+* ``chained`` — the ``chained`` engine: the closure tier under the
+  chained loop (``--chaining``);
+* ``pygen``   — the ``pygen`` engine: the same chained loop with every
+  block in the pygen tier.
 
 The tier ratio pygen/chained compares two tiers under one dispatch loop,
 so it isolates what the block tier buys.  Gate: see ``GATES`` (separate
@@ -24,6 +26,7 @@ import pathlib
 import time
 
 from repro import Options, run_native, run_tool
+from repro.core.engines import ENGINES as REGISTRY
 from repro.workloads.suite import build
 
 from conftest import SCALE, geomean, save_and_show
@@ -40,12 +43,8 @@ PROGRAMS = ("gzip", "mcf", "twolf", "swim")
 #: several times slower and add no new tiering behaviour).
 MEMCHECK_PROGRAMS = ("gzip", "mcf")
 
-ENGINES = ("default", "chained", "pygen")
-_ENGINE_OPTS = {
-    "default": {},
-    "chained": {"chaining": True},
-    "pygen": {"chaining": True, "codegen": "pygen"},
-}
+#: Column label (and BENCH_codegen.json key) -> registry engine.
+ENGINES = {"default": "paper", "chained": "chained", "pygen": "pygen"}
 
 #: Geomean pygen/chained blocks/sec gates (Nulgrind, Memcheck).  Tiny
 #: --quick/smoke scales dilute blocks/sec with per-run translation time
@@ -64,7 +63,8 @@ def _timed_run(tool, name, engine):
     best = None
     for _ in range(2):
         wl = build(name, scale=CG_SCALE)
-        opts = Options(log_target="capture", **_ENGINE_OPTS[engine])
+        opts = Options(log_target="capture",
+                       **REGISTRY[ENGINES[engine]].options)
         t0 = time.perf_counter()
         res = run_tool(tool, wl.image, options=opts)
         dt = time.perf_counter() - t0

@@ -22,6 +22,7 @@ import gc
 import time
 
 from repro import Options, run_tool
+from repro.core.engines import ENGINES
 from repro.workloads.suite import build
 
 from conftest import SCALE, geomean, save_and_show
@@ -40,34 +41,23 @@ def test_dispatcher_and_chaining(benchmark, capsys):
         rows = []
         for name in PROGRAMS:
             wl = build(name, scale=SCALE)
-            # A full gen-2 collection costs tens of ms against ~50ms
-            # phases; whose timer absorbs it depends on the process's
-            # allocation history, not on the mode under test.  Collect
-            # before each timer so every phase starts from the same GC
-            # state.
-            gc.collect()
-            t0 = time.perf_counter()
-            plain = run_tool("none", wl.image, options=Options(log_target="capture"))
-            t_plain = time.perf_counter() - t0
-            gc.collect()
-            t0 = time.perf_counter()
-            chained = run_tool(
-                "none", wl.image,
-                options=Options(log_target="capture", chaining=True),
-            )
-            t_chain = time.perf_counter() - t0
-            gc.collect()
-            t0 = time.perf_counter()
-            fast = run_tool(
-                "none", wl.image,
-                options=Options(log_target="capture", chaining=True,
-                                codegen="traces"),
-            )
-            t_fast = time.perf_counter() - t0
+            row = [name]
+            for engine in ("paper", "chained", "fast"):
+                # A full gen-2 collection costs tens of ms against ~50ms
+                # phases; whose timer absorbs it depends on the process's
+                # allocation history, not on the mode under test.
+                # Collect before each timer so every phase starts from
+                # the same GC state.
+                gc.collect()
+                opts = Options(log_target="capture", **ENGINES[engine].options)
+                t0 = time.perf_counter()
+                res = run_tool("none", wl.image, options=opts)
+                row += [res, time.perf_counter() - t0]
+            _, plain, _, chained, _, fast, _ = row
             assert chained.stdout == plain.stdout
             assert fast.stdout == plain.stdout
             assert fast.exit_code == plain.exit_code
-            rows.append((name, plain, t_plain, chained, t_chain, fast, t_fast))
+            rows.append(tuple(row))
         return rows
 
     # One warm-up round lets the process-wide pygen source caches fill, as

@@ -26,6 +26,7 @@ native run.
 import time
 
 from repro import Options, run_native, run_tool
+from repro.core.engines import ENGINES
 from repro.workloads.suite import ALL_WORKLOADS, INT_WORKLOADS, build
 
 from conftest import SCALE, geomean, save_and_show
@@ -35,7 +36,6 @@ TOOLS = ("none", "icnt-inline", "icnt-call", "memcheck")
 #: loop, pygen blocks and superblock traces; not in the paper's table; it
 #: must land *below* the default Nulgrind column).
 FAST_COL = "none+fast"
-FAST_OPTS = {"chaining": True, "codegen": "traces"}
 COLUMN = {"none": "Nulg.", "icnt-inline": "ICntI", "icnt-call": "ICntC",
           "memcheck": "Memc.", FAST_COL: "Fast"}
 PAPER_GEOMEANS = {"none": 4.3, "icnt-inline": 8.8, "icnt-call": 13.5,
@@ -52,8 +52,8 @@ def _run_suite():
         row = {"name": name, "native_s": t_native, "insns": nat.guest_insns}
         for col in TOOLS + (FAST_COL,):
             tool = "none" if col == FAST_COL else col
-            opts = Options(log_target="capture",
-                           **(FAST_OPTS if col == FAST_COL else {}))
+            engine = ENGINES["fast" if col == FAST_COL else "paper"]
+            opts = Options(log_target="capture", **engine.options)
             t0 = time.perf_counter()
             res = run_tool(tool, wl.image, options=opts)
             dt = time.perf_counter() - t0

@@ -11,8 +11,10 @@ chained-and-inlined hot paths.
 
 This bench reuses the ``bench_codegen`` program set and measures
 
-* ``pygen``  — chained dispatch, every block its own pygen function;
-* ``traces`` — the same, plus superblocks over hot chains.
+* ``pygen``  — the ``pygen`` engine: chained dispatch, every block its
+  own pygen function;
+* ``traces`` — the ``fast`` engine: the same, plus superblocks over hot
+  chains.
 
 Gate: traces must clear a 1.15x blocks/sec geomean over pygen for
 Nulgrind at the default scale, with byte-identical output.  Results are
@@ -24,6 +26,7 @@ import pathlib
 import time
 
 from repro import Options, run_native, run_tool
+from repro.core.engines import ENGINES as REGISTRY
 from repro.workloads.suite import build
 
 from conftest import SCALE, geomean, save_and_show
@@ -37,11 +40,8 @@ TR_SCALE = SCALE if SCALE < 0.2 else max(SCALE, 1.0)
 
 PROGRAMS = ("gzip", "mcf", "twolf", "swim")
 
-ENGINES = ("pygen", "traces")
-_ENGINE_OPTS = {
-    "pygen": {"chaining": True, "codegen": "pygen"},
-    "traces": {"chaining": True, "codegen": "traces"},
-}
+#: Column label (and BENCH_traces.json key) -> registry engine.
+ENGINES = {"pygen": "pygen", "traces": "fast"}
 
 JSON_PATH = pathlib.Path(__file__).parent.parent / "BENCH_traces.json"
 
@@ -51,7 +51,8 @@ def _timed_run(name, engine):
     best = None
     for _ in range(2):
         wl = build(name, scale=TR_SCALE)
-        opts = Options(log_target="capture", **_ENGINE_OPTS[engine])
+        opts = Options(log_target="capture",
+                       **REGISTRY[ENGINES[engine]].options)
         t0 = time.perf_counter()
         res = run_tool("none", wl.image, options=opts)
         dt = time.perf_counter() - t0

@@ -41,7 +41,8 @@ What the emitted function does differently from the closure tier
   slots coalesce.
 * **LDG reads are forwarded** from pending/loaded values of the same
   offset, size and decode class, so e.g. repeated CC-thunk reads hit a
-  local.  F32 slots are excluded (the 4-byte round-trip narrows
+  local, and an STG of the value its slot already holds or has pending
+  emits nothing.  F32 slots are excluded (the 4-byte round-trip narrows
   doubles); F32 STG/LDG write/read through, and F32 SPILLs apply the
   same rounding the closure tier's round-trip would.
 * **Helper CALLs are emitted inline** without the closure tier's
@@ -96,7 +97,7 @@ from .hostisa import (
 #: Emission format version, part of the persistent code cache's pygen
 #: payload key (core.codecache): bump on any change to emit_pygen output
 #: or the spec entry shapes.
-PYGEN_EMIT_VERSION = 3
+PYGEN_EMIT_VERSION = 4
 
 #: Process-wide encoded host code -> (source, env spec, code object,
 #: estimated entry bytes) cache.  Decode, emission and ``compile()`` are
@@ -541,6 +542,12 @@ def emit_pygen(insns: Sequence[HInsn], fastpath: bool = False) -> Tuple[str, tup
         elif isinstance(insn, STG):
             off, ty = insn.off, insn.ty
             src = rd(insn.src)
+            entry = known.get(off)
+            if entry is not None and entry[:3] == (ty.size, src, ty):
+                # The slot holds, or has pending, this very value (no
+                # value is reassigned, so equal names are equal values):
+                # nothing to store, and the entry stays as it is.
+                continue
             invalidate_overlap(off, ty.size)
             if ty is Ty.F32:
                 known.pop(off, None)

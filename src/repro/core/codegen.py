@@ -18,15 +18,14 @@ compiles each block's closure list itself (``compile``) on first
 execution and runs it without a runner wrapped around it; ``compile_fn``
 wraps the same list as a runner for pygen blocks demoted to this tier.
 ``--codegen=pygen`` compiles every block to the pygen tier on its *first
-execution* (insert-time compilation is deferred, so blocks that never
-run never compile).  ``--codegen=traces`` does the same and additionally
-splices hot chains of pygen blocks into superblocks
+execution*, so blocks that never run never compile (``live_blocks``
+counts them as ``pending``).  ``--codegen=traces`` does the same and
+additionally splices hot chains of pygen blocks into superblocks
 (:mod:`repro.core.traces`).
 
 A pygen compile failure (real or ``--inject=pygen@N``) *demotes* the
 block to the closure tier and is counted; it never escapes as a host
-traceback.  Per-tier execution time is sampled only under
-``--stats=json`` (the wrapper would otherwise tax the hot path).
+traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ TIERS = ("closures", "pygen", "interp")
 CODEGEN_MODES = ("closures", "pygen", "traces")
 
 
-def _tier_counter() -> Dict[str, float]:
+def _tier_counter() -> Dict[str, int]:
     return {t: 0 for t in TIERS}
 
 
@@ -55,20 +54,11 @@ class CodegenStats:
     """Cumulative tier bookkeeping (reported under --stats=json)."""
 
     #: Blocks that entered each tier.
-    tier_attaches: Dict[str, float] = field(default_factory=_tier_counter)
+    tier_attaches: Dict[str, int] = field(default_factory=_tier_counter)
     #: pygen compile failures demoted to the closure tier.
     demotions: int = 0
-    #: Lazy modes: insert-time compilations skipped ...
-    compiles_deferred: int = 0
-    #: ... of which this many were eventually compiled on first execution
-    #: (the difference is translations that never ran — compiles avoided).
-    first_exec_compiles: int = 0
     #: Cumulative translation (compile) time per tier, seconds.
     compile_seconds: Dict[str, float] = field(default_factory=_tier_seconds)
-    #: Cumulative execution time per tier, seconds (--stats=json only).
-    exec_seconds: Dict[str, float] = field(default_factory=_tier_seconds)
-    #: Block executions per tier (--stats=json only).
-    tier_execs: Dict[str, float] = field(default_factory=_tier_counter)
 
 
 class CodegenTiers:
@@ -79,32 +69,22 @@ class CodegenTiers:
         hostcpu,
         options,
         injector=None,
-        collect_exec_times: bool = False,
         on_demote: Optional[Callable] = None,
     ):
         self.hostcpu = hostcpu
         self.mode = options.codegen
         self.trace_threshold = max(1, options.trace_threshold)
         self.injector = injector
-        self.collect = collect_exec_times
         self.on_demote = on_demote
         #: Trace manager (set by the scheduler under --codegen=traces):
         #: blocks crossing --trace-threshold request a chain recording.
         self.traces = None
         self.stats = CodegenStats()
 
-    # -- transtab insert hook (lazy modes) ---------------------------------------
-
-    def note_deferred(self, t) -> None:
-        """Installed as the transtab 'compiler' under pygen/traces: counts
-        the insert-time compilation that did NOT happen."""
-        self.stats.compiles_deferred += 1
-
     # -- first-execution hook (the dispatcher's attach_runner) --------------------
 
     def attach(self, t):
         """Give *t* a ``compiled_fn`` for its starting tier; returns it."""
-        self.stats.first_exec_compiles += 1
         if not self._try_pygen(t):
             self._attach_closures(t)
         elif self.traces is not None:
@@ -162,7 +142,7 @@ class CodegenTiers:
             return False
         t.tier = "pygen"
         self.stats.tier_attaches["pygen"] += 1
-        t.compiled_fn = self._timed(fn, "pygen") if self.collect else fn
+        t.compiled_fn = fn
         return True
 
     def _attach_closures(self, t) -> None:
@@ -172,20 +152,7 @@ class CodegenTiers:
         self.stats.compile_seconds["closures"] += time.perf_counter() - t0
         t.tier = "closures"
         self.stats.tier_attaches["closures"] += 1
-        t.compiled_fn = self._timed(fn, "closures") if self.collect else fn
-
-    def _timed(self, fn, tier: str):
-        pc = time.perf_counter
-        stats = self.stats
-
-        def run(ts):
-            t0 = pc()
-            out = fn(ts)
-            stats.exec_seconds[tier] += pc() - t0
-            stats.tier_execs[tier] += 1
-            return out
-
-        return run
+        t.compiled_fn = fn
 
     # -- reporting ---------------------------------------------------------------
 
@@ -199,16 +166,9 @@ class CodegenTiers:
         cpu = self.hostcpu
         out = {
             "mode": self.mode,
-            "tier_attaches": {k: int(v) for k, v in s.tier_attaches.items()},
+            "tier_attaches": dict(s.tier_attaches),
             "demotions": s.demotions,
-            "compiles_deferred": s.compiles_deferred,
-            "first_exec_compiles": s.first_exec_compiles,
-            "compiles_avoided": max(
-                0, s.compiles_deferred - s.first_exec_compiles
-            ),
             "compile_seconds": dict(s.compile_seconds),
-            "exec_seconds": dict(s.exec_seconds),
-            "tier_execs": {k: int(v) for k, v in s.tier_execs.items()},
             "pygen_cache": {
                 "hits": cpu.pygen_cache_hits,
                 "misses": cpu.pygen_cache_misses,

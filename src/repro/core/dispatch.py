@@ -39,8 +39,6 @@ _CALL = JumpKind.Call.value
 _RET = JumpKind.Ret.value
 #: The chain slot each chainable exit kind links through.
 _CHAIN_SLOT = {_BORING: "chain_next", _CALL: "chain_call", _RET: "chain_ret"}
-#: Shadow call-stack depth cap (pathological recursion protection).
-_CALLSTACK_MAX = 16384
 #: Aligned-slot index of the guest PC in a ThreadState's u32 view.
 _PC_IDX = OFFSET_PC // 4
 
@@ -250,21 +248,10 @@ class Dispatcher:
                         tm.note_side_exit(tr)
                     if jk != _BORING:
                         if jk == _CALL:
-                            cs = ts.callstack
-                            cs.append((hostcpu.mem.load32(ts.sp), ts.pc))
-                            if len(cs) > _CALLSTACK_MAX:
-                                del cs[: _CALLSTACK_MAX // 2]
+                            ts.push_call(hostcpu.mem.load32(ts.sp), ts.pc)
                         elif jk == _RET:
-                            cs = ts.callstack
-                            target = u32[_PC_IDX] if u32 is not None else ts.pc
-                            if cs:
-                                if cs[-1][0] == target:
-                                    cs.pop()
-                                else:
-                                    for depth in range(2, min(9, len(cs) + 1)):
-                                        if cs[-depth][0] == target:
-                                            del cs[-depth:]
-                                            break
+                            ts.pop_ret(u32[_PC_IDX] if u32 is not None
+                                       else ts.pc)
                         else:
                             stats.blocks_executed += n - flushed
                             self.guest_insns += gi
@@ -308,24 +295,11 @@ class Dispatcher:
                 tm.on_block(t, jk)
             if jk != _BORING:
                 if jk == _CALL:
-                    # Maintain the shadow call stack used for stack traces:
-                    # the return address was just pushed at [sp].
-                    cs = ts.callstack
-                    cs.append((hostcpu.mem.load32(ts.sp), ts.pc))
-                    if len(cs) > _CALLSTACK_MAX:
-                        del cs[: _CALLSTACK_MAX // 2]
+                    # Shadow call stack for stack traces: the return
+                    # address was just pushed at [sp].
+                    ts.push_call(hostcpu.mem.load32(ts.sp), ts.pc)
                 elif jk == _RET:
-                    cs = ts.callstack
-                    target = u32[_PC_IDX] if u32 is not None else ts.pc
-                    if cs:
-                        if cs[-1][0] == target:
-                            cs.pop()
-                        else:
-                            # Tolerate tail calls / longjmp-ish control flow.
-                            for depth in range(2, min(9, len(cs) + 1)):
-                                if cs[-depth][0] == target:
-                                    del cs[-depth:]
-                                    break
+                    ts.pop_ret(u32[_PC_IDX] if u32 is not None else ts.pc)
                 else:
                     stats.blocks_executed += n - flushed
                     self.guest_insns += gi

@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 
 from ..kernel.memory import PAGE_SIZE
 from .codegen import CODEGEN_MODES
+from .engines import ENGINES, Engine
 
 
 class BadOption(Exception):
@@ -40,11 +41,17 @@ def _check_size(flag: str, value: int) -> int:
     return value
 
 
-def _default_codegen() -> str:
-    """Default --codegen tier, overridable via REPRO_CODEGEN so CI can
-    force the whole test suite through a non-default tier."""
-    v = os.environ.get("REPRO_CODEGEN", "closures")
-    return v if v in CODEGEN_MODES else "closures"
+def _default_engine() -> Engine:
+    """The engine supplying the --chaining and --codegen defaults:
+    ``paper``, or REPRO_ENGINE=NAME so CI can run the whole test suite
+    on another engine."""
+    name = os.environ.get("REPRO_ENGINE") or "paper"
+    try:
+        return ENGINES[name]
+    except KeyError:
+        raise BadOption(
+            f"REPRO_ENGINE must be {'|'.join(ENGINES)}, got {name!r}"
+        ) from None
 
 
 def _default_cache_dir():
@@ -85,14 +92,15 @@ class Options:
     thread_timeslice: int = 10000
     #: Enable translation chaining (off, as in the paper's Valgrind 3.2.1;
     #: the dispatcher-ablation bench switches it on).  ``--perf`` is an
-    #: alias of ``--chaining``.
-    chaining: bool = False
+    #: alias of ``--chaining``.  Defaults to REPRO_ENGINE's setting.
+    chaining: bool = field(default_factory=lambda: _default_engine().chaining)
     #: Codegen tier selection (see repro.core.codegen): "closures" runs
     #: per-insn closure lists; "pygen" compiles every block to one
     #: specialized CPython function on first execution; "traces" runs
     #: blocks in the pygen tier and additionally records hot chained
     #: successor sequences into superblock traces (see repro.core.traces).
-    codegen: str = field(default_factory=_default_codegen)
+    #: Defaults to REPRO_ENGINE's setting.
+    codegen: str = field(default_factory=lambda: _default_engine().codegen)
     #: traces tier recording threshold: executions of a block before the
     #: dispatcher records the successor chain starting there as a trace.
     trace_threshold: int = 50

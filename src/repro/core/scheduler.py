@@ -320,22 +320,13 @@ class Scheduler:
             self.hostcpu.shadow_fastpath = True
         self.transtab = TranslationTable(options.transtab_entries,
                                          policy=options.transtab_policy)
-        #: Codegen tiering (closures / pygen / interp); per-tier
-        #: execution timing only under --stats=json (the sampling wrapper
-        #: would otherwise tax the hot path).
+        #: Codegen tiering (closures / pygen / interp).
         self.codegen = CodegenTiers(
             self.hostcpu,
             options,
             injector=self.injector,
-            collect_exec_times=(options.stats_format == "json"
-                                or options.stats_out is not None),
             on_demote=self._on_pygen_demoted,
         )
-        if options.codegen != "closures":
-            # Lazy compilation: blocks compile on first execution;
-            # translations that never run never compile.  The insert
-            # hook just counts the deferral.
-            self.transtab.set_compiler(self.codegen.note_deferred)
         self.smc = SmcPolicy(options.smc_check, self._fetch_exact)
         self.translator = Translator(
             self._fetch,

@@ -22,6 +22,8 @@ from ..ir.values import from_bytes, to_bytes
 #: memoryview over the state block reads/writes 4-byte slots directly.
 _LE = sys.byteorder == "little"
 _PC_IDX = R.OFFSET_PC // 4
+#: Shadow call-stack depth cap (pathological recursion protection).
+_CALLSTACK_MAX = 16384
 
 
 class ThreadStatus(enum.Enum):
@@ -53,9 +55,33 @@ class ThreadState:
         #: heuristic and stack registration client requests).
         self.stack_base = 0
         self.stack_limit = 0
-        #: Shadow call stack of (return address, callee pc) pairs,
-        #: maintained by the dispatcher for stack traces.
+        #: Shadow call stack of (return address, callee pc) pairs for
+        #: stack traces, kept by push_call/pop_ret on every Call and Ret.
         self.callstack = []
+
+    # -- shadow call stack ------------------------------------------------------
+
+    def push_call(self, ret_addr: int, callee: int) -> None:
+        """A Call: push its frame, halving a stack that passes the cap."""
+        cs = self.callstack
+        cs.append((ret_addr, callee))
+        if len(cs) > _CALLSTACK_MAX:
+            del cs[: _CALLSTACK_MAX // 2]
+
+    def pop_ret(self, target: int) -> None:
+        """A Ret to *target*: pop its frame.  Tail calls and longjmp-ish
+        control flow return past frames, so a match 2 to 8 frames down
+        pops down to it; with no match the stack is left alone."""
+        cs = self.callstack
+        if not cs:
+            return
+        if cs[-1][0] == target:
+            cs.pop()
+            return
+        for depth in range(2, min(9, len(cs) + 1)):
+            if cs[-depth][0] == target:
+                del cs[-depth:]
+                return
 
     # -- typed access -----------------------------------------------------------
 

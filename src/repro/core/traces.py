@@ -49,8 +49,8 @@ exact at the exit point (each member's exit counts are offset by the
 guest instructions of the members before it, so the fault-precision
 entry-snapshot contract extends to every trace side exit unchanged), and
 Call/Ret seams maintain the shadow call stack through the
-:func:`vg_trace_call` / :func:`vg_trace_ret` dirty helpers, mirroring
-the dispatcher's own bookkeeping byte for byte.  ``TRACEMARK j`` before
+:func:`vg_trace_call` / :func:`vg_trace_ret` dirty helpers, which call
+the dispatcher's own ThreadState bookkeeping.  ``TRACEMARK j`` before
 member j's code records progress, so the dispatcher accounts completed
 blocks exactly when a trace faults or side-exits.
 
@@ -108,9 +108,6 @@ _TRACEABLE_VALUES = tuple(jk.value for jk in
                           (JumpKind.Boring, JumpKind.Call, JumpKind.Ret))
 #: u16 instruction-count fields in SIDEEXIT/SIDEEXITR bound trace size.
 _MAX_TRACE_INSNS = 60000
-#: Shadow call-stack depth cap — must match the dispatcher's.
-_CALLSTACK_MAX = 16384
-
 #: Dirty helpers maintaining the shadow call stack across in-trace
 #: Call/Ret seams (registered by the scheduler under traces mode).
 VG_TRACE_CALL = "vg_trace_call"
@@ -152,31 +149,20 @@ _TRACE_PROBE = 64
 
 
 def vg_trace_call(env, target: int) -> int:
-    """Mirror the dispatcher's Call bookkeeping for an in-trace call seam.
+    """The dispatcher's Call bookkeeping for an in-trace call seam.
 
     The member block that just ran pushed the return address at [sp] and
     committed SP before this helper runs (pygen flushes pending state
     ahead of every unguarded dirty call), so the load cannot fault.
     """
-    cs = env.state.callstack
-    cs.append((env.mem.load32(env.state.sp), target))
-    if len(cs) > _CALLSTACK_MAX:
-        del cs[: _CALLSTACK_MAX // 2]
+    ts = env.state
+    ts.push_call(env.mem.load32(ts.sp), target)
     return 0
 
 
 def vg_trace_ret(env, target: int) -> int:
-    """Mirror the dispatcher's Ret bookkeeping for an in-trace return seam
-    (including its depth-2..8 tail-call / longjmp tolerance)."""
-    cs = env.state.callstack
-    if cs:
-        if cs[-1][0] == target:
-            cs.pop()
-        else:
-            for depth in range(2, min(9, len(cs) + 1)):
-                if cs[-depth][0] == target:
-                    del cs[-depth:]
-                    break
+    """The dispatcher's Ret bookkeeping for an in-trace return seam."""
+    env.state.pop_ret(target)
     return 0
 
 

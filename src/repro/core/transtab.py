@@ -117,9 +117,6 @@ class TranslationTable:
         self.stats = TransTabStats()
         #: Chain links into/out of stored translations; severed on death.
         self.chains = ChainRegistry()
-        #: Insert-time hook run on each new translation (set by the
-        #: scheduler; the lazy codegen tiers count deferred compiles).
-        self._compiler: Optional[Callable[[Translation], None]] = None
         #: Record/replay: called with the number of entries killed at the
         #: end of every eviction round (capacity-pressure or forced).
         self.on_evict: Optional[Callable[[int], None]] = None
@@ -127,10 +124,6 @@ class TranslationTable:
         #: insert-replace) — the trace tier severs superblocks containing
         #: the dead member (core.traces).
         self.on_kill: Optional[Callable[[Translation], None]] = None
-
-    def set_compiler(self, compiler: Optional[Callable[[Translation], None]]):
-        """Install the insert-time hook (see ``_compiler``)."""
-        self._compiler = compiler
 
     def chain(self, pred: Translation, slot: str, succ: Translation) -> None:
         """Link *pred*'s *slot* to *succ* through the chain registry."""
@@ -175,8 +168,6 @@ class TranslationTable:
             self._evict_chunk()
         t.serial = self._next_serial
         self._next_serial += 1
-        if self._compiler is not None and t.compiled_fn is None:
-            self._compiler(t)
         for i in self._probe(t.guest_addr):
             slot = self._slots[i]
             if slot is None:

@@ -14,7 +14,7 @@ def pytest_addoption(parser):
         "--quick",
         action="store_true",
         default=False,
-        help="shrink the randomized suites (CI replay-matrix budget)",
+        help="shrink the randomized suites",
     )
 
 

@@ -16,10 +16,11 @@ import itertools
 import pytest
 
 from repro import Options, run_tool
+from repro.core.engines import ENGINES
 from repro.core.errors import ExitCode
 from repro.core.faultinject import BadInjectSpec, FaultInjector
 
-from .helpers import asm_image
+from .helpers import PYGEN_ENGINES, asm_image, engine_options
 
 MAX_BLOCKS = 200_000
 
@@ -108,28 +109,19 @@ SPECS = [
 ]
 SEEDS = range(6)
 
-#: Execution engines: the paper loop, the chained loop (``--perf``, an
-#: alias of ``--chaining``), the pygen tier under chaining, and the trace
-#: tier under chaining (the repo benchmark's ``fast`` engine).  traces
-#: uses a low threshold so chaos runs actually stitch superblocks while
-#: injections are firing around them.
-MODES = {
-    "plain": {},
-    "perf": {"chaining": True},
-    "pygen": {"chaining": True, "codegen": "pygen"},
-    "traces": {"chaining": True, "codegen": "traces", "trace_threshold": 3},
-}
-
+#: Every registry engine runs the matrix; the low shared trace
+#: threshold makes the fast engine splice superblocks while injections
+#: are firing around them.
 CONFIGS = list(itertools.product(
     [("alloc-io", ALLOC_IO_SRC), ("cpu", CPU_SRC)],
     ["none", "memcheck"],
-    list(MODES),
+    list(ENGINES),
 ))
 
 
 def chaos_run(img, tool, mode, inject, record=None, replay=None):
     opts = Options(log_target="capture", inject=inject, record=record,
-                   replay=replay, **MODES[mode])
+                   replay=replay, **engine_options(mode))
     return run_tool(tool, img, options=opts, max_blocks=MAX_BLOCKS)
 
 
@@ -180,7 +172,7 @@ class TestChaosMatrix:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("mode", list(ENGINES))
     def test_identical_plans_record_byte_identical_logs(self, mode, tmp_path):
         # Regression guard for nondeterminism leaks: two runs under the
         # same plan must produce *byte-identical* event logs — every
@@ -196,7 +188,7 @@ class TestDeterminism:
             with open(pa, "rb") as fa, open(pb, "rb") as fb:
                 assert fa.read() == fb.read(), inject
 
-    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("mode", list(ENGINES))
     def test_neverfiring_plan_is_bit_identical_to_no_plan(self, mode):
         # An injector whose rules never fire must not perturb the run at
         # all: fault-free replays stay bit-identical.
@@ -215,8 +207,8 @@ class TestDeterminism:
         for src in (ALLOC_IO_SRC, CPU_SRC):
             img = asm_image(src)
             inject = "mmap-enomem@2,eintr:0.2,seed=7"
-            runs = {m: chaos_run(img, "none", m, inject) for m in MODES}
-            ref = runs["plain"]
+            runs = {m: chaos_run(img, "none", m, inject) for m in ENGINES}
+            ref = runs["paper"]
             for mode, res in runs.items():
                 assert res.exit_code == ref.exit_code, mode
                 assert res.stdout == ref.stdout, mode
@@ -224,7 +216,7 @@ class TestDeterminism:
 
 
 class TestJitQuarantine:
-    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("mode", list(ENGINES))
     @pytest.mark.parametrize("tool", ["none", "memcheck"])
     def test_isel_failure_degrades_to_interpreter(self, tool, mode):
         # Acceptance: an injected isel failure quarantines the block into
@@ -245,8 +237,8 @@ class TestJitQuarantine:
         # interpreter (isel fails 100% of the time) and the program still
         # produces the right answer under instrumentation.
         img = asm_image(CPU_SRC)
-        clean = chaos_run(img, "memcheck", "plain", inject=None)
-        broken = chaos_run(img, "memcheck", "plain", inject="isel:1.0,seed=2")
+        clean = chaos_run(img, "memcheck", "paper", inject=None)
+        broken = chaos_run(img, "memcheck", "paper", inject="isel:1.0,seed=2")
         assert broken.exit_code == clean.exit_code == 0
         assert broken.stdout == clean.stdout
         rob = broken.stats()["robustness"]
@@ -254,7 +246,7 @@ class TestJitQuarantine:
 
 
 class TestPygenDemotion:
-    @pytest.mark.parametrize("mode", ["pygen", "traces"])
+    @pytest.mark.parametrize("mode", PYGEN_ENGINES)
     @pytest.mark.parametrize("tool", ["none", "memcheck"])
     def test_pygen_failure_demotes_to_closures(self, tool, mode):
         # Acceptance: an injected pygen compile failure demotes the block

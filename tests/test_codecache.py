@@ -28,9 +28,10 @@ from repro.core import codecache as _codecache
 from repro.core import traces as _traces
 from repro.core import translate as _translate
 from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
+from repro.core.codegen import CODEGEN_MODES
 from repro.workloads import suite
 
-from .helpers import asm_image, vg
+from .helpers import TRACE_THRESHOLD, asm_image, vg
 
 #: Several distinct blocks, a hot loop, and float traffic — enough to
 #: exercise disasm chasing, instrumentation, and the pygen emitter.
@@ -133,19 +134,19 @@ def trace_set(res):
 
 def run_traced(cache_dir, src=CALL_LOOP_SRC, tool="memcheck", **kw):
     return run_cached(cache_dir, tool, src=src, codegen="traces",
-                      trace_threshold=5, **kw)
+                      trace_threshold=TRACE_THRESHOLD, **kw)
 
 
 class TestWarmEqualsCold:
     @pytest.mark.parametrize("tool", ["none", "memcheck", "cachegrind"])
-    @pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+    @pytest.mark.parametrize("codegen", CODEGEN_MODES)
     def test_warm_byte_identical(self, tmp_path, tool, codegen):
         drop_in_memory_caches()  # the cold run stores every pygen block
         cold = run_cached(tmp_path, tool, codegen=codegen,
-                          trace_threshold=5)
+                          trace_threshold=TRACE_THRESHOLD)
         drop_in_memory_caches()
         warm = run_cached(tmp_path, tool, codegen=codegen,
-                          trace_threshold=5)
+                          trace_threshold=TRACE_THRESHOLD)
         assert_same_run(cold, warm)
         cache = warm.stats()["cache"]
         assert cache["hits"] > 0

@@ -47,7 +47,7 @@ loop:   dec r0
         movi r0, 0
         ret
 """
-        plain = vg(src)
+        plain = vg(src, chaining=False)
         chained = vg(src, options=Options(log_target="capture", chaining=True))
         assert chained.stdout == plain.stdout
         s1 = plain.core.scheduler.dispatcher.stats

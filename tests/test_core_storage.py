@@ -137,6 +137,37 @@ class TestThreadState:
         assert any("f1" in d for d in diffs)
         assert a.architected_equal(a) and not a.architected_equal(b)
 
+    def test_call_stack_halves_past_the_cap(self):
+        from repro.core.threadstate import _CALLSTACK_MAX
+
+        ts = ThreadState()
+        for i in range(_CALLSTACK_MAX):
+            ts.push_call(i, i + 1)
+        assert len(ts.callstack) == _CALLSTACK_MAX
+        ts.push_call(-1, -2)
+        # The oldest half goes; the newest frames stay on top.
+        assert len(ts.callstack) == _CALLSTACK_MAX // 2 + 1
+        assert ts.callstack[0] == (_CALLSTACK_MAX // 2, _CALLSTACK_MAX // 2 + 1)
+        assert ts.callstack[-1] == (-1, -2)
+
+    def test_ret_pops_to_a_match_up_to_eight_frames_down(self):
+        ts = ThreadState()
+        for ra in range(10):
+            ts.push_call(ra, 100 + ra)
+        ts.pop_ret(9)  # the top frame
+        assert [ra for ra, _ in ts.callstack] == list(range(9))
+        ts.pop_ret(1)  # 8 frames down: tail calls / longjmp
+        assert [ra for ra, _ in ts.callstack] == [0]
+        for ra in range(1, 10):
+            ts.push_call(ra, 100 + ra)
+        ts.pop_ret(0)  # 10 frames down: out of reach, left alone
+        assert len(ts.callstack) == 10
+        ts.pop_ret(42)  # no frame returns there
+        assert len(ts.callstack) == 10
+        ts.callstack.clear()
+        ts.pop_ret(0)  # an empty stack stays empty
+        assert ts.callstack == []
+
 
 class TestEvents:
     def test_track_and_fire(self):

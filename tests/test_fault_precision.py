@@ -1,19 +1,19 @@
 """Precise synchronous faults: the (signal, fault PC, fault address)
-triple must be identical across the reference CPU, the dispatch loop
-with and without chaining, and the pygen/traces codegen tiers, and
-guest handlers must be able to inspect the siginfo words and recover by
-patching the saved PC."""
+triple must be identical across the reference CPU and every registry
+engine, and guest handlers must be able to inspect the siginfo words and
+recover by patching the saved PC."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import Options, run_tool
+from repro.core.engines import ENGINES
 from repro.core.errors import ExitCode
 from repro.kernel.kernel import SIGFPE, SIGILL, SIGKILL, SIGSEGV, SIGTERM
 from repro.core.tool import Tool
 
-from .helpers import asm_image, native, vg
+from .helpers import asm_image, engine_options, native, vg
 
 BAD = 0x90000000  # never mapped
 
@@ -23,32 +23,17 @@ def _quad(si):
     return (si.sig, si.pc, si.addr, si.access)
 
 
-def run_three(src):
-    """Run under the native engine, the default loop and the chained loop."""
+def run_engines(src):
+    """The reference CPU's run, and each registry engine's by name.  The
+    shared trace threshold records handler-adjacent chains, so faults
+    can strike *inside* a spliced superblock."""
     img = asm_image(src)
-    return native(img), vg(img), vg(img, chaining=True)
-
-
-#: Codegen-tier engines: every fault quadruple must match the reference
-#: CPU under these too ("-perf" marks chaining on, "-noperf" off).
-CODEGEN_ENGINES = {
-    "pygen": {"chaining": True, "codegen": "pygen"},
-    "pygen-noperf": {"codegen": "pygen"},
-    # trace_threshold 2: handler-adjacent chains really get recorded, so
-    # faults can strike *inside* a stitched superblock.
-    "traces": {"codegen": "traces", "trace_threshold": 2},
-    "traces-perf": {"chaining": True, "codegen": "traces",
-                    "trace_threshold": 2},
-}
-
-
-def run_codegen_engines(src):
-    img = asm_image(src)
-    return {name: vg(img, **kw) for name, kw in CODEGEN_ENGINES.items()}
+    return native(img), {name: vg(img, **engine_options(name))
+                         for name in ENGINES}
 
 
 class TestFaultDifferential:
-    """Acceptance: identical fault triples across all three engines."""
+    """Acceptance: identical fault triples across all engines."""
 
     CASES = {
         "bad-load": f"""
@@ -85,41 +70,33 @@ main:   movi r2, {BAD:#x}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_triple_identical_across_engines(self, name):
-        nat, dflt, perf = run_three(self.CASES[name])
+        nat, runs = run_engines(self.CASES[name])
         assert nat.fatal_signal is not None
         assert nat.exit_code == ExitCode.for_signal(nat.fatal_signal)
-        assert dflt.exit_code == nat.exit_code == perf.exit_code
-        assert (dflt.outcome.fatal_signal == nat.fatal_signal
-                == perf.outcome.fatal_signal)
         ref = _quad(nat.fault_info)
-        assert _quad(dflt.outcome.fault_info) == ref
-        assert _quad(perf.outcome.fault_info) == ref
-
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_quad_identical_across_codegen_tiers(self, name):
-        nat, dflt, _ = run_three(self.CASES[name])
-        ref = _quad(nat.fault_info)
-        for engine, res in run_codegen_engines(self.CASES[name]).items():
+        paper = runs["paper"]
+        for engine, res in runs.items():
             assert res.exit_code == nat.exit_code, engine
             assert res.outcome.fatal_signal == nat.fatal_signal, engine
             assert _quad(res.outcome.fault_info) == ref, engine
             # Bit-identical architected effect: same completed guest
-            # instruction count and output as the closure-tier run.
-            assert res.outcome.guest_insns == dflt.outcome.guest_insns, engine
-            assert res.stdout == dflt.stdout, engine
+            # instruction count and output as the paper engine's run.
+            assert res.outcome.guest_insns == paper.outcome.guest_insns, \
+                engine
+            assert res.stdout == paper.stdout, engine
 
     def test_bad_load_fault_details(self):
-        nat, dflt, perf = run_three(self.CASES["bad-load"])
-        for si in (nat.fault_info, dflt.outcome.fault_info,
-                   perf.outcome.fault_info):
+        nat, runs = run_engines(self.CASES["bad-load"])
+        for si in [nat.fault_info] + [r.outcome.fault_info
+                                      for r in runs.values()]:
             assert si.sig == SIGSEGV
             assert si.addr == BAD
             assert si.access == "read"
 
     def test_div_zero_fault_is_at_the_div(self):
-        nat, dflt, perf = run_three(self.CASES["div-zero"])
-        for si in (nat.fault_info, dflt.outcome.fault_info,
-                   perf.outcome.fault_info):
+        nat, runs = run_engines(self.CASES["div-zero"])
+        for si in [nat.fault_info] + [r.outcome.fault_info
+                                      for r in runs.values()]:
             assert si.sig == SIGFPE
             assert si.access == "fpe"
             assert si.pc == si.addr
@@ -170,18 +147,11 @@ handler:
 
 class TestHandlerRecovery:
     def test_handler_sees_siginfo_and_resumes(self):
-        nat, dflt, perf = run_three(RECOVER_SRC)
+        nat, runs = run_engines(RECOVER_SRC)
         want = f"{BAD - (1 << 32)}\n1\n7\n"  # putint prints signed
-        assert nat.stdout == want
-        assert dflt.stdout == want
-        assert perf.stdout == want
-        assert nat.exit_code == dflt.exit_code == perf.exit_code == 0
-
-    def test_handler_recovery_under_codegen_tiers(self):
-        want = f"{BAD - (1 << 32)}\n1\n7\n"
-        for engine, res in run_codegen_engines(RECOVER_SRC).items():
-            assert res.stdout == want, engine
-            assert res.exit_code == 0, engine
+        assert (nat.stdout, nat.exit_code) == (want, 0)
+        for engine, res in runs.items():
+            assert (res.stdout, res.exit_code) == (want, 0), engine
 
     def test_midblock_registers_committed_at_fault(self):
         # The movi writes precede the fault inside one block; the handler
@@ -206,9 +176,9 @@ handler:
         push r0
         call exit
 """
-        nat, dflt, perf = run_three(src)
-        assert nat.stdout == dflt.stdout == perf.stdout == "42\n"
-        for engine, res in run_codegen_engines(src).items():
+        nat, runs = run_engines(src)
+        assert nat.stdout == "42\n"
+        for engine, res in runs.items():
             assert res.stdout == "42\n", engine
 
     def test_nested_fault_in_handler(self):
@@ -248,11 +218,9 @@ done:
         .data
 msg1:   .asciz "unwound"
 """
-        nat, dflt, perf = run_three(src)
-        assert "unwound" in nat.stdout
-        assert nat.stdout == dflt.stdout == perf.stdout
-        assert nat.exit_code == dflt.exit_code == perf.exit_code == 0
-        for engine, res in run_codegen_engines(src).items():
+        nat, runs = run_engines(src)
+        assert "unwound" in nat.stdout and nat.exit_code == 0
+        for engine, res in runs.items():
             assert res.stdout == nat.stdout, engine
             assert res.exit_code == 0, engine
 

@@ -4,7 +4,7 @@ The inlined LOADV/STOREV sequences are a pure performance feature: with
 ``--memcheck-fastpath=no`` every access goes through the helpers
 instead.  Everything observable — the error log, exit codes, stdout,
 page-table statistics — must be byte-identical either way, on every
-codegen tier, under fault-injection chaos, and with a warm on-disk
+registry engine, under fault-injection chaos, and with a warm on-disk
 cache.  Only the ``fastpath`` counter sub-section (which counts emitted
 fast-path hits, an emission property by construction) may differ.
 """
@@ -13,18 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import Options, assemble, run_tool
+from repro.core.engines import ENGINES
 from repro.core.translate import clear_translation_cache
 
 from helpers import asm_image, programs, vg
 
-#: Each codegen tier under the paper loop, plus the repo benchmark's
-#: ``fast`` engine (the trace tier under chaining).
-ENGINES = {
-    "closures": {"codegen": "closures"},
-    "pygen": {"codegen": "pygen"},
-    "traces": {"codegen": "traces"},
-    "fast": {"codegen": "traces", "chaining": True},
-}
+#: The helper-only reference every engine is compared with.
+PAPER = ENGINES["paper"].options
 
 #: Named workloads covering the fast paths' interesting edges: clean
 #: loops (pure fast path), heap overruns and use-after-free (A-bit
@@ -256,43 +251,45 @@ class TestDifferentialAcrossTiers:
     @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_fastpath_is_observably_identical(self, engine, name):
-        on = run_one(PROGRAMS[name], True, **ENGINES[engine])
-        off = run_one(PROGRAMS[name], False, **ENGINES[engine])
+        on = run_one(PROGRAMS[name], True, **ENGINES[engine].options)
+        off = run_one(PROGRAMS[name], False, **ENGINES[engine].options)
         assert observe(on) == observe(off)
 
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_tiers_agree_with_closures_reference(self, engine):
         """Every engine with the fast path on must match the helper-only
-        closures tier (the reference semantics)."""
-        ref = run_one(PROGRAMS["overrun_rw"], False, codegen="closures")
-        got = run_one(PROGRAMS["overrun_rw"], True, **ENGINES[engine])
+        paper engine (the reference semantics)."""
+        ref = run_one(PROGRAMS["overrun_rw"], False, **PAPER)
+        got = run_one(PROGRAMS["overrun_rw"], True, **ENGINES[engine].options)
         assert observe(got) == observe(ref)
 
 
 class TestMidBlockErrors:
     """Error reports raised mid-block: every engine's whole Memcheck log
-    must equal the closure tier's, byte for byte.  Runs with the fast
+    must equal the paper engine's, byte for byte.  Runs with the fast
     path at its default, which CI sets on and off."""
 
     @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("name", sorted(MID_BLOCK))
     def test_log_matches_closures(self, engine, name):
-        ref = vg(MID_BLOCK[name], "memcheck", codegen="closures")
+        ref = vg(MID_BLOCK[name], "memcheck", **PAPER)
         got = vg(MID_BLOCK[name], "memcheck",
-                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD, **ENGINES[engine])
+                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD,
+                 **ENGINES[engine].options)
         assert sorted({e.kind for e in ref.errors}) == MID_BLOCK_ERRORS[name]
         assert (got.exit_code, got.stdout, got.log) == (
             ref.exit_code, ref.stdout, ref.log)
-        if ENGINES[engine]["codegen"] == "traces":
+        if ENGINES[engine].codegen == "traces":
             assert got.stats()["traces"]["traces_built"] > 0
 
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_guarded_helper_outside_no_state_write(self, engine):
         """A guarded helper that may write guest state still commits
         pending state before its guard, on the path that skips it too."""
-        ref = vg(CALL_LOOP, "taintcheck", codegen="closures")
+        ref = vg(CALL_LOOP, "taintcheck", **PAPER)
         got = vg(CALL_LOOP, "taintcheck",
-                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD, **ENGINES[engine])
+                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD,
+                 **ENGINES[engine].options)
         assert ref.exit_code == 0 and ref.stdout.strip() == str(30 * 3)
         assert (got.exit_code, got.stdout, got.log) == (
             ref.exit_code, ref.stdout, ref.log)
@@ -303,14 +300,14 @@ class TestReplayContract:
     def test_checkpointed_log_replays_across_fastpath_and_tiers(
             self, tmp_path, engine):
         """The fast-path flag is outside the replay contract: a log
-        recorded with checkpoints under fastpath=on/closures must replay
+        recorded with checkpoints under fastpath=on/paper must replay
         bit-exactly with fastpath=off under every engine (snapshot hashes
         mask the tier- and fastpath-dependent thread-state scratch)."""
         path = str(tmp_path / "v.rrlog")
-        rec = run_one(PROGRAMS["clean_heap_loop"], True, codegen="closures",
+        rec = run_one(PROGRAMS["clean_heap_loop"], True, **PAPER,
                       record=path, checkpoint_every=50)
         rep = run_one(PROGRAMS["clean_heap_loop"], False, replay=path,
-                      **ENGINES[engine])
+                      **ENGINES[engine].options)
         assert observe(rep) == observe(rec)
         stats = rep.stats()["replay"]
         assert stats["divergences"] == 0

@@ -17,9 +17,8 @@ suite proves it three ways:
   self-modifying code must sever chain links eagerly so no stale
   ``chain_next``/``chain_call``/``chain_ret`` or compiled runner is ever
   executed;
-* at the unit level: the chain registry's link/sever semantics, the
-  insert-time hook, and every inline operator template the pygen
-  emitter uses.
+* at the unit level: the chain registry's link/sever semantics and
+  every inline operator template the pygen emitter uses.
 """
 
 from __future__ import annotations
@@ -30,10 +29,13 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import asm_image, native, programs, ref_run, vg
+from helpers import (PYGEN_ENGINES, TRACE_THRESHOLD, asm_image,
+                     engine_options, native, programs, ref_run, vg)
 from repro import Options, assemble, run_tool
 from repro.backend.hostcpu import HostCPU
 from repro.backend.pygen import OP_INLINE
+from repro.core.codegen import CODEGEN_MODES
+from repro.core.engines import ENGINES
 from repro.core.translate import Translation
 from repro.core.transtab import CHAIN_SLOTS, ChainRegistry, TranslationTable
 from repro.ir.ops import get_op
@@ -105,19 +107,17 @@ def test_random_program_perf_survives_tiny_caches(source):
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs(), st.sampled_from(["none", "memcheck"]))
 def test_random_program_differential_codegen_tiers(source, tool):
-    """The pygen and traces tiers must be bit-identical to the closure
+    """The engines that compile blocks must be bit-identical to the paper
     engine: same architected state, data segment, output, error reports
     and guest instruction count."""
     img = assemble(source, filename="rand")
     ref_ts, ref_data, data_seg = ref_run(img)
 
     plain = run_tool(tool, img, options=Options(log_target="capture",
-                                                codegen="closures"))
-    for label, opts in (
-        ("pygen", perf_options(codegen="pygen")),
-        ("traces", perf_options(codegen="traces", trace_threshold=2)),
-    ):
-        res = run_tool(tool, img, options=opts)
+                                                **ENGINES["paper"].options))
+    for label in PYGEN_ENGINES:
+        res = run_tool(tool, img, options=Options(log_target="capture",
+                                                  **engine_options(label)))
         _assert_matches_ref(res, ref_ts, ref_data, data_seg,
                             f"{label}/{tool}")
         assert res.exit_code == plain.exit_code, label
@@ -187,12 +187,13 @@ fn3:    mov  r0, r6
 """
 
 
-@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+@pytest.mark.parametrize("codegen", CODEGEN_MODES)
 def test_fifo_eviction_with_live_chains_matches_native(codegen):
     nat = native(CALL_HEAVY_SRC)
     res = vg(
         CALL_HEAVY_SRC,
-        options=perf_options(codegen=codegen, trace_threshold=3,
+        options=perf_options(codegen=codegen,
+                             trace_threshold=TRACE_THRESHOLD,
                              transtab_entries=12, dispatch_cache_size=16),
     )
     assert res.stdout == nat.stdout
@@ -213,13 +214,13 @@ def test_fifo_eviction_with_live_chains_matches_native(codegen):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+@pytest.mark.parametrize("codegen", CODEGEN_MODES)
 def test_chaining_off_touches_no_chain_slot(codegen):
     """The paper loop (chaining off) neither fills nor follows a link,
     whichever tier the blocks run in: every transfer is a look-up."""
     res = vg(CALL_HEAVY_SRC,
              options=perf_options(codegen=codegen, chaining=False,
-                                  trace_threshold=3))
+                                  trace_threshold=TRACE_THRESHOLD))
     assert res.stdout == native(CALL_HEAVY_SRC).stdout
     tab = res.core.scheduler.transtab
     for t in tab.all_translations():
@@ -229,12 +230,13 @@ def test_chaining_off_touches_no_chain_slot(codegen):
     assert res.core.scheduler.dispatcher.stats.chained == 0
 
 
-@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+@pytest.mark.parametrize("codegen", CODEGEN_MODES)
 def test_every_link_goes_through_the_registry(codegen):
     """With chaining on, every filled slot is a chain-registry record, so
     eviction, munmap and SMC flushes can sever it."""
     res = vg(CALL_HEAVY_SRC,
-             options=perf_options(codegen=codegen, trace_threshold=3))
+             options=perf_options(codegen=codegen,
+                                  trace_threshold=TRACE_THRESHOLD))
     assert res.stdout == native(CALL_HEAVY_SRC).stdout
     tab = res.core.scheduler.transtab
     assert tab.stats.evict_rounds == 0 and tab.stats.discarded == 0
@@ -339,7 +341,7 @@ def test_call_ret_chains_are_used():
     assert res.core.scheduler.dispatcher.stats.chained > 0
 
 
-@pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+@pytest.mark.parametrize("codegen", CODEGEN_MODES)
 def test_smc_discard_mid_run_under_perf(codegen):
     """Rewriting already-translated code must discard the old translation,
     sever its chains, and never execute the stale compiled runner —
@@ -503,18 +505,6 @@ class TestTableChainIntegration:
         tab.chain(a, "chain_next", b)
         assert tab.discard(0x2000)
         assert a.chain_next is None and b.dead
-
-    def test_insert_time_compiler_runs_eagerly(self):
-        compiled = []
-        tab = TranslationTable(entries=8)
-        tab.set_compiler(lambda t: compiled.append(t) or setattr(
-            t, "compiled_fn", lambda ts: ("Boring", 0)))
-        t = _mk(0x1000)
-        tab.insert(t)
-        assert compiled == [t]
-        assert t.compiled_fn is not None
-        tab.insert(t)  # already compiled: not recompiled
-        assert compiled == [t]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Cross-tier replay oracle: a run recorded under one codegen tier must
-replay bit-exactly under every other tier.
+"""Cross-engine replay oracle: a run recorded under the paper engine must
+replay bit-exactly under every registry engine.
 
 The event log captures only architected decisions, so the recording made
-under the closure tier is an executable oracle for the pygen, traces and
-chained (``--perf``) engines: same RunOutcome, same (signal, pc, addr, access) fault
+under the paper engine is an executable oracle for the chained, pygen
+and fast engines: same RunOutcome, same (signal, pc, addr, access) fault
 quadruple, same guest_insns, zero divergences.  This subsumes the older
 differential suites — instead of comparing two live runs' final states,
 every scheduler pick, syscall result and signal delivery is verified at
@@ -19,20 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import Options, assemble, run_tool
+from repro.core.engines import ENGINES
 from repro.core.replay import ReplayDivergence
 
-from .helpers import asm_image, programs
+from .helpers import asm_image, engine_options, programs
 
 _QUICK = os.environ.get("REPRO_TEST_QUICK") == "1"
 N_EXAMPLES = 25 if _QUICK else 100
-
-#: The replay tiers every recording is verified under.
-REPLAY_MODES = {
-    "closures": {"codegen": "closures"},
-    "pygen": {"codegen": "pygen"},
-    "perf": {"codegen": "closures", "chaining": True},
-    "traces": {"codegen": "traces", "trace_threshold": 2},
-}
 
 MAX_BLOCKS = 200_000
 
@@ -56,33 +49,33 @@ def _fingerprint(res):
 
 
 def _record(img, path, **opt_kw):
-    opts = Options(log_target="capture", record=path, codegen="closures",
-                   **opt_kw)
+    opts = Options(log_target="capture", record=path,
+                   **ENGINES["paper"].options, **opt_kw)
     return run_tool("none", img, options=opts, max_blocks=MAX_BLOCKS)
 
 
-def _replay(img, path, mode, **opt_kw):
+def _replay(img, path, engine, **opt_kw):
     opts = Options(log_target="capture", replay=path,
-                   **{**REPLAY_MODES[mode], **opt_kw})
+                   **{**engine_options(engine), **opt_kw})
     return run_tool("none", img, options=opts, max_blocks=MAX_BLOCKS)
 
 
 def _assert_replays_everywhere(img, **opt_kw):
-    """Record under closures; replay under every tier; compare."""
+    """Record under the paper engine; replay under every engine; compare."""
     path = tempfile.mktemp(suffix=".rrlog")
     try:
         rec = _record(img, path, **opt_kw)
         want = _fingerprint(rec)
         # Replay must consume the whole log: divergence raises, and the
         # final EV_EXIT event cross-checks outcome counters in-engine.
-        for mode in REPLAY_MODES:
-            rep = _replay(img, path, mode,
+        for engine in ENGINES:
+            rep = _replay(img, path, engine,
                           **{k: v for k, v in opt_kw.items()
                              if k not in ("inject", "checkpoint_every")})
-            assert _fingerprint(rep) == want, mode
+            assert _fingerprint(rep) == want, engine
             stats = rep.stats()["replay"]
-            assert stats["divergences"] == 0, mode
-            assert stats["events_consumed"] == stats["log_events"], mode
+            assert stats["divergences"] == 0, engine
+            assert stats["events_consumed"] == stats["log_events"], engine
         return rec
     finally:
         if os.path.exists(path):
@@ -333,8 +326,8 @@ class TestCheckpointRestore:
         path = str(tmp_path / "ckpt.rrlog")
         rec = _record(img, path, checkpoint_every=500, thread_timeslice=300)
         assert rec.stats()["replay"]["checkpoints"] > 0
-        for mode in ("pygen", "perf"):
-            rep = _replay(img, path, mode, thread_timeslice=300)
+        for engine in ("pygen", "chained"):
+            rep = _replay(img, path, engine, thread_timeslice=300)
             stats = rep.stats()["replay"]
             assert stats["checkpoints_verified"] == \
                 rec.stats()["replay"]["checkpoints"]
@@ -410,7 +403,7 @@ xl:     dec  r1
         ret
 """)
         with pytest.raises(ReplayDivergence) as exc_info:
-            _replay(other, path, "closures")
+            _replay(other, path, "paper")
         err = exc_info.value
         assert err.index >= 0
         assert "event #" in str(err)
@@ -434,4 +427,4 @@ xl:     dec  r1
                 break
         log.save(path)
         with pytest.raises(ReplayDivergence):
-            _replay(img, path, "closures")
+            _replay(img, path, "paper")

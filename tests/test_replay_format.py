@@ -377,7 +377,7 @@ def test_record_is_stable_across_hash_seeds(tmp_path):
         out = str(tmp_path / f"seed{seed}.rrlog")
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.path.abspath(src_dir))
-        env.pop("REPRO_CODEGEN", None)
+        env.pop("REPRO_ENGINE", None)
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "--tool=none",
              f"--record={out}", "--thread-timeslice=300",

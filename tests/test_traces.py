@@ -136,7 +136,7 @@ class TestRecordingAndStitching:
     def test_accounting_identical_to_block_tiers(self):
         img = asm_image(NESTED_LOOP_SRC)
         rows = {}
-        for mode in ("closures", "pygen", "traces"):
+        for mode in CODEGEN_MODES:
             r = vg(img, "none", codegen=mode, trace_threshold=5,
                    stats_format="json")
             s = r.stats()

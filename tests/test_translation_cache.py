@@ -17,11 +17,12 @@ from repro import api
 from repro import opt as _opt
 from repro.backend import hostisa as _hostisa
 from repro.core import translate as _translate
+from repro.core.codegen import CODEGEN_MODES
 from repro.core import traces as _traces
 from repro.frontend import spec as _spec
 from repro.tools.nulgrind import Nulgrind
 
-from .helpers import asm_image, native, vg
+from .helpers import TRACE_THRESHOLD, asm_image, native, vg
 
 #: A Memcheck error (a branch on an uninitialised stack word), heap
 #: traffic and a hot call loop whose chain the trace tier stitches.
@@ -96,10 +97,12 @@ def observe(res):
 
 class TestSecondRunHits:
     @pytest.mark.parametrize("tool", ["none", "memcheck"])
-    @pytest.mark.parametrize("codegen", ["closures", "pygen", "traces"])
+    @pytest.mark.parametrize("codegen", CODEGEN_MODES)
     def test_second_run_is_all_hits_and_identical(self, tool, codegen):
-        first = run(tool=tool, codegen=codegen, trace_threshold=5)
-        second = run(tool=tool, codegen=codegen, trace_threshold=5)
+        first = run(tool=tool, codegen=codegen,
+                    trace_threshold=TRACE_THRESHOLD)
+        second = run(tool=tool, codegen=codegen,
+                     trace_threshold=TRACE_THRESHOLD)
         assert tier(first)["hits"] == 0
         assert tier(first)["misses"] == first.stats()["translations_made"]
         made = second.stats()["translations_made"]
@@ -208,7 +211,7 @@ class TestEngineHooks:
                  if "JIT failure for block" in line],
                 res.stats()["robustness"]["quarantined_blocks"])
 
-    @pytest.mark.parametrize("codegen", ["closures", "pygen"])
+    @pytest.mark.parametrize("codegen", CODEGEN_MODES)
     def test_injected_isel_failure_fires_on_a_hit(self, codegen):
         """``--inject=isel@1`` quarantines the same block whether its
         translation is fresh or a memory-tier hit."""
@@ -281,12 +284,12 @@ class TestSharedPayload:
         """Traced runs read the resident code and stats of every member;
         a run that splices them (its builds miss) must not mutate
         either."""
-        run(codegen="traces", trace_threshold=5)
+        run(codegen="traces", trace_threshold=TRACE_THRESHOLD)
         shared = residents()
         assert shared
         before = [pickle.dumps((r.code, r.ranges, r.stats)) for r in shared]
         _traces._BUILD_CACHE.clear()
-        res = run(codegen="traces", trace_threshold=5)
+        res = run(codegen="traces", trace_threshold=TRACE_THRESHOLD)
         assert tier(res)["hits"] == res.stats()["translations_made"]
         assert res.stats()["traces"]["stitched"] > 0
         assert [pickle.dumps((r.code, r.ranges, r.stats))
