@@ -60,11 +60,6 @@ core options:
   --stats=none|json            print run statistics to stderr (default: none)
   --stats-out=<file>           write the stats JSON to a file instead
                                ({{job}}/{{attempt}} expand under fleet)
-  --precise-faults=yes|no      roll guest state to the exact faulting
-                               instruction before delivering a signal
-                               (default: yes)
-  --signal-poll=<blocks>       async-signal latency bound for chained
-                               execution (default: 100 blocks)
   --inject=<spec>              seeded fault injection, e.g.
                                mmap-enomem@3,eintr:0.05,seed=7
   --record=<file>              record every nondeterministic decision into

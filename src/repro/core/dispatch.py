@@ -9,7 +9,9 @@ not exist at all, control returns to the scheduler to make one.
 
 The dispatcher also causes control to fall back to the scheduler every
 few thousand translation executions so the scheduler can check for thread
-switches and pending signals.
+switches and pending signals.  Between those returns it polls for pending
+asynchronous signals every :data:`SIGNAL_POLL_BLOCKS` blocks, so a chained
+run cannot outrun a timer or a kill by a whole quantum.
 
 Optional *chaining* (linking, ``--chaining=yes``) patches a translation to
 jump straight to its successor, avoiding the look-up entirely; the real
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from ..guest.regs import GUEST_STATE_SIZE, OFFSET_PC
+from ..guest.regs import OFFSET_PC
 from ..ir.stmt import JumpKind
 from ..kernel.memory import GuestFault
 from .options import Options
@@ -41,6 +43,9 @@ _RET = JumpKind.Ret.value
 _CHAIN_SLOT = {_BORING: "chain_next", _CALL: "chain_call", _RET: "chain_ret"}
 #: Aligned-slot index of the guest PC in a ThreadState's u32 view.
 _PC_IDX = OFFSET_PC // 4
+#: Blocks a dispatch run executes between polls for pending asynchronous
+#: signals: the bound on how late a timer or kill is observed.
+SIGNAL_POLL_BLOCKS = 100
 
 
 @dataclass
@@ -69,39 +74,38 @@ class Dispatcher:
         transtab: TranslationTable,
         hostcpu,
         options: Options,
-        smc_recheck: Optional[Callable[[Translation], bool]] = None,
+        *,
+        smc_recheck: Callable[[Translation], bool],
+        fault_recover: Callable,
+        signals_pending: Callable[[], bool],
+        attach_runner: Callable,
+        traces=None,
     ):
         self.transtab = transtab
         self.hostcpu = hostcpu
         self.options = options
         self.smc_recheck = smc_recheck
-        #: Codegen tiering (set by the scheduler): called with a
-        #: translation whose compiled_fn is None on its first execution,
-        #: compiles it for its starting tier and returns the runner.
-        self.attach_runner: Optional[Callable] = None
-        #: Trace tier (set by the scheduler under --codegen=traces):
-        #: a TraceManager whose ``on_block`` hook records hot successor
-        #: chains.  Compiled traces hang off their head Translation's
-        #: ``trace`` attribute, so the per-block probe is free for
-        #: untraced blocks.
-        self.traces = None
+        #: Precise synchronous faults: called with (ts, entry-snapshot,
+        #: translation or trace, exception) when a GuestFault or
+        #: ZeroDivisionError escapes a runner; rolls the state to the
+        #: exact faulting instruction boundary and returns (SigInfo,
+        #: completed guest insns).
+        self.fault_recover = fault_recover
+        #: Async-signal poll: did a signal become pending?
+        self.signals_pending = signals_pending
+        #: Codegen tiering: called with a translation whose compiled_fn
+        #: is None on its first execution, compiles it for its starting
+        #: tier and returns the runner (unused under --codegen=closures).
+        self.attach_runner = attach_runner
+        #: Trace tier (--codegen=traces): a TraceManager whose
+        #: ``on_block`` hook records hot successor chains.  Compiled
+        #: traces hang off their head Translation's ``trace`` attribute,
+        #: so the per-block probe is free for untraced blocks.
+        self.traces = traces
         self._tiered = options.codegen != "closures"
         size = options.dispatch_cache_size
         self._mask = size - 1
         self._cache: list = [None] * size
-        #: Precise synchronous faults: snapshot the architected state
-        #: before each block so an escaping GuestFault/ZeroDivisionError
-        #: can be rolled to the exact faulting instruction boundary.
-        self._precise = options.precise_faults
-        #: Recovery hook (set by the scheduler): called with
-        #: (ts, entry-snapshot, translation, exception), commits the
-        #: precise state and returns (SigInfo, completed guest insns).
-        self.fault_recover: Optional[Callable] = None
-        #: Async-signal latency: polled every ``signal_poll_interval``
-        #: blocks so a chained run cannot outrun a pending signal by more
-        #: than that many blocks (set by the scheduler).
-        self.signals_pending: Optional[Callable[[], bool]] = None
-        self._poll = max(1, options.signal_poll_interval)
         #: Record/replay checkpointing: when set, the loop returns
         #: ("insns", n) at the first block boundary where the cumulative
         #: guest instruction count reaches this value (set per dispatch
@@ -145,55 +149,59 @@ class Dispatcher:
         quantum = self.options.dispatch_quantum
         if max_blocks is not None:
             quantum = min(quantum, max_blocks)
-        precise = self._precise and self.fault_recover is not None
-        sig_poll = self.signals_pending
-        next_poll = self._poll
+        # One block budget: the nearer of the quantum's end and the next
+        # signal poll, re-armed after each poll.
+        limit = min(quantum, SIGNAL_POLL_BLOCKS)
         stop = self.stop_at_insns
         tm = self.traces
-        # Per-block counters accumulate in locals and are flushed to the
-        # instance before every exit and signal poll (timer delivery reads
-        # ``guest_insns`` from inside the poll callback).
-        n = 0
-        gi = 0
-        flushed = 0
+        # Blocks, guest insns, fast hits and chain follows accumulate in
+        # locals, flushed at each poll (timer delivery reads
+        # ``guest_insns`` from inside the poll callback) and at the exit.
+        n = gi = fast = chained = flushed = 0
         u32 = ts.u32
         arch = ts.arch
         # Chaining: (translation, slot) to link once the next translation
         # is resolved through a look-up.  Always None with chaining off.
         pend: Optional[Tuple[Translation, str]] = None
         t: Optional[Translation] = None
-        while n < quantum:
+        while True:
+            if n >= limit:
+                if n >= quantum:
+                    stats.quantum_expiries += 1
+                    reason, payload = "quantum", None
+                    break
+                # A chained run can execute a whole quantum without
+                # touching the scheduler; poll so an async signal (timer,
+                # kill) is seen within SIGNAL_POLL_BLOCKS blocks.  A
+                # checkpoint due at this block is taken first.
+                if stop is None or self.guest_insns + gi < stop:
+                    stats.blocks_executed += n - flushed
+                    flushed = n
+                    self.guest_insns += gi
+                    stats.fast_hits += fast
+                    stats.chained += chained
+                    gi = fast = chained = 0
+                    if self.signals_pending():
+                        reason, payload = "signals", n
+                        break
+                    limit = min(quantum, n + SIGNAL_POLL_BLOCKS)
             if stop is not None and self.guest_insns + gi >= stop:
-                stats.blocks_executed += n - flushed
-                self.guest_insns += gi
-                return ("insns", n)
-            # A chained run can execute an entire quantum without touching
-            # the scheduler; poll so an async signal (timer, kill) is
-            # observed within ``signal_poll_interval`` blocks.
-            if sig_poll is not None and n >= next_poll:
-                next_poll = n + self._poll
-                stats.blocks_executed += n - flushed
-                flushed = n
-                self.guest_insns += gi
-                gi = 0
-                if sig_poll():
-                    return ("signals", n)
+                reason, payload = "insns", n
+                break
             if t is None:
                 pc = u32[_PC_IDX] if u32 is not None else ts.pc
                 idx = (pc >> 1) & mask
-                cand = cache[idx]
-                if cand is not None and cand.guest_addr == pc and not cand.dead:
-                    t = cand
-                    stats.fast_hits += 1
+                t = cache[idx]
+                if t is not None and t.guest_addr == pc and not t.dead:
+                    fast += 1
                 else:
                     # Fast look-up failed: search the full table (this
                     # is the "scheduler" slow path of Section 3.9).
                     t = transtab.lookup(pc)
                     if t is None:
                         stats.misses += 1
-                        stats.blocks_executed += n - flushed
-                        self.guest_insns += gi
-                        return ("translate", pc)
+                        reason, payload = "translate", pc
+                        break
                     cache[idx] = t
                     stats.slow_hits += 1
                 if pend is not None:
@@ -206,93 +214,67 @@ class Dispatcher:
                     pend = None
             # Trace tier: a compiled superblock headed at this block runs
             # whole member chains in one call; the probe is one attribute
-            # check on the translation already in hand.  Entry is
-            # conservative — near a quantum, poll or insn-stop boundary
-            # the block tier runs instead, so trace runs never cross an
-            # accounting boundary the block tier would have observed.
-            if t.trace is not None:
-                tr = t.trace
-                if (
-                    not tr.dead
-                    and n + tr.n_blocks <= quantum
-                    and (sig_poll is None or n + tr.n_blocks <= next_poll)
-                    and (stop is None
-                         or self.guest_insns + gi + tr.total_insns <= stop)
-                ):
-                    if tm.active:
-                        tm.flush_recording()
-                    fn = tr.compiled_fn
-                    hostcpu.trace_blocks = 0
-                    if precise:
-                        snap = bytes(arch)
-                        try:
-                            jk, icnt = fn(ts)
-                        except (GuestFault, ZeroDivisionError) as exc:
-                            stats.blocks_executed += (
-                                n + hostcpu.trace_blocks + 1 - flushed)
-                            self.guest_insns += gi
-                            si, ricnt = self.fault_recover(ts, snap, tr, exc)
-                            self.guest_insns += ricnt
-                            return ("fault", si)
-                    else:
-                        jk, icnt = fn(ts)
-                    nb = hostcpu.trace_blocks + 1
-                    n += nb
-                    gi += icnt
-                    tm.runs += 1
-                    tm.blocks_retired += nb
-                    tm.insns_retired += icnt
-                    tr.runs += 1
-                    tr.blocks += nb
-                    if icnt != tr.total_insns:
-                        tm.note_side_exit(tr)
-                    if jk != _BORING:
-                        if jk == _CALL:
-                            ts.push_call(hostcpu.mem.load32(ts.sp), ts.pc)
-                        elif jk == _RET:
-                            ts.pop_ret(u32[_PC_IDX] if u32 is not None
-                                       else ts.pc)
-                        else:
-                            stats.blocks_executed += n - flushed
-                            self.guest_insns += gi
-                            return ("jumpkind", jk)
-                    t = None
-                    continue
-            if t.smc_checked and smc_recheck is not None and not smc_recheck(t):
-                stats.smc_flushes += 1
-                stats.blocks_executed += n - flushed
-                self.guest_insns += gi
-                return ("smc", t)
-            # Every tier but the closure tier runs through compiled_fn;
-            # closure-tier blocks run their closure list directly, with
-            # no runner call wrapped around it.
-            fn = t.compiled_fn
-            if fn is None:
-                if attach is not None:
-                    fn = attach(t)
-                elif t.compiled is None:
-                    t.compiled = hostcpu.compile(t.code)
-            if precise:
-                snap = bytes(arch)
-                try:
-                    if fn is not None:
-                        jk, icnt = fn(ts)
-                    else:
-                        jk, icnt = hostcpu.run(t.compiled, ts)
-                except (GuestFault, ZeroDivisionError) as exc:
-                    stats.blocks_executed += n + 1 - flushed
-                    self.guest_insns += gi
-                    si, ricnt = self.fault_recover(ts, snap, t, exc)
-                    self.guest_insns += ricnt
-                    return ("fault", si)
-            elif fn is not None:
-                jk, icnt = fn(ts)
+            # load on the translation already in hand.  Entry is
+            # conservative — a trace that would cross the block budget or
+            # the insn stop leaves the block tier to run instead, so
+            # trace runs never skip a boundary the block tier observes.
+            tr = t.trace
+            if tr is not None and (
+                tr.dead
+                or n + tr.n_blocks > limit
+                or (stop is not None
+                    and self.guest_insns + gi + tr.total_insns > stop)
+            ):
+                tr = None
+            if tr is not None:
+                if tm.active:
+                    tm.flush_recording()
+                fn = tr.compiled_fn
+                hostcpu.trace_blocks = 0
             else:
-                jk, icnt = hostcpu.run(t.compiled, ts)
-            n += 1
+                if t.smc_checked and not smc_recheck(t):
+                    stats.smc_flushes += 1
+                    reason, payload = "smc", t
+                    break
+                # Every tier but the closure tier runs through
+                # compiled_fn; closure-tier blocks run their closure list
+                # directly, with no runner call wrapped around it.
+                fn = t.compiled_fn
+                if fn is None:
+                    if attach is not None:
+                        fn = attach(t)
+                    elif t.compiled is None:
+                        t.compiled = hostcpu.compile(t.code)
+            snap = bytes(arch)
+            try:
+                if fn is None:
+                    jk, icnt = hostcpu.run(t.compiled, ts)
+                else:
+                    jk, icnt = fn(ts)
+            except (GuestFault, ZeroDivisionError) as exc:
+                n += 1 if tr is None else hostcpu.trace_blocks + 1
+                si, ricnt = self.fault_recover(
+                    ts, snap, t if tr is None else tr, exc)
+                gi += ricnt
+                reason, payload = "fault", si
+                break
+            if tr is not None:
+                # The member the run reached (TRACEMARK) counts its
+                # blocks exactly, side exits included.
+                nb = hostcpu.trace_blocks + 1
+                tm.runs += 1
+                tm.blocks_retired += nb
+                tm.insns_retired += icnt
+                tr.runs += 1
+                tr.blocks += nb
+                if icnt != tr.total_insns:
+                    tm.note_side_exit(tr)
+            else:
+                nb = 1
+                if tm is not None and tm.active:
+                    tm.on_block(t, jk)
+            n += nb
             gi += icnt
-            if tm is not None and tm.active:
-                tm.on_block(t, jk)
             if jk != _BORING:
                 if jk == _CALL:
                     # Shadow call stack for stack traces: the return
@@ -301,10 +283,9 @@ class Dispatcher:
                 elif jk == _RET:
                     ts.pop_ret(u32[_PC_IDX] if u32 is not None else ts.pc)
                 else:
-                    stats.blocks_executed += n - flushed
-                    self.guest_insns += gi
-                    return ("jumpkind", jk)
-            if chaining:
+                    reason, payload = "jumpkind", jk
+                    break
+            if chaining and tr is None:
                 # Follow the link for this exit kind, bypassing the
                 # look-up; an empty slot is linked to whatever the next
                 # look-up resolves.
@@ -315,11 +296,12 @@ class Dispatcher:
                 elif not nxt.dead and nxt.guest_addr == (
                     u32[_PC_IDX] if u32 is not None else ts.pc
                 ):
-                    stats.chained += 1
+                    chained += 1
                     t = nxt
                     continue
             t = None
-        stats.quantum_expiries += 1
         stats.blocks_executed += n - flushed
         self.guest_insns += gi
-        return ("quantum", None)
+        stats.fast_hits += fast
+        stats.chained += chained
+        return reason, payload

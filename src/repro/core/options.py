@@ -104,7 +104,7 @@ class Options:
     #: traces tier recording threshold: executions of a block before the
     #: dispatcher records the successor chain starting there as a trace.
     trace_threshold: int = 50
-    #: Maximum member blocks stitched into one trace.
+    #: Maximum member blocks spliced into one trace.
     max_trace_blocks: int = 8
     #: Run-statistics report format: "none" or "json" (--stats=json).
     stats_format: str = "none"
@@ -112,12 +112,6 @@ class Options:
     #: the per-job output channel for concurrent fleet workers
     #: (--stats=json alone keeps printing to stderr).
     stats_out: Optional[str] = None
-    #: Precise synchronous faults: roll guest state to the exact faulting
-    #: instruction boundary before delivering SIGSEGV/SIGFPE/SIGILL.
-    precise_faults: bool = True
-    #: How many blocks a dispatch/chained run may execute between checks
-    #: for pending asynchronous signals (timer latency bound).
-    signal_poll_interval: int = 100
     #: Fault-injection plan (``--inject=mmap-enomem@3,eintr:0.05,seed=7``);
     #: None disables injection entirely.
     inject: Optional[str] = None
@@ -135,8 +129,6 @@ class Options:
     checkpoint_every: int = 0
     #: Resume execution from the last checkpoint in this log file.
     restore: Optional[str] = None
-    #: Run the IR sanity checker between translation phases.
-    sanity_level: int = 1
     #: Enable intra-block self-loop unrolling in opt1.
     unroll: bool = True
     #: Disable opt1 / opt2 (for the optimisation-ablation bench).
@@ -217,7 +209,6 @@ class Options:
         "opt1": "opt1",
         "opt2": "opt2",
         "trace-translations": "trace_translations",
-        "precise-faults": "precise_faults",
         "memcheck-fastpath": "memcheck_fastpath",
     }
 
@@ -267,8 +258,6 @@ class Options:
             self.max_trace_blocks = n
         elif name == "thread-timeslice":
             self.thread_timeslice = int(value, 0)
-        elif name == "sanity-level":
-            self.sanity_level = int(value, 0)
         elif name == "log-file":
             self.log_target = value
         elif name == "log-fd":
@@ -284,11 +273,6 @@ class Options:
             if n < 1:
                 raise BadOption("--cache-max-mb must be >= 1")
             self.cache_max_mb = n
-        elif name == "signal-poll":
-            n = int(value, 0)
-            if n < 1:
-                raise BadOption("--signal-poll must be >= 1")
-            self.signal_poll_interval = n
         elif name == "inject":
             from .faultinject import BadInjectSpec, FaultInjector
 

@@ -442,9 +442,9 @@ class EventLog:
 #: semantics).  Codegen tier, chaining and cache sizes are deliberately
 #: absent — replay across those is the whole point.
 CONTRACT_KEYS = (
-    "smc_check", "precise_faults", "dispatch_quantum", "thread_timeslice",
-    "signal_poll_interval", "transtab_entries", "transtab_policy",
-    "stack_size", "unroll", "opt1", "opt2", "max_stackframe",
+    "smc_check", "dispatch_quantum", "thread_timeslice", "transtab_entries",
+    "transtab_policy", "stack_size", "unroll", "opt1", "opt2",
+    "max_stackframe",
 )
 
 

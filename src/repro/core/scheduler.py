@@ -370,12 +370,6 @@ class Scheduler:
                     # find it here).
                     self.hostcpu.codecache = self.codecache
                     self.translator.cache = self.codecache
-        self.dispatcher = Dispatcher(
-            self.transtab, self.hostcpu, options, smc_recheck=self.smc.recheck
-        )
-        self.dispatcher.fault_recover = self._recover_fault
-        self.dispatcher.signals_pending = self._signals_pending
-        self.dispatcher.attach_runner = self.codegen.attach
         #: Trace tier (--codegen=traces): the manager records hot chains
         #: and splices them into compiled superblocks; traces live off
         #: the translation table, severed through its on_kill hook.
@@ -398,13 +392,20 @@ class Scheduler:
             # Severed heads get their counting wrapper back so they can
             # prove themselves hot again over retranslated neighbours.
             self.traces.rewrap = self.codegen._wrap_trace_counting
-            self.dispatcher.traces = self.traces
             self.transtab.on_kill = self.traces.on_translation_dead
             if VG_TRACE_CALL not in helpers:
                 helpers.register_dirty(VG_TRACE_CALL, vg_trace_call)
                 helpers.register_dirty(VG_TRACE_RET, vg_trace_ret)
         else:
             self.traces = None
+        self.dispatcher = Dispatcher(
+            self.transtab, self.hostcpu, options,
+            smc_recheck=self.smc.recheck,
+            fault_recover=self._recover_fault,
+            signals_pending=self._signals_pending,
+            attach_runner=self.codegen.attach,
+            traces=self.traces,
+        )
         self.wrappers = SyscallWrappers(
             events, kernel, self, on_code_unmapped=self._on_code_unmapped,
             injector=self.injector, rr=self.rr,
@@ -874,8 +875,9 @@ class Scheduler:
                 try:
                     reason, payload = self.dispatcher.run(ts, max_blocks=slice_left)
                 except (GuestFault, ZeroDivisionError) as exc:
-                    # Backstop (e.g. --precise-faults=no): classify the
-                    # fault from the exception at the current state.
+                    # Backstop for a fault raised outside a runner call
+                    # (the dispatcher recovers those precisely): classify
+                    # it from the exception at the current state.
                     si = self._siginfo_for(exc, ts.pc)
                     self.post_fault(tid, si.sig, si)
                     continue

@@ -284,7 +284,7 @@ class TraceManager:
         # Counters (reported under --stats=json as the "traces" section).
         self.traces_built = 0
         #: Builds that spliced member code (a build-key miss).
-        self.stitched = 0
+        self.spliced = 0
         self.compile_failures = 0
         self.recordings_aborted = 0
         self.demotions = 0
@@ -430,7 +430,7 @@ class TraceManager:
     def _splice(self, members: List[Translation]) -> BuildOutcome:
         """Splice *members*' host code into one trace, truncating at the
         first seam no plan proves, and assemble it."""
-        self.stitched += 1
+        self.spliced += 1
         out: List[HInsn] = []
         total = 0  # guest insns of the members spliced so far
         for j, m in enumerate(members):
@@ -507,7 +507,7 @@ class TraceManager:
             "trace_threshold": self.options.trace_threshold,
             "max_trace_blocks": self.max_blocks,
             "traces_built": self.traces_built,
-            "stitched": self.stitched,
+            "spliced": self.spliced,
             "live_traces": len(self.traces),
             "compile_failures": self.compile_failures,
             "recordings_aborted": self.recordings_aborted,

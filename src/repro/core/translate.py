@@ -349,8 +349,6 @@ class Translator:
         stats.guest_insns = sum(1 for s in sb.stmts if isinstance(s, IMark))
         stats.stmts_disasm = sb.num_real_stmts()
         ranges = _imark_ranges(sb)
-        if opts.sanity_level >= 2:
-            validate(sb)
 
         # Phase 2: optimisation 1 (includes flattening).
         if opts.opt1:
@@ -360,16 +358,14 @@ class Translator:
 
             sb = flatten(sb)
         stats.stmts_opt1 = sb.num_real_stmts()
-        if opts.sanity_level >= 1:
-            validate(sb, flat=True)
+        validate(sb, flat=True)
 
         # Phase 3: instrumentation, performed by the tool.
         sb = self.tool.instrument(sb)
         if self.track_stack_events:
             sb = add_sp_tracking(sb)
         stats.stmts_instrumented = sb.num_real_stmts()
-        if opts.sanity_level >= 1:
-            validate(sb, flat=True)
+        validate(sb, flat=True)
 
         # Phase 4: optimisation 2.
         if opts.opt2:
@@ -385,8 +381,6 @@ class Translator:
 
         # Phase 5: tree building.
         tree = build_trees(sb)
-        if opts.sanity_level >= 2:
-            validate(tree)
 
         # Phase 6: instruction selection.
         if self.fail_hook is not None:
@@ -486,8 +480,7 @@ class Translator:
             sb = add_sp_tracking(sb)
         if opts.opt2:
             sb = optimise2(sb, spec_helper=vx32_spec_helper)
-        if opts.sanity_level >= 1:
-            validate(sb, flat=True)
+        validate(sb, flat=True)
         return sb
 
     def translate_interp(self, addr: int) -> Translation:

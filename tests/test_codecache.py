@@ -166,7 +166,7 @@ class TestWarmEqualsCold:
             assert cache["trace_hits"] > 0
             assert cache["trace_misses"] == 0
             assert cache["bytes_written"] == 0
-            assert warm.stats()["traces"]["stitched"] == 0
+            assert warm.stats()["traces"]["spliced"] == 0
             assert trace_set(warm) == trace_set(cold)
 
     def test_nocache_equals_cached(self, tmp_path):
@@ -219,7 +219,7 @@ class TestTraceBuildKeys:
         drop_in_memory_caches()
         cold = run_traced(tmp_path)
         assert cold.stats()["traces"]["traces_built"] > 0
-        assert cold.stats()["traces"]["stitched"] > 0
+        assert cold.stats()["traces"]["spliced"] > 0
         drop_in_memory_caches()
         warm = run_traced(tmp_path)
         assert_same_run(cold, warm)
@@ -254,11 +254,11 @@ class TestTraceBuildKeys:
         assert_same_run(first, run_traced(None))
         c = first.stats()["cache"]
         assert c["misses"] == 0 and c["trace_misses"] > 0
-        assert first.stats()["traces"]["stitched"] > 0
+        assert first.stats()["traces"]["spliced"] > 0
         drop_in_memory_caches()
         second = run_traced(tmp_path)
         assert second.stats()["cache"]["trace_misses"] == 0
-        assert second.stats()["traces"]["stitched"] == 0
+        assert second.stats()["traces"]["spliced"] == 0
         assert trace_set(second) == trace_set(first)
 
     def test_build_key_reads_addresses_and_code_only(self):
@@ -312,7 +312,7 @@ class TestTraceBuildKeys:
         c = warm.stats()["cache"]
         assert c["hits"] == 0
         assert c["trace_hits"] > 0 and c["trace_misses"] == 0
-        assert warm.stats()["traces"]["stitched"] == 0
+        assert warm.stats()["traces"]["spliced"] == 0
         assert trace_set(warm) == trace_set(cold)
 
     def test_changed_member_gets_a_new_key(self, tmp_path):
@@ -328,7 +328,7 @@ class TestTraceBuildKeys:
         assert_same_run(changed, run_traced(None, src=other))
         c = changed.stats()["cache"]
         assert c["misses"] > 0 and c["trace_misses"] > 0
-        assert changed.stats()["traces"]["stitched"] > 0
+        assert changed.stats()["traces"]["spliced"] > 0
         assert set(_traces._BUILD_CACHE) - old_keys
 
     @pytest.mark.parametrize("at", [0, 1], ids=["unstitchable",
@@ -361,7 +361,7 @@ class TestTraceBuildKeys:
         assert_same_run(cold, warm)
         c = warm.stats()["cache"]
         assert c["trace_hits"] > 0 and c["trace_misses"] == 0
-        assert warm.stats()["traces"]["stitched"] == 0
+        assert warm.stats()["traces"]["spliced"] == 0
         assert (warm.stats()["traces"]["recordings_aborted"]
                 == cold.stats()["traces"]["recordings_aborted"])
         assert trace_set(warm) == trace_set(cold)

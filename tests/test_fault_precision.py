@@ -8,6 +8,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Options, run_tool
+from repro.core.dispatch import SIGNAL_POLL_BLOCKS
 from repro.core.engines import ENGINES
 from repro.core.errors import ExitCode
 from repro.kernel.kernel import SIGFPE, SIGILL, SIGKILL, SIGSEGV, SIGTERM
@@ -253,11 +254,7 @@ handler:
 
 
 class TestSignalLatencyPerf:
-    def test_alarm_observed_mid_quantum_under_chaining(self):
-        # A self-chaining wait loop must not outrun a pending SIGALRM by a
-        # whole dispatch quantum: the poll hook bounds the latency to
-        # --signal-poll blocks.
-        src = """
+    WAIT_SRC = """
         .text
 main:   movi r0, 11
         movi r1, 14
@@ -278,17 +275,32 @@ handler:
         .data
 flag:   .word 0
 """
-        res = run_tool(
-            "none", asm_image(src),
-            options=Options(log_target="capture", chaining=True,
-                            dispatch_quantum=10**6, thread_timeslice=10**6),
+
+    @staticmethod
+    def _wait(quantum, **engine):
+        return run_tool(
+            "none", asm_image(TestSignalLatencyPerf.WAIT_SRC),
+            options=Options(log_target="capture", dispatch_quantum=quantum,
+                            thread_timeslice=10**6, **engine),
             max_blocks=200_000,
         )
+
+    @pytest.mark.parametrize("name", list(ENGINES))
+    def test_alarm_observed_within_one_poll(self, name):
+        # A wait loop must not outrun a pending SIGALRM by a whole
+        # dispatch quantum: the dispatcher polls every SIGNAL_POLL_BLOCKS
+        # blocks, and on the fast engine the loop runs as a trace that
+        # must not cross a poll.  A one-block quantum returns to the
+        # scheduler before every block, so its run counts the blocks
+        # until the alarm is due plus those of the handler and the exit.
+        ref = self._wait(1)
+        assert ref.exit_code == 0, ref.outcome
+        assert ref.outcome.blocks_executed > 1000  # ~1700 wait blocks
+        res = self._wait(10**6, **engine_options(name))
         assert res.exit_code == 0, res.outcome
         assert res.outcome.stopped_reason is None
-        # ~1700 wait-loop blocks until the timer is due, observed within
-        # one poll interval; far below the quantum (and the budget).
-        assert res.outcome.blocks_executed < 50_000
+        assert (res.outcome.blocks_executed
+                <= ref.outcome.blocks_executed + SIGNAL_POLL_BLOCKS)
 
 
 class TestCleanStops:

@@ -295,3 +295,8 @@ class TestOptions:
 
     def test_unknown_is_reported_not_raised(self):
         assert Options().set("--frobnicate=1") is False
+        # Deleted knobs: faults are always precise, the signal poll is
+        # the dispatcher's SIGNAL_POLL_BLOCKS and the IR checks are fixed.
+        for gone in ("--precise-faults=no", "--signal-poll=5",
+                     "--sanity-level=2"):
+            assert Options().set(gone) is False

@@ -291,7 +291,7 @@ class TestSharedPayload:
         _traces._BUILD_CACHE.clear()
         res = run(codegen="traces", trace_threshold=TRACE_THRESHOLD)
         assert tier(res)["hits"] == res.stats()["translations_made"]
-        assert res.stats()["traces"]["stitched"] > 0
+        assert res.stats()["traces"]["spliced"] > 0
         assert [pickle.dumps((r.code, r.ranges, r.stats))
                 for r in shared] == before
 
