@@ -80,13 +80,13 @@ def _run_suite():
                 "guest_insns": res.outcome.guest_insns,
             }
             if engine == "traces":
-                tm = res.core.scheduler.traces
-                cell["traces_built"] = tm.traces_built
-                cell["trace_runs"] = tm.runs
-                cell["side_exits"] = tm.side_exits
+                tm = res.core.scheduler.traces.stats_dict()
+                cell["traces_built"] = tm["traces_built"]
+                cell["trace_runs"] = tm["runs"]
+                cell["side_exits"] = tm["side_exits"]
                 # Fraction of all retired blocks that came from traces.
                 cell["trace_block_coverage"] = (
-                    tm.blocks_retired / res.outcome.blocks_executed
+                    tm["blocks_retired"] / res.outcome.blocks_executed
                     if res.outcome.blocks_executed else 0.0
                 )
             row[engine] = cell

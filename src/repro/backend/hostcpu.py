@@ -2,9 +2,10 @@
 
 Executes *assembled* translations (the byte strings Phase 8 produces and
 the translation table stores).  Each translation's bytes are decoded and
-compiled into a list of Python closures once, then cached on the
-translation, so repeated executions — the overwhelmingly common case —
-pay only the closure-dispatch cost.
+compiled once, into a list of Python closures wrapped in a block runner
+that the translation keeps as its ``compiled_fn`` (see core.codegen), so
+repeated executions — the overwhelmingly common case — pay only the
+closure-dispatch cost.
 
 Guest faults (unmapped/forbidden memory, division by zero) propagate as
 exceptions; the scheduler turns them into guest signals.  The ThreadState
@@ -14,7 +15,7 @@ can trust ``ts.pc``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..guest.regs import CALL_SAVE_BASE, SPILL_AREA_BASE, SPILL_SLOT_SIZE
 from ..ir.helpers import HelperRegistry
@@ -46,7 +47,6 @@ from .hostisa import (
     STG,
     STM,
     Slot,
-    TRACEMARK,
     UN,
     decode_insns,
 )
@@ -64,16 +64,17 @@ class HostCPU:
         self.ir: List[int] = [0] * NUM_REGS[RC.INT]
         self.fr: List[float] = [0.0] * NUM_REGS[RC.FLT]
         self.vr: List[int] = [0] * NUM_REGS[RC.VEC]
-        #: Current thread's state, set by run().
+        #: Current thread's state, set by each closure-tier runner.
         self.ts = None
         #: Total host instructions executed (a deterministic cost metric).
         self.host_insns = 0
         #: Guest instructions (IMarks) completed by the most recent exit;
-        #: set by the SIDEEXIT/RET closures, read back by run().
+        #: set by the SIDEEXIT/RET closures, read back by the runner.
         self._exit_icnt = 0
         #: Index of the member block the current trace-tier execution has
-        #: reached (set by TRACEMARK); the dispatcher reads it back to
-        #: account completed blocks exactly on trace faults/side exits.
+        #: reached (set by a TRACEMARK in the trace's pygen code); the
+        #: dispatcher reads it back to account completed blocks exactly
+        #: on trace faults/side exits.
         self.trace_blocks = 0
         #: Content-addressed pygen-tier cache (see repro.backend.pygen):
         #: host code bytes -> one shared specialized-function runner.
@@ -396,14 +397,6 @@ class HostCPU:
                 return None
 
             return run
-        if isinstance(insn, TRACEMARK):
-            idx = insn.index
-
-            def run():
-                cpu.trace_blocks = idx
-                return None
-
-            return run
         if isinstance(insn, SETPCI):
             dst = insn.dst
 
@@ -470,41 +463,29 @@ class HostCPU:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(
-        self, compiled: Sequence[Callable[[], Optional[str]]], ts
-    ) -> Tuple[str, int]:
-        """Execute one compiled translation.
-
-        Returns ``(jump-kind, guest_insns)`` where *guest_insns* is the
-        exact number of guest instructions (IMarks) the execution
-        completed — exact even on side exits.
-        """
-        self.ts = ts
-        self._exit_icnt = 0
-        i = 0
-        n = len(compiled)
-        while i < n:
-            r = compiled[i]()
-            i += 1
-            if r is not None:
-                self.host_insns += i
-                return r, self._exit_icnt
-        self.host_insns += n
-        raise RuntimeError("translation fell off the end (missing RET)")
-
     def compile_fn(self, code: bytes) -> Callable:
         """Compile assembled bytes into a closure-tier block runner.
 
         The runner has the signature every tier's
         ``Translation.compiled_fn`` shares,
-        ``runner(ts) -> (jump-kind, guest_insns)``, and is exactly
-        ``run(compile(code), ts)``.
+        ``runner(ts) -> (jump-kind, guest_insns)``, where *guest_insns*
+        is the exact number of guest instructions (IMarks) the execution
+        completed — exact even on side exits.
         """
         compiled = self.compile(code)
-        run = self.run
 
-        def runner(ts):
-            return run(compiled, ts)
+        def runner(ts, _cpu=self, _code=compiled, _n=len(compiled)):
+            _cpu.ts = ts
+            _cpu._exit_icnt = 0
+            i = 0
+            while i < _n:
+                r = _code[i]()
+                i += 1
+                if r is not None:
+                    _cpu.host_insns += i
+                    return r, _cpu._exit_icnt
+            _cpu.host_insns += _n
+            raise RuntimeError("translation fell off the end (missing RET)")
 
         return runner
 

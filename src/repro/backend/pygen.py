@@ -50,8 +50,9 @@ What the emitted function does differently from the closure tier
   a helper cannot observe, and the CALL_SAVE frame area has no readers.
 
 ``host_insns`` accounting and the returned ``(jump-kind, guest_insns)``
-exits are identical to :meth:`repro.backend.hostcpu.HostCPU.run`, so the
-tiers are interchangeable mid-run.
+exits are identical to the closure tier's runner
+(:meth:`repro.backend.hostcpu.HostCPU.compile_fn`), so the tiers are
+interchangeable mid-run.
 """
 
 from __future__ import annotations

@@ -2,26 +2,30 @@
 
 Three executable tiers share one runner signature
 (``fn(ts) -> (jump-kind, guest_insns)``) and one storage slot
-(``Translation.compiled_fn``), so transtab eviction, SMC flushes and
-chain severing work identically whichever tier a block is in:
+(``Translation.compiled_fn``).  :meth:`CodegenTiers.attach` is the only
+place a translation gets its runner, on its first execution, and it
+records the tier in ``Translation.tier``; so the dispatcher enters every
+block the same way, and transtab eviction, SMC flushes and chain
+severing work identically whichever tier a block is in:
 
-=========  ==================================================  ============================
-tier       what executes                                        compiled by
-=========  ==================================================  ============================
-closures   per-insn closure list via ``HostCPU.run``            ``compile`` / ``compile_fn``
-pygen      specialized function: locals + batched writeback     ``compile_pygen``
-interp     IR interpreter (JIT-failure quarantine)              ``translate_interp``
-=========  ==================================================  ============================
+=========  =============================================  ========================
+tier       what executes                                  runner built by
+=========  =============================================  ========================
+closures   per-insn closure list, looped by the runner    ``compile_fn``
+pygen      specialized function: locals + batched         ``compile_pygen``
+           writeback
+interp     IR interpreter over ``Translation.irsb``       ``make_interp_runner``
+           (JIT-failure quarantine)
+=========  =============================================  ========================
 
-``--codegen=closures`` (default) is the paper's engine: the dispatcher
-compiles each block's closure list itself (``compile``) on first
-execution and runs it without a runner wrapped around it; ``compile_fn``
-wraps the same list as a runner for pygen blocks demoted to this tier.
-``--codegen=pygen`` compiles every block to the pygen tier on its *first
-execution*, so blocks that never run never compile (``live_blocks``
-counts them as ``pending``).  ``--codegen=traces`` does the same and
-additionally splices hot chains of pygen blocks into superblocks
-(:mod:`repro.core.traces`).
+``--codegen=closures`` (default) is the paper's engine: every block runs
+in the closure tier.  ``--codegen=pygen`` compiles every block to the
+pygen tier instead.  ``--codegen=traces`` does the same and additionally
+splices hot chains of pygen blocks into superblocks
+(:mod:`repro.core.traces`).  In every mode a block compiles on its first
+execution, so blocks that never run never compile (``live_blocks``
+counts them as ``pending``), and a quarantined block (one
+``translate_interp`` made after a JIT failure) runs in the interp tier.
 
 A pygen compile failure (real or ``--inject=pygen@N``) *demotes* the
 block to the closure tier and is counted; it never escapes as a host
@@ -84,9 +88,17 @@ class CodegenTiers:
     # -- first-execution hook (the dispatcher's attach_runner) --------------------
 
     def attach(self, t):
-        """Give *t* a ``compiled_fn`` for its starting tier; returns it."""
-        if not self._try_pygen(t):
-            self._attach_closures(t)
+        """Give *t* the ``compiled_fn`` of its tier; returns it."""
+        if t.irsb is not None:
+            # Imported here: options imports this module for
+            # CODEGEN_MODES, and translate imports options.
+            from .translate import make_interp_runner
+
+            cpu = self.hostcpu
+            self._install(t, "interp", make_interp_runner, t.irsb,
+                          cpu.helpers, cpu.env, cpu.mem)
+        elif self.mode == "closures" or not self._try_pygen(t):
+            self._install(t, "closures", self.hostcpu.compile_fn, t.code)
         elif self.traces is not None:
             self._wrap_trace_counting(t)
         return t.compiled_fn
@@ -118,41 +130,29 @@ class CodegenTiers:
 
         t.compiled_fn = fn
 
-    def note_interp(self, t) -> None:
-        """Record a quarantined (IR-interpreter) translation."""
-        t.tier = "interp"
-        self.stats.tier_attaches["interp"] += 1
-
     # -- tiers -------------------------------------------------------------------
+
+    def _install(self, t, tier: str, build: Callable, *args) -> None:
+        """Make *t*'s runner with ``build(*args)`` and enter it in *tier*."""
+        t0 = time.perf_counter()
+        t.compiled_fn = build(*args)
+        self.stats.compile_seconds[tier] += time.perf_counter() - t0
+        t.tier = tier
+        self.stats.tier_attaches[tier] += 1
 
     def _try_pygen(self, t) -> bool:
         """Compile *t* to the pygen tier; on any failure (including an
-        injected one) demote and return False."""
+        injected one) count a demotion and return False."""
         try:
             if self.injector is not None:
                 self.injector.pygen_failure(t.guest_addr)
-            t0 = time.perf_counter()
-            fn = self.hostcpu.compile_pygen(t.code)
-            self.stats.compile_seconds["pygen"] += time.perf_counter() - t0
+            self._install(t, "pygen", self.hostcpu.compile_pygen, t.code)
         except Exception as exc:
-            t.pygen_failed = True
             self.stats.demotions += 1
             if self.on_demote is not None:
                 self.on_demote(t, exc)
             return False
-        t.tier = "pygen"
-        self.stats.tier_attaches["pygen"] += 1
-        t.compiled_fn = fn
         return True
-
-    def _attach_closures(self, t) -> None:
-        """A demoted block's fallback: the closure tier, as a runner."""
-        t0 = time.perf_counter()
-        fn = self.hostcpu.compile_fn(t.code)
-        self.stats.compile_seconds["closures"] += time.perf_counter() - t0
-        t.tier = "closures"
-        self.stats.tier_attaches["closures"] += 1
-        t.compiled_fn = fn
 
     # -- reporting ---------------------------------------------------------------
 

@@ -93,16 +93,15 @@ class Dispatcher:
         self.fault_recover = fault_recover
         #: Async-signal poll: did a signal become pending?
         self.signals_pending = signals_pending
-        #: Codegen tiering: called with a translation whose compiled_fn
-        #: is None on its first execution, compiles it for its starting
-        #: tier and returns the runner (unused under --codegen=closures).
+        #: Codegen tiering (CodegenTiers.attach): called with a
+        #: translation whose compiled_fn is None on its first execution,
+        #: gives it its tier's runner and returns it.
         self.attach_runner = attach_runner
         #: Trace tier (--codegen=traces): a TraceManager whose
         #: ``on_block`` hook records hot successor chains.  Compiled
         #: traces hang off their head Translation's ``trace`` attribute,
         #: so the per-block probe is free for untraced blocks.
         self.traces = traces
-        self._tiered = options.codegen != "closures"
         size = options.dispatch_cache_size
         self._mask = size - 1
         self._cache: list = [None] * size
@@ -145,7 +144,7 @@ class Dispatcher:
         hostcpu = self.hostcpu
         chaining = self.options.chaining
         smc_recheck = self.smc_recheck
-        attach = self.attach_runner if self._tiered else None
+        attach = self.attach_runner
         quantum = self.options.dispatch_quantum
         if max_blocks is not None:
             quantum = min(quantum, max_blocks)
@@ -236,21 +235,12 @@ class Dispatcher:
                     stats.smc_flushes += 1
                     reason, payload = "smc", t
                     break
-                # Every tier but the closure tier runs through
-                # compiled_fn; closure-tier blocks run their closure list
-                # directly, with no runner call wrapped around it.
                 fn = t.compiled_fn
                 if fn is None:
-                    if attach is not None:
-                        fn = attach(t)
-                    elif t.compiled is None:
-                        t.compiled = hostcpu.compile(t.code)
+                    fn = attach(t)
             snap = bytes(arch)
             try:
-                if fn is None:
-                    jk, icnt = hostcpu.run(t.compiled, ts)
-                else:
-                    jk, icnt = fn(ts)
+                jk, icnt = fn(ts)
             except (GuestFault, ZeroDivisionError) as exc:
                 n += 1 if tr is None else hostcpu.trace_blocks + 1
                 si, ricnt = self.fault_recover(
@@ -260,13 +250,12 @@ class Dispatcher:
                 break
             if tr is not None:
                 # The member the run reached (TRACEMARK) counts its
-                # blocks exactly, side exits included.
+                # blocks exactly, side exits included; the trace tier's
+                # totals are summed from these when stats are read.
                 nb = hostcpu.trace_blocks + 1
-                tm.runs += 1
-                tm.blocks_retired += nb
-                tm.insns_retired += icnt
                 tr.runs += 1
                 tr.blocks += nb
+                tr.insns += icnt
                 if icnt != tr.total_insns:
                     tm.note_side_exit(tr)
             else:

@@ -539,7 +539,7 @@ def capture_snapshot(sched, current_tid: int, slice_left: int) -> dict:
         })
 
     translations = [
-        [t.guest_addr, bool(t.smc_checked), bool(t.quarantined), t.smc_hash]
+        [t.guest_addr, bool(t.smc_checked), t.irsb is not None, t.smc_hash]
         for t in sorted(sched.transtab.all_translations(),
                         key=lambda t: t.serial)
     ]

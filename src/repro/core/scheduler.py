@@ -56,7 +56,7 @@ from .replay import (
 from .smc import SmcPolicy
 from .syscalls import SyscallWrappers
 from .threadstate import ThreadState, ThreadStatus
-from .translate import SP_TRACK_HELPER, Translator, make_interp_runner
+from .translate import SP_TRACK_HELPER, Translator
 from .transtab import TranslationTable
 
 M32 = 0xFFFFFFFF
@@ -221,13 +221,6 @@ class RunOutcome:
     fault_info: Optional[SigInfo] = None
 
 
-#: Exit codes for guest-caused abnormal stops (timeout(1) convention).
-#: Kept as module-level ints for backward compatibility; the canonical
-#: definitions live in :class:`repro.core.errors.ExitCode`.
-EXIT_BLOCK_BUDGET = int(ExitCode.BLOCK_BUDGET)
-EXIT_DEADLOCK = int(ExitCode.DEADLOCK)
-
-
 class Scheduler:
     """Drives client execution for the Valgrind core."""
 
@@ -270,7 +263,6 @@ class Scheduler:
         #: Robustness counters (reported under --stats=json).
         self.quarantined_blocks = 0
         self.faults_recovered = 0
-        self.pygen_demotions = 0
         #: Optional embedding hook called with guest_insns at every
         #: dispatch-quantum / checkpoint boundary: the fleet supervisor's
         #: worker heartbeat (see core/supervisor.py).  A passive observer —
@@ -550,8 +542,8 @@ class Scheduler:
 
     def _on_pygen_demoted(self, t, exc) -> None:
         """A pygen-tier compile failed (real or injected): the block runs
-        in the closure tier instead.  Counted, logged, never fatal."""
-        self.pygen_demotions += 1
+        in the closure tier instead.  Logged (CodegenTiers counts it),
+        never fatal."""
         self.core.log(
             f"pygen compile failure for block at {t.guest_addr:#x} "
             f"({exc!r}); demoting to closure tier"
@@ -565,13 +557,6 @@ class Scheduler:
             f"({exc!r}); chain stays in the block tier"
         )
 
-    def _attach_interp_runner(self, t) -> None:
-        """Give *t* an interpreter-backed runner."""
-        t.compiled_fn = make_interp_runner(
-            t.irsb, self.hostcpu.helpers, self.env, self.memory
-        )
-        self.codegen.note_interp(t)
-
     def _quarantine_translation(self, addr: int, exc) -> Optional[object]:
         """Build an interpreter-executed translation for *addr* after an
         internal JIT failure; None if even that is impossible."""
@@ -581,7 +566,6 @@ class Scheduler:
         )
         try:
             t = self.translator.translate_interp(addr)
-            self._attach_interp_runner(t)
         except Exception:
             return None
         self.quarantined_blocks += 1
@@ -812,7 +796,7 @@ class Scheduler:
                         f"=={self.kernel.pid}== process deadlocked: "
                         "all client threads blocked; terminating"
                     )
-                    self._exit = ProcessExit(EXIT_DEADLOCK)
+                    self._exit = ProcessExit(int(ExitCode.DEADLOCK))
                     break
                 self._exit = ProcessExit(0)
                 break
@@ -846,7 +830,7 @@ class Scheduler:
                 if total_budget is not None:
                     if self.dispatcher.stats.blocks_executed >= total_budget:
                         self.stopped_reason = "block-budget"
-                        self._exit = ProcessExit(EXIT_BLOCK_BUDGET)
+                        self._exit = ProcessExit(int(ExitCode.BLOCK_BUDGET))
                         break
                 if rr is not None:
                     # One step per inner iteration, counted identically
@@ -1052,8 +1036,6 @@ class Scheduler:
                 try:
                     if quarantined:
                         t = self.translator.translate_interp(target)
-                        self._attach_interp_runner(t)
-                        t.tier = "interp"
                     else:
                         t = self.translator.translate(target)
                 except Exception:

@@ -207,7 +207,7 @@ class Trace:
 
     __slots__ = (
         "head_addr", "members", "ranges", "n_blocks", "code", "total_insns",
-        "compiled_fn", "dead", "stats", "runs", "blocks",
+        "compiled_fn", "dead", "stats", "runs", "blocks", "insns",
     )
 
     class _Stats:
@@ -228,11 +228,13 @@ class Trace:
         self.compiled_fn = compiled_fn
         self.dead = False
         self.stats = Trace._Stats(total_insns)
-        # Quality probation: the dispatcher tallies these and prunes
-        # traces whose runs mostly side-exit early (a mispredicted seam
-        # makes a trace *slower* than the block tier it shadows).
+        # The dispatcher tallies these per run.  Quality probation reads
+        # runs and blocks to prune traces whose runs mostly side-exit
+        # early (a mispredicted seam makes a trace *slower* than the
+        # block tier it shadows); the manager's stats sum all three.
         self.runs = 0
         self.blocks = 0
+        self.insns = 0
 
     @property
     def guest_addr(self) -> int:
@@ -270,6 +272,10 @@ class TraceManager:
             TRACE_BUILD_VERSION, _hostisa.HOSTISA_FORMAT_VERSION)
         #: Live traces by head guest address.
         self.traces: Dict[int, Trace] = {}
+        #: Every trace this run built, pruned and severed ones included:
+        #: the run's trace totals are its length and sums over their
+        #: counters.
+        self.built: List[Trace] = []
         #: id(member Translation) -> traces containing it (sever index).
         self._by_member: Dict[int, List[Trace]] = {}
         #: Head addresses whose next execution should start a recording.
@@ -282,17 +288,13 @@ class TraceManager:
         #: recording is requested or in progress.
         self.active = False
         # Counters (reported under --stats=json as the "traces" section).
-        self.traces_built = 0
         #: Builds that spliced member code (a build-key miss).
         self.spliced = 0
         self.compile_failures = 0
         self.recordings_aborted = 0
         self.demotions = 0
         self.pruned = 0
-        self.runs = 0
         self.side_exits = 0
-        self.insns_retired = 0
-        self.blocks_retired = 0
         self.compile_seconds = 0.0
 
     # -- recording ---------------------------------------------------------
@@ -306,10 +308,11 @@ class TraceManager:
 
     def _eligible(self, t: Translation) -> bool:
         # SMC-checked blocks re-verify their bytes before every run; a
-        # trace cannot, so they never join one.  Quarantined blocks have
-        # no JITable code; pygen_failed blocks already proved the back
-        # end chokes on them.
-        return not (t.dead or t.smc_checked or t.quarantined or t.pygen_failed)
+        # trace cannot, so they never join one.  Only pygen-tier blocks
+        # do: quarantined (interp) blocks have no JITable code, and a
+        # block demoted to the closure tier already proved the back end
+        # chokes on it.
+        return t.tier == "pygen" and not (t.dead or t.smc_checked)
 
     def on_block(self, t: Translation, jk: str) -> None:
         """Dispatcher hook: translation *t* just executed, leaving with
@@ -371,10 +374,10 @@ class TraceManager:
             head.trace_failed = True
             return
         self.traces[head.guest_addr] = tr
+        self.built.append(tr)
         head.trace = tr
         for mid in {id(m) for m in tr.members}:
             self._by_member.setdefault(mid, []).append(tr)
-        self.traces_built += 1
 
     # -- splicing ----------------------------------------------------------
 
@@ -503,20 +506,21 @@ class TraceManager:
     # -- reporting ---------------------------------------------------------
 
     def stats_dict(self) -> dict:
+        built = self.built
         return {
             "trace_threshold": self.options.trace_threshold,
             "max_trace_blocks": self.max_blocks,
-            "traces_built": self.traces_built,
+            "traces_built": len(built),
             "spliced": self.spliced,
             "live_traces": len(self.traces),
             "compile_failures": self.compile_failures,
             "recordings_aborted": self.recordings_aborted,
             "demotions": self.demotions,
             "pruned": self.pruned,
-            "runs": self.runs,
+            "runs": sum(tr.runs for tr in built),
             "side_exits": self.side_exits,
-            "blocks_retired": self.blocks_retired,
-            "insns_retired": self.insns_retired,
+            "blocks_retired": sum(tr.blocks for tr in built),
+            "insns_retired": sum(tr.insns for tr in built),
             "compile_seconds": self.compile_seconds,
             "build_cache": {
                 **_BUILD_CACHE_STATS,

@@ -93,10 +93,8 @@ class Translation:
     #: (None when SMC checking is off for this translation).
     smc_hash: Optional[int] = None
     stats: TranslationStats = field(default_factory=TranslationStats)
-    #: Host closures, compiled lazily by the dispatcher (closure tier).
-    compiled: Optional[list] = None
-    #: The block runner ``fn(ts) -> (jump-kind, guest_insns)`` of every
-    #: other tier, attached on first execution (see core.codegen).
+    #: The block runner ``fn(ts) -> (jump-kind, guest_insns)``, attached
+    #: on first execution by the tier in ``tier`` (see core.codegen).
     compiled_fn: Optional[object] = None
     #: Chaining: the first successor observed after a Boring exit.
     chain_next: Optional["Translation"] = None
@@ -113,17 +111,13 @@ class Translation:
     #: True if the SMC hash must be re-checked before every execution
     #: (Section 3.16: by default, only translations of on-stack code).
     smc_checked: bool = False
-    #: True if the JIT back-end failed for this block and it executes
-    #: through the IR interpreter instead (graceful degradation).
-    quarantined: bool = False
-    #: Codegen tier this block currently executes in ("closures",
-    #: "pygen", "interp"); None until first attached (see core.codegen).
+    #: Codegen tier this block executes in ("closures", "pygen",
+    #: "interp"); None until first attached (see core.codegen).  A
+    #: block whose pygen compile failed stays in "closures", never
+    #: retried.
     tier: Optional[str] = None
     #: Executions counted towards --trace-threshold (core.codegen).
     exec_count: int = 0
-    #: True if a pygen compile failed for this block (real or injected):
-    #: it stays demoted in the closure tier, never retried.
-    pygen_failed: bool = False
     #: True if building a trace headed at this block failed: the block
     #: stays in the pygen tier and is never re-recorded (core.traces).
     trace_failed: bool = False
@@ -132,8 +126,9 @@ class Translation:
     #: resolved, so the non-trace fast path pays no map lookup
     #: (core.traces maintains this on build / sever / prune).
     trace: Optional[object] = None
-    #: The instrumented flat IR of a quarantined translation (the
-    #: interpreter runner executes it directly); None otherwise.
+    #: The instrumented flat IR of a quarantined translation — the JIT
+    #: back end failed for this block, so the interp tier executes this
+    #: IR directly (graceful degradation); None otherwise.
     irsb: Optional[IRSB] = None
 
     @property
@@ -526,7 +521,6 @@ class Translator:
             ranges=ranges,
             smc_hash=smc_hash,
             stats=stats,
-            quarantined=True,
             irsb=sb,
         )
 
@@ -539,12 +533,8 @@ def make_interp_runner(sb: IRSB, helpers, env, mem):
     translations plug into the dispatch loop unchanged.
     """
     from ..ir.interp import IRInterpreter
-    from ..ir.stmt import Exit, NoOp, Store, WrTmp
 
-    interp = IRInterpreter(helpers, env)
-    stmts = sb.stmts
-    jk_final = sb.jumpkind.value
-    nxt_expr = sb.next
+    run_block = IRInterpreter(helpers, env).run_block
     M32 = 0xFFFFFFFF
 
     class _State:
@@ -566,39 +556,9 @@ def make_interp_runner(sb: IRSB, helpers, env, mem):
             mem.store(addr & M32, ty, value)
 
     def runner(ts):
-        state = _State(ts)
-        ev = interp.eval_expr
-        tmps: dict = {}
-        icnt = 0
-        for s in stmts:
-            cls = s.__class__
-            if cls is WrTmp:
-                tmps[s.tmp] = ev(s.data, tmps, state)
-            elif cls is IMark:
-                icnt += 1
-            elif cls is Put:
-                state.put(s.offset, sb.type_of(s.data), ev(s.data, tmps, state))
-            elif cls is Store:
-                a = ev(s.addr, tmps, state)
-                state.store(a, sb.type_of(s.data), ev(s.data, tmps, state))
-            elif cls is Exit:
-                if ev(s.guard, tmps, state):
-                    ts.pc = s.dst & M32
-                    return (s.jumpkind.value, icnt)
-            elif cls is Dirty:
-                if s.guard is not None and not ev(s.guard, tmps, state):
-                    continue
-                h = interp.helpers.lookup(s.callee)
-                args = [ev(a, tmps, state) for a in s.args]
-                ret = h.fn(*args) if h.pure else h.fn(interp.env, *args)
-                if s.tmp is not None:
-                    tmps[s.tmp] = ret
-            elif cls is NoOp:
-                continue
-            else:  # pragma: no cover
-                raise RuntimeError(f"cannot interpret {s!r}")
-        ts.pc = ev(nxt_expr, tmps, state) & M32
-        return (jk_final, icnt)
+        nxt, jk, icnt = run_block(sb, _State(ts))
+        ts.pc = nxt & M32
+        return jk.value, icnt
 
     return runner
 

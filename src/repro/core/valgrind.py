@@ -168,7 +168,7 @@ class Valgrind:
             "robustness": {
                 "quarantined_blocks": sched.quarantined_blocks,
                 "faults_recovered": sched.faults_recovered,
-                "pygen_demotions": sched.pygen_demotions,
+                "pygen_demotions": sched.codegen.stats.demotions,
                 "stopped_reason": sched.stopped_reason,
                 "injection": sched.injector.stats() if sched.injector else None,
             },

@@ -57,10 +57,6 @@ class ByteState:
         self.mem[addr : addr + ty.size] = to_bytes(ty, value)
 
 
-class BlockResult(Tuple[int, JumpKind]):
-    """(next guest address, jump kind) of a completed block."""
-
-
 class IRInterpreter:
     """Executes IR superblocks against a guest-state/memory environment."""
 
@@ -105,11 +101,19 @@ class IRInterpreter:
 
     # -- block execution -----------------------------------------------------
 
-    def run_block(self, sb: IRSB, state: GuestStateAccess) -> Tuple[int, JumpKind]:
-        """Execute *sb*; return (next guest address, jump kind)."""
+    def run_block(
+        self, sb: IRSB, state: GuestStateAccess
+    ) -> Tuple[int, JumpKind, int]:
+        """Execute *sb*; return (next guest address, jump kind, IMarks
+        reached) — the last counts the guest instructions the execution
+        completed, a taken side exit's own instruction included."""
         tmps: Dict[int, object] = {}
+        icnt = 0
         for s in sb.stmts:
-            if isinstance(s, (NoOp, IMark)):
+            if isinstance(s, IMark):
+                icnt += 1
+                continue
+            if isinstance(s, NoOp):
                 continue
             if isinstance(s, WrTmp):
                 tmps[s.tmp] = self.eval_expr(s.data, tmps, state)
@@ -122,7 +126,7 @@ class IRInterpreter:
                 state.store(addr, ty, self.eval_expr(s.data, tmps, state))
             elif isinstance(s, Exit):
                 if self.eval_expr(s.guard, tmps, state):
-                    return s.dst, s.jumpkind
+                    return s.dst, s.jumpkind, icnt
             elif isinstance(s, Dirty):
                 if s.guard is not None and not self.eval_expr(s.guard, tmps, state):
                     continue
@@ -134,4 +138,4 @@ class IRInterpreter:
             else:
                 raise RuntimeError(f"cannot execute {s!r}")
         nxt = self.eval_expr(sb.next, tmps, state)
-        return nxt, sb.jumpkind
+        return nxt, sb.jumpkind, icnt

@@ -242,11 +242,6 @@ class Kernel:
         """Queue *sig* for thread *tid* (with optional fault details)."""
         self.pending.setdefault(tid, deque()).append((sig, siginfo))
 
-    def next_pending(self, tid: int) -> Optional[int]:
-        """Pop the next pending signal number (compatibility helper)."""
-        entry = self.next_pending_info(tid)
-        return None if entry is None else entry[0]
-
     def next_pending_info(self, tid: int) -> Optional[Tuple[int, Optional[SigInfo]]]:
         """Pop the next pending (signal, siginfo) pair for *tid*."""
         q = self.pending.get(tid)

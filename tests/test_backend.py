@@ -105,7 +105,7 @@ def _run_code(code, helpers=None, state_init=None, mem=None):
         for off, ty, v in state_init:
             ts.put(off, ty, v)
     cpu = HostCPU(mem, helpers or HelperRegistry(), env=object())
-    jk, _icnt = cpu.run(cpu.compile(code), ts)
+    jk, _icnt = cpu.compile_fn(code)(ts)
     return ts, jk, cpu
 
 

@@ -125,7 +125,7 @@ def rewrite_p_entries(cache_dir, blob_fn):
 def trace_set(res):
     """The live traces of a run: head, member addresses and sizes."""
     mgr = res.core.scheduler.traces
-    return (mgr.traces_built, {
+    return (len(mgr.built), {
         (head, tuple(m.guest_addr for m in tr.members), tr.n_blocks,
          tr.total_insns)
         for head, tr in mgr.traces.items()

@@ -20,6 +20,7 @@ from repro.backend.hostcpu import HostCPU
 from repro.backend.hostisa import LDG, LDM, LI, RC, RET, SETPCI, STG, Reg
 from repro.backend.pygen import emit_pygen
 from repro.core.codegen import CODEGEN_MODES, TIERS
+from repro.core.engines import ENGINES
 from repro.core.options import BadOption
 from repro.guest.regs import GUEST_STATE_SIZE
 from repro.ir.types import Ty
@@ -141,6 +142,33 @@ class TestLazyCompilation:
         # Each block that ran compiled once; the pending one never did.
         assert cg["tier_attaches"]["pygen"] == live["pygen"] >= 1
 
+    @pytest.mark.parametrize("engine", [
+        name for name, e in ENGINES.items() if e.codegen == "closures"])
+    def test_closure_tier_attaches_on_first_execution(self, engine,
+                                                      monkeypatch):
+        # The closure tier attaches through CodegenTiers like every
+        # other tier: each translation that ran (compiled once, on its
+        # first execution) counts under closures, not as pending.
+        compiled = []
+        real_compile = HostCPU.compile
+
+        def counting_compile(self, code):
+            compiled.append(code)
+            return real_compile(self, code)
+
+        monkeypatch.setattr(HostCPU, "compile", counting_compile)
+        res = run_tool(
+            "none", asm_image(HOT_LOOP_SRC),
+            options=Options(log_target="capture", **ENGINES[engine].options),
+            max_blocks=3,
+        )
+        cg = res.core.stats_dict(res.outcome)["codegen"]
+        assert len(compiled) >= 1
+        assert cg["tier_attaches"]["closures"] == len(compiled)
+        live = cg["live_blocks"]
+        assert set(live) == {"closures", "pending"}
+        assert live["closures"] == len(compiled)
+
 
 class TestInjectedDemotion:
     def test_single_demotion_counted_and_logged(self):
@@ -162,7 +190,7 @@ class TestInjectedDemotion:
                      inject="pygen:1.0,seed=1")
         assert res.exit_code == 0
         tab = res.core.scheduler.transtab
-        demoted = [t for t in tab.all_translations() if t.pygen_failed]
+        demoted = [t for t in tab.all_translations() if t.tier == "closures"]
         assert demoted
         inj = res.stats()["robustness"]["injection"]["pygen"]
         # Each block consults the injector at most once.

@@ -15,6 +15,7 @@ from repro.ir import (
     IRFlatnessError,
     IRInterpreter,
     IRTypeError,
+    IMark,
     ITE,
     JumpKind,
     Load,
@@ -133,9 +134,9 @@ class TestInterpreter:
         ]
         st = ByteState()
         st.put(0, Ty.I32, 7)
-        nxt, jk = IRInterpreter().run_block(sb, st)
+        nxt, jk, icnt = IRInterpreter().run_block(sb, st)
         assert st.get(4, Ty.I32) == 21
-        assert (nxt, jk) == (0x1004, JumpKind.Boring)
+        assert (nxt, jk, icnt) == (0x1004, JumpKind.Boring, 0)
 
     def test_memory(self):
         sb = _block()
@@ -150,11 +151,14 @@ class TestInterpreter:
         assert st.get(0, Ty.I32) == 0xDEAD
 
     def test_exit_taken_and_not_taken(self):
-        for guard, want in ((1, 0x2000), (0, 0x1004)):
+        # The IMark count includes a taken exit's own instruction and
+        # stops there.
+        for guard, want in ((1, (0x2000, 1)), (0, (0x1004, 2))):
             sb = _block()
-            sb.stmts = [Exit(c1(guard), 0x2000, JumpKind.Boring)]
-            nxt, _ = IRInterpreter().run_block(sb, ByteState())
-            assert nxt == want
+            sb.stmts = [IMark(0x1000, 2), Exit(c1(guard), 0x2000, JumpKind.Boring),
+                        IMark(0x1002, 2)]
+            nxt, _, icnt = IRInterpreter().run_block(sb, ByteState())
+            assert (nxt, icnt) == want
 
     def test_ite_laziness(self):
         # The untaken branch is not evaluated (no spurious division etc.),

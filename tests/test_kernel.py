@@ -275,9 +275,9 @@ class TestKernelSyscalls:
         k.syscall(eng, 1, SYS_ALARM, 500, 0, 0)
         assert not k.check_timers(1400)
         assert k.check_timers(1500)
-        assert k.next_pending(1) == SIGALRM
+        assert k.next_pending_info(1) == (SIGALRM, None)
         k.syscall(eng, 1, SYS_KILL, 2, 9, 0)
-        assert k.next_pending(2) == 9
+        assert k.next_pending_info(2) == (9, None)
 
     def test_unknown_syscall_returns_einval(self):
         k, _, eng = self._kernel()
