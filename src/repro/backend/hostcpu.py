@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional
 from ..guest.regs import CALL_SAVE_BASE, SPILL_AREA_BASE, SPILL_SLOT_SIZE
 from ..ir.helpers import HelperRegistry
 from ..ir.ops import get_op
-from ..ir.types import Ty
 from ..ir.values import from_bytes, to_bytes
 from ..kernel.memory import GuestMemory
 from .isel import MC_LOADV_SIZES, MC_STOREV_SIZES

@@ -6,7 +6,7 @@ uses virtual registers; the linear-scan allocator assigns real ones.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..ir.block import IRSB
 from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop

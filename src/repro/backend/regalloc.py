@@ -14,7 +14,7 @@ paper shows the effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..guest.regs import NUM_SPILL_SLOTS

@@ -10,10 +10,9 @@ it does not handle FP or SIMD code at all.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..guest.isa import Imm, Mem, Reg
-from ..guest.refcpu import RefCPU
+from ..guest.isa import Reg
 from ..tools.memcheck.shadow import ShadowMemory
 from .framework import CATool, InsInfo, TraceControl
 

@@ -24,10 +24,10 @@ The consequences the paper describes fall out naturally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..guest.isa import Cond, FReg, Imm, Insn, Mem, Reg, VReg
+from ..guest.isa import Insn, Mem, Reg
 from ..guest.refcpu import RefCPU, TrapKind, _ea
 from ..guest.program import VxImage
 from ..native import NativeRunner, NativeResult

@@ -9,7 +9,7 @@ notionally loads at.  Tools use it for guest-visible scratch storage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..kernel.memory import GuestMemory, PAGE_SIZE, PROT_RW
 

@@ -13,8 +13,6 @@ Core request codes live in the 0x1000 range; tools claim their own ranges
 
 from __future__ import annotations
 
-from typing import List
-
 # -- core request codes ---------------------------------------------------------
 
 RUNNING_ON_VALGRIND = 0x1001

@@ -80,7 +80,6 @@ import os
 import pickle
 import re
 import types
-import zlib
 from typing import Callable, Dict, Optional, Tuple
 
 #: On-disk format version: bump whenever entry layout, the pickled
@@ -261,11 +260,11 @@ class CodeCache:
         """Return a verified entry dict for *addr*, or None.
 
         Verification re-fetches the guest bytes over the entry's stored
-        ranges and compares digests, then recomputes the SMC CRC from
-        those same bytes — so a hit can never disagree with what a cold
-        translation of the current memory image would have seen.  The
-        bytes themselves come back as ``guest`` (the memory tier keeps
-        them to verify its own hits).
+        ranges and compares digests — so a hit can never disagree with
+        what a cold translation of the current memory image would have
+        seen.  The bytes themselves come back as ``guest``: the
+        translator takes the SMC CRC of them, and the memory tier keeps
+        them to verify its own hits.
         """
         d = self._t_dir(ctx)
         for name in tuple(self._t_index[d].get(addr, ())):
@@ -294,7 +293,6 @@ class CodeCache:
             self._touch(path)
             obj["ranges"] = ranges
             obj["guest"] = raw
-            obj["smc_crc"] = zlib.crc32(raw)
             return obj
         self.stats.misses += 1
         return None

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 

@@ -24,7 +24,6 @@ R7     new_mem_stack, die_mem_stack                instrumentation of SP changes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: event name -> (requirement, trigger description, callback signature)
@@ -69,9 +68,6 @@ class EventRegistry:
     def callback(self, name: str) -> Optional[Callable]:
         return self._callbacks[name]
 
-    def is_tracked(self, name: str) -> bool:
-        return self._callbacks[name] is not None
-
     def fire(self, name: str, *args) -> None:
         cb = self._callbacks[name]
         if cb is not None:
@@ -84,9 +80,6 @@ class EventRegistry:
             self._callbacks["new_mem_stack"] is not None
             or self._callbacks["die_mem_stack"] is not None
         )
-
-    def tracked_events(self) -> List[str]:
-        return [n for n, cb in self._callbacks.items() if cb is not None]
 
     def table1(self) -> List[Tuple[str, str, str, str]]:
         """Regenerate Table 1: (req, event, trigger, tool callback name)."""

@@ -34,8 +34,8 @@ bit-identical to builds without this module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 
 class InjectedJitError(Exception):

@@ -39,16 +39,9 @@ class FunctionRedirector:
         """Make calls/jumps to *from_addr* execute the code at *to_addr*."""
         self._guest_redirects[from_addr] = to_addr
 
-    def unredirect_guest(self, from_addr: int) -> None:
-        self._guest_redirects.pop(from_addr, None)
-
     def resolve(self, addr: int) -> int:
         """Translation-time hook: where should code for *addr* come from?"""
         return self._guest_redirects.get(addr, addr)
-
-    @property
-    def has_guest_redirects(self) -> bool:
-        return bool(self._guest_redirects)
 
     # -- libc (lcall) wrapping -------------------------------------------------------
 

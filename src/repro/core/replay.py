@@ -476,8 +476,8 @@ def capture_snapshot(sched, current_tid: int, slice_left: int) -> dict:
     """Capture the full architected state of a run at a block boundary.
 
     Tier-independent by construction: only guest-visible state and the
-    serial-ordered translation *list* (addresses + SMC metadata, never
-    compiled artifacts) are recorded.
+    translation *list* in the table's eviction order (addresses + SMC
+    metadata, never compiled artifacts) are recorded.
     """
     kernel = sched.kernel
     mem = sched.memory
@@ -540,8 +540,7 @@ def capture_snapshot(sched, current_tid: int, slice_left: int) -> dict:
 
     translations = [
         [t.guest_addr, bool(t.smc_checked), t.irsb is not None, t.smc_hash]
-        for t in sorted(sched.transtab.all_translations(),
-                        key=lambda t: t.serial)
+        for t in sched.transtab.all_translations()
     ]
 
     injector = None
@@ -700,9 +699,9 @@ def apply_snapshot(sched, snap: dict) -> None:
             entry["name"], data, pos=entry["pos"], flags=entry["flags"]
         )
 
-    # Rebuild the translation table in original serial order, so the
-    # post-restore lookup/translate sequence matches the original run's
-    # warm-cache behaviour.
+    # Rebuild the translation table in its recorded eviction order, so
+    # the post-restore lookup/translate sequence matches the original
+    # run's warm-cache behaviour.
     sched._restore_translations(snap["translations"])
 
     # Counters last: retranslation above must not perturb them.

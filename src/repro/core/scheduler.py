@@ -19,7 +19,7 @@ client requests, and manages threads and signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..backend.hostcpu import HostCPU
@@ -1024,7 +1024,7 @@ class Scheduler:
 
     def _restore_translations(self, entries) -> None:
         """Rebuild the translation table from snapshot entries in their
-        original serial order, so post-restore lookup/translate points
+        recorded eviction order, so post-restore lookup/translate points
         match the original run's warm caches."""
         saved_hook = self.translator.fail_hook
         self.translator.fail_hook = None

@@ -17,7 +17,7 @@ request (see :mod:`repro.core.clientreq`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .translate import Translation, hash_guest_ranges
 

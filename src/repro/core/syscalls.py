@@ -20,12 +20,12 @@ Wrappers also:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..guest.regs import gpr_offset
 from ..kernel import kernel as K
 from ..kernel.kernel import Kernel, SYSCALL_NAMES
-from ..kernel.memory import PAGE_SIZE, PROT_EXEC
+from ..kernel.memory import PAGE_SIZE
 from .allocator import CORE_REGION_BASE, CORE_REGION_END
 from .events import EventRegistry
 from .replay import RES_BLOCKED, RES_INJECTED, RES_NORMAL, RES_NO_RESULT

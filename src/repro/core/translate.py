@@ -102,12 +102,8 @@ class Translation:
     #: separate so call/return targets don't thrash the Boring link).
     chain_call: Optional["Translation"] = None
     chain_ret: Optional["Translation"] = None
-    #: Monotonic insertion number (set by the translation table; FIFO evict).
-    serial: int = 0
     #: Set when evicted/discarded, so stale chain pointers are not followed.
     dead: bool = False
-    #: Last-use counter (only maintained under the LRU ablation policy).
-    last_used: int = 0
     #: True if the SMC hash must be re-checked before every execution
     #: (Section 3.16: by default, only translations of on-stack code).
     smc_checked: bool = False
@@ -130,10 +126,6 @@ class Translation:
     #: back end failed for this block, so the interp tier executes this
     #: IR directly (graceful degradation); None otherwise.
     irsb: Optional[IRSB] = None
-
-    @property
-    def guest_len(self) -> int:
-        return sum(length for _, length in self.ranges)
 
     def covers(self, addr: int, size: int = 1) -> bool:
         return any(

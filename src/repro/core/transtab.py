@@ -1,11 +1,12 @@
 """Translation storage (Section 3.8) and the chaining registry.
 
-Translations are stored in the translation table, a fixed-size,
-linear-probe hash table.  If the table gets more than 80% full,
-translations are evicted in chunks, 1/8th of the table at a time, using a
-FIFO policy — chosen over LRU "because it is simpler and it still does a
-fairly good job".  Translations are also evicted when code is unloaded
-(munmap) or invalidated by self-modifying code.
+Translations are stored in the translation table.  The paper's is a
+fixed-size, linear-probe hash table; here it is a dict bounded by the
+same capacity, whose order is the eviction order.  If the table gets more
+than 80% full, translations are evicted in chunks, 1/8th of the table at
+a time, using a FIFO policy — chosen over LRU "because it is simpler and
+it still does a fairly good job".  Translations are also evicted when
+code is unloaded (munmap) or invalidated by self-modifying code.
 
 Chaining records every translation-to-translation link in a
 :class:`ChainRegistry`, so that when a translation dies — FIFO eviction,
@@ -20,7 +21,8 @@ re-adding it safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .translate import Translation
 
@@ -98,8 +100,13 @@ class ChainRegistry:
 
 
 class TranslationTable:
-    """Fixed-size linear-probe hash table of Translations, keyed by guest
-    address, with FIFO chunk eviction."""
+    """The live translations, keyed by guest address, in one dict bounded
+    by ``capacity`` and ordered oldest first, with chunk eviction.
+
+    The dict's order is the eviction order: insertion order under FIFO
+    (a replacing insert goes to the newest end), last-look-up order under
+    the LRU ablation.
+    """
 
     def __init__(self, entries: int = 32768, policy: str = "fifo"):
         if entries <= 0:
@@ -111,9 +118,8 @@ class TranslationTable:
         #: LRU... because it is simpler and it still does a fairly good
         #: job"; "lru" exists for the ablation bench.
         self.policy = policy
-        self._slots: List[Optional[Translation]] = [None] * entries
-        self._used = 0
-        self._next_serial = 0
+        #: guest address -> Translation, oldest first.
+        self._live: Dict[int, Translation] = {}
         self.stats = TransTabStats()
         #: Chain links into/out of stored translations; severed on death.
         self.chains = ChainRegistry()
@@ -137,127 +143,65 @@ class TranslationTable:
             self.on_kill(t)
 
     def __len__(self) -> int:
-        return self._used
+        return len(self._live)
 
     @property
     def load(self) -> float:
-        return self._used / self.capacity
-
-    def _probe(self, addr: int) -> Iterator[int]:
-        i = (addr * 2654435761) % self.capacity  # Knuth multiplicative hash
-        for _ in range(self.capacity):
-            yield i
-            i = (i + 1) % self.capacity
+        return len(self._live) / self.capacity
 
     def lookup(self, addr: int) -> Optional[Translation]:
         self.stats.lookups += 1
-        for i in self._probe(addr):
-            t = self._slots[i]
-            if t is None:
-                break
-            if t.guest_addr == addr:
-                if self.policy == "lru":
-                    t.last_used = self._next_serial
-                    self._next_serial += 1
-                return t
-        self.stats.misses += 1
-        return None
+        t = self._live.get(addr)
+        if t is None:
+            self.stats.misses += 1
+        elif self.policy == "lru":
+            self._live[addr] = self._live.pop(addr)  # now the newest
+        return t
 
     def insert(self, t: Translation, evict_ok: bool = True) -> None:
-        if evict_ok and self._used / self.capacity >= FULL_FRACTION:
+        if evict_ok and len(self._live) / self.capacity >= FULL_FRACTION:
             self._evict_chunk()
-        t.serial = self._next_serial
-        self._next_serial += 1
-        for i in self._probe(t.guest_addr):
-            slot = self._slots[i]
-            if slot is None:
-                self._slots[i] = t
-                self._used += 1
-                self.stats.inserts += 1
-                return
-            if slot.guest_addr == t.guest_addr:
-                self._kill(slot)  # replaced: no chain may reach it again
-                self._slots[i] = t
-                self.stats.inserts += 1
-                return
-        raise RuntimeError("translation table unexpectedly full")
+        old = self._live.pop(t.guest_addr, None)
+        if old is not None:
+            self._kill(old)  # replaced: no chain may reach it again
+        self._live[t.guest_addr] = t
+        self.stats.inserts += 1
 
     def evict_chunk(self) -> None:
         """Force one eviction round (fault injection / stress testing)."""
-        if self._used:
+        if self._live:
             self._evict_chunk()
 
     def _evict_chunk(self) -> None:
-        """Drop the oldest 1/8th of stored translations (FIFO by insertion
-        order, or LRU by last use when the ablation policy is selected)."""
+        """Drop the oldest 1/8th of the table: the first entries in FIFO
+        insertion order, or in LRU last-use order under the ablation."""
         self.stats.evict_rounds += 1
         n_goal = max(1, int(self.capacity * EVICT_FRACTION))
-        if self.policy == "lru":
-            live = sorted(
-                (t.last_used, i)
-                for i, t in enumerate(self._slots)
-                if t is not None
-            )
-        else:
-            live = sorted(
-                (t.serial, i) for i, t in enumerate(self._slots) if t is not None
-            )
-        count = len(live[:n_goal])
-        for _, i in live[:n_goal]:
-            self._kill(self._slots[i])
-            self._slots[i] = None
-            self._used -= 1
-            self.stats.evicted += 1
-        self._rehash()
+        victims = list(islice(self._live, n_goal))
+        for addr in victims:
+            self._kill(self._live.pop(addr))
+        self.stats.evicted += len(victims)
         if self.on_evict is not None:
-            self.on_evict(count)
-
-    def _rehash(self) -> None:
-        """Rebuild probe sequences after deletions (linear probing needs it)."""
-        entries = [t for t in self._slots if t is not None]
-        self._slots = [None] * self.capacity
-        self._used = 0
-        for t in entries:
-            for i in self._probe(t.guest_addr):
-                if self._slots[i] is None:
-                    self._slots[i] = t
-                    self._used += 1
-                    break
+            self.on_evict(len(victims))
 
     def discard(self, addr: int) -> bool:
         """Remove the translation starting at *addr*, if present."""
-        removed = False
-        for i in self._probe(addr):
-            t = self._slots[i]
-            if t is None:
-                break
-            if t.guest_addr == addr:
-                self._kill(t)
-                self._slots[i] = None
-                self._used -= 1
-                self.stats.discarded += 1
-                removed = True
-                break
-        if removed:
-            self._rehash()
-        return removed
+        t = self._live.pop(addr, None)
+        if t is None:
+            return False
+        self._kill(t)
+        self.stats.discarded += 1
+        return True
 
     def discard_range(self, addr: int, size: int) -> int:
         """Discard every translation covering [addr, addr+size) — used on
         munmap and for self-modifying code invalidation."""
-        victims = [
-            i
-            for i, t in enumerate(self._slots)
-            if t is not None and t.covers(addr, size)
-        ]
-        for i in victims:
-            self._kill(self._slots[i])
-            self._slots[i] = None
-            self._used -= 1
-            self.stats.discarded += 1
-        if victims:
-            self._rehash()
+        victims = [a for a, t in self._live.items() if t.covers(addr, size)]
+        for a in victims:
+            self._kill(self._live.pop(a))
+        self.stats.discarded += len(victims)
         return len(victims)
 
     def all_translations(self) -> List[Translation]:
-        return [t for t in self._slots if t is not None]
+        """The live translations, oldest (next to be evicted) first."""
+        return list(self._live.values())

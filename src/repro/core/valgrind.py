@@ -12,7 +12,7 @@ tool is in complete control from the client's first instruction.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from ..frontend.helpers import register_frontend_helpers

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..guest.encoding import DecodeError, decode
-from ..guest.isa import Imm, Insn, Mem, Reg
+from ..guest.isa import Imm, Mem, Reg
 from ..guest.regs import (
     CC_OP_ADD,
     CC_OP_COPY,
@@ -49,7 +49,6 @@ from ..ir.block import IRSB
 from ..ir.expr import (
     Binop,
     CCall,
-    Const,
     Expr,
     Get,
     ITE,

@@ -16,14 +16,13 @@ Instruction lengths therefore range from 1 byte (``nop``, ``ret``) to
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .isa import (
     Cond,
     FReg,
     Imm,
     Insn,
-    InsnDef,
     Mem,
     OpKind,
     Operand,

@@ -20,7 +20,7 @@ arguments rest on:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .regs import COND_NAMES, FREG_NAMES, GPR_NAMES, VREG_NAMES

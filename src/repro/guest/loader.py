@@ -15,7 +15,7 @@ creates through an ``announce`` callback so the core can fire
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..kernel.kernel import Kernel
 from ..kernel.memory import PAGE_SIZE, PROT_RW, PROT_RWX, prot_from_str

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..kernel.memory import GuestMemory
 from .encoding import DecodeError, decode
-from .isa import Cond, FReg, Imm, Insn, Mem, Reg, VReg
+from .isa import Imm, Insn, Mem, Reg
 from .regs import (
     CC_OP_ADD,
     CC_OP_COPY,

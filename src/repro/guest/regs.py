@@ -15,8 +15,6 @@ layout deliberately mirrors the offsets visible in the paper's figures:
 
 from __future__ import annotations
 
-from ..ir.types import Ty
-
 # -- integer registers -------------------------------------------------------
 
 NUM_GPRS = 8
@@ -106,10 +104,6 @@ def shadow(offset: int) -> int:
     if not 0 <= offset < GUEST_STATE_SIZE:
         raise ValueError(f"offset {offset} outside guest state")
     return offset + SHADOW_OFFSET
-
-
-def is_shadow(offset: int) -> bool:
-    return SHADOW_OFFSET <= offset < THREADSTATE_SIZE
 
 
 #: ThreadState offsets (offset, size, name) of all architected registers,

@@ -23,7 +23,7 @@ from .expr import (
     Unop,
 )
 from .ops import get_op
-from .stmt import Dirty, Exit, IMark, NoOp, Put, Stmt, Store, WrTmp
+from .stmt import Dirty, Exit, NoOp, Put, Stmt, Store, WrTmp
 from .types import Ty
 
 

@@ -11,8 +11,8 @@ temporary read).  The same classes serve both forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from .ops import IROp, get_op
 from .types import Ty, fits

@@ -15,7 +15,7 @@ they can reach the ThreadState, guest memory and the running tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 
 @dataclass(frozen=True)

@@ -545,9 +545,5 @@ for _w in (32, 64):
     )
 
 
-def op_exists(name: str) -> bool:
-    return name in OPS
-
-
 #: Number of primitive ops — the paper notes "more than 200" are needed.
 NUM_OPS = len(OPS)

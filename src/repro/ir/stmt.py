@@ -9,7 +9,7 @@ boundaries for profiling tools.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .expr import Expr

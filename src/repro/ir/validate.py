@@ -7,12 +7,12 @@ wrong behaviour — a validator catches most of them before they run.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from .block import IRSB, IRTypeError
 from .expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop
 from .ops import get_op
-from .stmt import Dirty, Exit, IMark, NoOp, Put, Stmt, Store, WrTmp
+from .stmt import Dirty, Exit, IMark, NoOp, Put, Store, WrTmp
 from .types import Ty, fits
 
 

@@ -9,7 +9,7 @@ the guest's descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 # open() flags (matching the usual Unix values).

@@ -28,9 +28,7 @@ from .memory import (
     GuestFault,
     GuestMemory,
     PAGE_SIZE,
-    PROT_READ,
     PROT_RW,
-    PROT_WRITE,
 )
 
 M32 = 0xFFFFFFFF
@@ -267,9 +265,6 @@ class Kernel:
                 still.append((due, tid, sig))
         self.timers = still
         return fired
-
-    def next_timer_due(self) -> Optional[int]:
-        return min((due for due, _, _ in self.timers), default=None)
 
     # -- the syscall entry point -------------------------------------------------------
 

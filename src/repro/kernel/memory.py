@@ -10,7 +10,7 @@ All multi-byte accesses are little-endian, matching the IR's LDle/STle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..ir.types import Ty
 from ..ir.values import from_bytes, to_bytes
@@ -111,10 +111,6 @@ class GuestMemory:
         first = addr >> PAGE_SHIFT
         last = (addr + size - 1) >> PAGE_SHIFT
         return all(pn in self._pages for pn in range(first, last + 1))
-
-    def prot_at(self, addr: int) -> Optional[int]:
-        page = self._pages.get(addr >> PAGE_SHIFT)
-        return None if page is None else page[1]
 
     def mapped_ranges(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (start, size, prot) for maximal mapped runs."""

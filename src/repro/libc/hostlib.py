@@ -14,7 +14,6 @@ red zones and shadow-state updates.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol
 
 from ..kernel.kernel import SYS_BRK
@@ -160,12 +159,6 @@ class LibC:
         ret = fn(m)
         if ret is not None:
             m.set_reg(0, ret & M32)
-
-    def name_of(self, index: int) -> str:
-        return LIBC_HOST_FUNCS[index]
-
-    def index_of(self, name: str) -> int:
-        return LIBC_HOST_FUNCS.index(name)
 
     # -- allocator entry points (the functions tools wrap) ---------------------------
 

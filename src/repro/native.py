@@ -9,11 +9,10 @@ signal delivery, and the same loader the DBI core uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .guest.loader import (
-    DEFAULT_STACK_TOP,
     SIGPAGE_ADDR,
     THREAD_STACK_REGION,
     LoadedProgram,
@@ -34,7 +33,6 @@ from .kernel.kernel import (
     SIGILL,
     SIGKILL,
     SIGSEGV,
-    SYSCALL_NAMES,
     SigInfo,
 )
 from .kernel.memory import GuestFault, GuestMemory, PROT_RWX

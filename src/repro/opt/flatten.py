@@ -10,11 +10,9 @@ tools" (Section 3.7, Phase 3).
 
 from __future__ import annotations
 
-from typing import List
-
 from ..ir.block import IRSB
 from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop
-from ..ir.stmt import Dirty, Exit, IMark, MemFx, NoOp, Put, Stmt, Store, WrTmp
+from ..ir.stmt import Dirty, Exit, IMark, MemFx, NoOp, Put, Store, WrTmp
 
 
 def flatten(sb: IRSB) -> IRSB:

@@ -10,7 +10,7 @@ calls, which may write memory.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from ..ir.block import IRSB
 from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop

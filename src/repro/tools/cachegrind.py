@@ -9,13 +9,12 @@ debug information at exit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.tool import Tool
 from ..ir.block import IRSB
-from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop, c32
-from ..ir.stmt import Dirty, Exit, IMark, NoOp, Put, Store, WrTmp
-from ..ir.types import Ty
+from ..ir.expr import Load, c32
+from ..ir.stmt import Dirty, IMark, Store, WrTmp
 from .cachesim import (
     AccessCounts,
     CacheConfig,

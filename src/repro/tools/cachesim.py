@@ -9,8 +9,8 @@ line misses, as Cachegrind does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)

@@ -29,16 +29,15 @@ Memcheck.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.tool import Tool
 from ..guest.regs import GUEST_STATE_SIZE, OFFSET_PC, SHADOW_OFFSET, SP, gpr_offset
 from ..ir.block import IRSB
-from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop, c32, const
+from ..ir.expr import Binop, CCall, Const, Expr, Get, ITE, Load, RdTmp, Unop, c32
 from ..ir.stmt import Dirty, Exit, IMark, NoOp, Put, StateFx, Store, WrTmp
 from ..ir.types import Ty
 from ..opt.flatten import flatten
-from .memcheck.instrument import SHADOW_TY
 from .memcheck.shadow import ShadowMemory
 
 # Type tags (stored as I32 in register shadows, one byte per byte in

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..core.tool import Tool
 from ..ir.block import IRSB
-from ..ir.expr import Binop, Const, Load, RdTmp, c32, c64
+from ..ir.expr import Binop, Load, RdTmp, c32, c64
 from ..ir.stmt import Dirty, IMark, Store, WrTmp
 from ..ir.types import Ty
 

@@ -35,7 +35,7 @@ from ...ir.expr import (
     Unop,
     const,
 )
-from ...ir.stmt import Dirty, Exit, IMark, MemFx, NoOp, Put, StateFx, Store, WrTmp
+from ...ir.stmt import Dirty, Exit, IMark, NoOp, Put, StateFx, Store, WrTmp
 from ...ir.types import Ty
 from ...opt.flatten import flatten
 
@@ -376,8 +376,3 @@ class _BlockCtx:
                 ty, chunk = Ty.I8, 1
             self.out.add(Put(off + SHADOW_OFFSET, const(ty, 0)))
             off += chunk
-
-
-def _same_shape(op: str) -> bool:
-    """True for unops whose shadow is the same op applied to the shadow."""
-    return "F" not in op

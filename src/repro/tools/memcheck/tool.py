@@ -26,11 +26,9 @@ from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from ...core.tool import Tool
-from ...guest.regs import GUEST_STATE_SIZE, SHADOW_OFFSET
+from ...guest.regs import SHADOW_OFFSET
 from ...ir.block import IRSB
-from ...ir.types import Ty
 from ...kernel.memory import PROT_READ, GuestFault
-from ...libc.hostlib import HDR_SIZE
 from .instrument import LOADV, MemcheckInstrumenter, STOREV, VALUE_CHECK
 from .shadow import PAGE_SHIFT, PAGE_SIZE, ShadowMemory
 

@@ -10,7 +10,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..guest.asm import assemble
 from ..guest.program import VxImage
@@ -60,10 +60,6 @@ def build(name: str, scale: float = 1.0) -> BuiltWorkload:
     image = assemble(src, filename=name)
     kind = "int" if name in INT_WORKLOADS else "fp"
     return BuiltWorkload(name=name, kind=kind, image=image, source=src)
-
-
-def build_all(scale: float = 1.0) -> List[BuiltWorkload]:
-    return [build(name, scale) for name in ALL_WORKLOADS]
 
 
 def run_reference(name: str, scale: float = 1.0,

@@ -732,21 +732,18 @@ loop:   sub  r0, 1
 
 class TestSmcInteraction:
     def test_smc_crc_recomputed_on_hit(self, tmp_path):
-        """A hit's SMC hash comes from the *re-fetched* bytes, so the
-        stored entry can never carry a stale CRC."""
-        cache = CodeCache(str(tmp_path))
-        raw = b"\x90" * 64
-
-        def fetch(start, length):
-            return raw[start:start + length]
-
-        cache.store_translation(
-            b"\x03" * 32, 0x3000, fetch,
-            code=b"CODE", ranges=((0, 64),), stats=None,
-        )
-        hit = cache.lookup_translation(b"\x03" * 32, 0x3000, fetch)
-        assert hit is not None
-        assert hit["smc_crc"] == zlib.crc32(raw)
+        """A translation made from a ``t/`` hit hashes the guest bytes now
+        in memory, so the stored entry can never carry a stale CRC."""
+        run_cached(tmp_path)
+        warm = run_cached(tmp_path)
+        cache = warm.stats()["cache"]
+        assert cache["hits"] > 0 and cache["misses"] == 0, cache
+        mem = warm.core.memory
+        made = warm.core.scheduler.transtab.all_translations()
+        assert made
+        for t in made:
+            raw = b"".join(mem.read_raw(s, n) for s, n in t.ranges)
+            assert t.smc_hash == zlib.crc32(raw)
 
     def test_smc_warm_run_identical(self, tmp_path):
         smc = """

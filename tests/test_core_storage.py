@@ -62,15 +62,47 @@ class TestTranslationTable:
         assert tab.lookup(0x1000) is None and t.dead
 
     def test_lookup_after_deletion_rehash(self):
-        # Linear probing requires rehashing after deletions; colliding
-        # entries must remain findable.
+        # Entries inserted after a discarded one (addresses that would
+        # collide in a linear-probe table of this size) stay findable.
         tab = TranslationTable(8)
-        addrs = [0x10, 0x10 + 8 * 4, 0x10 + 8 * 8]  # may collide mod 8
+        addrs = [0x10, 0x10 + 8 * 4, 0x10 + 8 * 8]
         for a in addrs:
             tab.insert(_t(a))
         tab.discard(addrs[0])
         for a in addrs[1:]:
             assert tab.lookup(a) is not None
+
+    def test_all_translations_oldest_first(self):
+        tab = TranslationTable(64)
+        ts = [_t(0x1000 + i * 16) for i in range(5)]
+        for t in ts:
+            tab.insert(t)
+        tab.discard(ts[2].guest_addr)
+        assert tab.all_translations() == [ts[0], ts[1], ts[3], ts[4]]
+
+    def test_fifo_replacing_insert_goes_newest(self):
+        tab = TranslationTable(10)  # a round evicts max(1, 10 // 8) = 1
+        for i in range(7):
+            tab.insert(_t(0x1000 + i * 16))
+        again = _t(0x1000)  # replaces the oldest entry
+        tab.insert(again)
+        assert tab.all_translations()[-1] is again
+        tab.insert(_t(0x2000))
+        assert tab.stats.evict_rounds == 0
+        tab.insert(_t(0x2010))  # 80% full: one round, evicts the oldest
+        assert tab.stats.evict_rounds == 1
+        assert tab.lookup(0x1000) is again
+        assert tab.lookup(0x1010) is None
+
+    def test_lru_lookup_survives_eviction(self):
+        tab = TranslationTable(10, policy="lru")
+        for i in range(8):
+            tab.insert(_t(0x1000 + i * 16))
+        hot = tab.lookup(0x1000)  # oldest insert, but just used
+        tab.insert(_t(0x2000))  # one round evicts one entry
+        assert tab.stats.evict_rounds == 1
+        assert not hot.dead and tab.lookup(0x1000) is hot
+        assert tab.lookup(0x1010) is None  # older, never looked up
 
 
 class TestCoreAllocator:
