@@ -77,7 +77,6 @@ class CodegenTiers:
     ):
         self.hostcpu = hostcpu
         self.mode = options.codegen
-        self.trace_threshold = max(1, options.trace_threshold)
         self.injector = injector
         self.on_demote = on_demote
         #: Trace manager (set by the scheduler under --codegen=traces):
@@ -110,12 +109,14 @@ class CodegenTiers:
         The wrapper exists only to find the threshold crossing: once it
         fires it puts the raw runner back, so steady-state block
         execution pays no counting frame.  The trace manager re-wraps a
-        severed trace's surviving head (via ``rewrap``) to let it prove
-        itself hot again.
+        block (via ``rewrap``) with its ``exec_count`` lowered to wait
+        for more runs: a deferred recording's head until break-even; a
+        severed trace's surviving head, or a member whose recording
+        request was dropped, to let it prove itself hot again.
         """
         inner = t.compiled_fn
-        threshold = self.trace_threshold
         mgr = self.traces
+        threshold = mgr.threshold
 
         def fn(ts, _inner=inner, _t=t):
             out = _inner(ts)

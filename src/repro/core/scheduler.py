@@ -381,8 +381,10 @@ class Scheduler:
                 on_fail=self._on_trace_failed,
             )
             self.codegen.traces = self.traces
-            # Severed heads get their counting wrapper back so they can
-            # prove themselves hot again over retranslated neighbours.
+            # The manager gives blocks their counting wrapper back:
+            # deferred recordings' heads count up to break-even, severed
+            # heads prove themselves hot again over retranslated
+            # neighbours.
             self.traces.rewrap = self.codegen._wrap_trace_counting
             self.transtab.on_kill = self.traces.on_translation_dead
             if VG_TRACE_CALL not in helpers:

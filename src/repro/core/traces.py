@@ -63,6 +63,25 @@ namespace — so a warm start splices nothing.  The outcome a key maps to
 includes how many members survived seam truncation, and an unspliceable
 recording is cached like any other outcome.
 
+Admission by break-even
+-----------------------
+
+A build costs in proportion to its members' host code, and a trace
+repays it a little per block it runs, so a trace pays only on a head
+that keeps running (Dynamo's fragment economics, Bala et al., PLDI
+2000).  When a recording ends, a build whose key is already in the
+process-wide build cache is installed at once: it costs a bind.  Any
+other recording is *deferred*: the head keeps its pygen runner, and its
+counting wrapper is re-armed (``rewrap``) to fire after
+``ceil(BREAK_EVEN_K * sum(len(m.code)) / len(members))`` more
+executions, when the recording is *admitted* and built — the persistent
+``x/`` namespace is read only then.  The rule reads counts only, so two
+runs of a program make the same decisions, and a warm process, whose
+build cache starts empty, defers exactly what the cold process that
+filled its code cache deferred.  A deferred recording whose head dies is
+dropped; one that lost any other member by admission time re-arms its
+head to record again.
+
 Traces live *off* the translation table in the manager's own maps, so
 they never perturb transtab capacity, eviction order or the
 ``translations`` counter (record/replay logs stay tier-portable).  When
@@ -75,6 +94,7 @@ over the retranslated code.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -118,6 +138,14 @@ _SEAM_HELPERS = {JumpKind.Call.value: VG_TRACE_CALL,
 #: Bump on any change to seam planning or splicing that alters build
 #: output: part of every build key.
 TRACE_BUILD_VERSION = 2
+
+#: Break-even admission (module docstring): a deferred recording is
+#: built once its head has run this many times its members' mean host
+#: code bytes more.  It is the measured build cost per member code byte
+#: (1.57 us) over the steady-state saving per traced block (0.48 us),
+#: EXPERIMENTS "Trace admission by break-even".  0 builds every
+#: recording when it ends.
+BREAK_EVEN_K = 3.3
 
 #: A build outcome: (host code, members used, guest insns); code None
 #: means the recording is unspliceable.
@@ -262,9 +290,13 @@ class TraceManager:
         self.hostcpu = hostcpu
         self.options = options
         self.on_fail = on_fail
-        #: Re-attach the codegen layer's execution-counting wrapper to a
-        #: severed trace's surviving head (set by the scheduler).
+        #: Re-attach the codegen layer's execution-counting wrapper, which
+        #: calls :meth:`request` once ``exec_count`` reaches the threshold
+        #: (set by the scheduler).
         self.rewrap: Optional[Callable] = None
+        #: The count at which the counting wrapper calls :meth:`request`:
+        #: --trace-threshold runs from a block's first execution.
+        self.threshold = max(1, options.trace_threshold)
         self.max_blocks = max(2, options.max_trace_blocks)
         #: Every input of a build besides its members (read per run, so
         #: a version bump between runs takes effect).
@@ -280,6 +312,8 @@ class TraceManager:
         self._by_member: Dict[int, List[Trace]] = {}
         #: Head addresses whose next execution should start a recording.
         self._want: set = set()
+        #: Deferred recordings by head guest address (module docstring).
+        self._deferred: Dict[int, List[Translation]] = {}
         #: Recording in progress: member list and the jump kind that led
         #: *out* of the last appended member.
         self._members: List[Translation] = []
@@ -290,6 +324,10 @@ class TraceManager:
         # Counters (reported under --stats=json as the "traces" section).
         #: Builds that spliced member code (a build-key miss).
         self.spliced = 0
+        #: Recordings whose build waited for break-even, and those of
+        #: them that reached it and were built.
+        self.deferred = 0
+        self.admitted = 0
         self.compile_failures = 0
         self.recordings_aborted = 0
         self.demotions = 0
@@ -300,11 +338,30 @@ class TraceManager:
     # -- recording ---------------------------------------------------------
 
     def request(self, t: Translation) -> None:
-        """A block crossed --trace-threshold: record its next chain."""
+        """*t*'s counting wrapper fired: at break-even, build its deferred
+        recording; at --trace-threshold, record its next chain."""
+        members = self._deferred.pop(t.guest_addr, None)
+        if members is not None:
+            if any(m.dead for m in members):
+                # A member died (SMC flush, eviction): record again over
+                # the retranslated code.
+                self.recordings_aborted += 1
+                self._rearm(t, self.threshold)
+            elif self._install(members):
+                self.admitted += 1
+                self._update_active()
+            return
         if t.trace_failed or t.guest_addr in self.traces:
             return
         self._want.add(t.guest_addr)
         self.active = True
+
+    def _rearm(self, t: Translation, runs: int) -> None:
+        """Make *t*'s counting wrapper call :meth:`request` after *runs*
+        more executions."""
+        t.exec_count = self.threshold - runs
+        if self.rewrap is not None and not t.trace_failed:
+            self.rewrap(t)
 
     def _eligible(self, t: Translation) -> bool:
         # SMC-checked blocks re-verify their bytes before every run; a
@@ -331,6 +388,7 @@ class TraceManager:
                 self._last_jk = jk
                 if len(self._members) == self.max_blocks:
                     self._finish()
+                    self._update_active()
                 return
             self._finish()
         if t.guest_addr in self._want:
@@ -361,6 +419,20 @@ class TraceManager:
         if head.dead or head.guest_addr in self.traces:
             self.recordings_aborted += 1
             return
+        runs = math.ceil(BREAK_EVEN_K * sum(len(m.code) for m in members)
+                         / len(members))
+        if runs and (self._build_key(self._live(members))
+                     not in _BUILD_CACHE):
+            self.deferred += 1
+            self._deferred[head.guest_addr] = members
+            self._rearm(head, runs)
+            self._drop_requests(members)
+            return
+        self._install(members)
+
+    def _install(self, members: List[Translation]) -> bool:
+        """Build *members* and make the trace live; False if it failed."""
+        head = members[0]
         try:
             tr = self._build(members)
         except Exception as exc:
@@ -368,24 +440,37 @@ class TraceManager:
             head.trace_failed = True
             if self.on_fail is not None:
                 self.on_fail(head, exc)
-            return
+            return False
         if tr is None:
             self.recordings_aborted += 1
             head.trace_failed = True
-            return
+            return False
         self.traces[head.guest_addr] = tr
         self.built.append(tr)
         head.trace = tr
         for mid in {id(m) for m in tr.members}:
             self._by_member.setdefault(mid, []).append(tr)
+        self._drop_requests(tr.members)
+        return True
+
+    def _drop_requests(self, members: List[Translation]) -> None:
+        """Drop the recording requests of *members* after the head and
+        count their block-path runs again.  A member runs inside a live
+        trace, and a deferred recording's members may never run again,
+        so a request of theirs may never start a recording while it
+        keeps the dispatcher calling :meth:`on_block`."""
+        head = members[0]
+        for m in members:
+            if m is not head and m.guest_addr in self._want:
+                self._want.discard(m.guest_addr)
+                self._rearm(m, self.threshold)
 
     # -- splicing ----------------------------------------------------------
 
-    def _build(self, members: List[Translation]) -> Optional[Trace]:
-        """Compile *members* into a trace (None: unspliceable)."""
+    def _live(self, members: List[Translation]) -> List[Translation]:
+        """*members* up to the first dead one or one whose guest bytes
+        changed since it was translated."""
         fetch = self.translator._fetch
-        # Stop at the first dead member or one whose guest bytes changed
-        # since it was translated.
         parts: List[Translation] = []
         for m in members:
             if m.dead or (
@@ -394,6 +479,11 @@ class TraceManager:
             ):
                 break
             parts.append(m)
+        return parts
+
+    def _build(self, members: List[Translation]) -> Optional[Trace]:
+        """Compile *members* into a trace (None: unspliceable)."""
+        parts = self._live(members)
         if len(parts) < 2:
             return None
 
@@ -487,6 +577,9 @@ class TraceManager:
     def on_translation_dead(self, t: Translation) -> None:
         """Transtab ``on_kill`` hook: sever every trace containing *t*
         (SMC flush, munmap discard, eviction, insert-replace)."""
+        members = self._deferred.get(t.guest_addr)
+        if members is not None and members[0] is t:
+            del self._deferred[t.guest_addr]
         for tr in self._by_member.pop(id(t), ()):
             if tr.dead:
                 continue
@@ -499,9 +592,7 @@ class TraceManager:
                 head_t.trace = None
             if head_t is not t and not head_t.dead:
                 # Let a still-hot head re-record over retranslated code.
-                head_t.exec_count = 0
-                if self.rewrap is not None and not head_t.trace_failed:
-                    self.rewrap(head_t)
+                self._rearm(head_t, self.threshold)
 
     # -- reporting ---------------------------------------------------------
 
@@ -512,6 +603,8 @@ class TraceManager:
             "max_trace_blocks": self.max_blocks,
             "traces_built": len(built),
             "spliced": self.spliced,
+            "deferred": self.deferred,
+            "admitted": self.admitted,
             "live_traces": len(self.traces),
             "compile_failures": self.compile_failures,
             "recordings_aborted": self.recordings_aborted,

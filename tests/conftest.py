@@ -7,6 +7,14 @@ import os
 import pytest
 
 from helpers import asm_image, native, vg
+from repro.core import traces as _traces
+
+#: The suites' programs loop a few dozen times, far short of trace
+#: break-even, yet test traces forming: they run with BREAK_EVEN_K = 0,
+#: which builds every recording when it ends.  The ``break_even_k``
+#: fixture restores the shipped constant.
+SHIPPED_BREAK_EVEN_K = _traces.BREAK_EVEN_K
+_traces.BREAK_EVEN_K = 0
 
 
 def pytest_addoption(parser):
@@ -43,3 +51,10 @@ def run_both():
         return nat, res
 
     return _run
+
+
+@pytest.fixture
+def break_even_k(monkeypatch):
+    """Trace admission at the shipped BREAK_EVEN_K; returns it."""
+    monkeypatch.setattr(_traces, "BREAK_EVEN_K", SHIPPED_BREAK_EVEN_K)
+    return SHIPPED_BREAK_EVEN_K

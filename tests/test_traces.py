@@ -5,25 +5,32 @@ test_replay_differential) prove the trace tier computes bit-identically
 to the closure engine; this file tests the trace machinery itself:
 recording and splicing, the seam plans, side exits, invalidation (SMC
 discard, transtab eviction, munmap), the stale-code consistency
-contract, and the ``--stats=json`` ``traces`` section.
+contract, break-even admission, and the ``--stats=json`` ``traces``
+section.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 
 import pytest
 
 from repro import Options
+from repro.backend import pygen as _pygen
 from repro.backend.hostisa import (
     BIN, CALL, LI, RET, SETPCI, SIDEEXIT, SIDEEXITR, TRACEMARK, UN,
     decode_insns,
 )
+from repro.core import clientreq as CR
+from repro.core import traces as _traces
+from repro.core import translate as _translate
 from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
 from repro.core.codegen import CODEGEN_MODES
 from repro.core.options import BadOption
 from repro.core.traces import VG_TRACE_CALL, VG_TRACE_RET
+from repro.workloads import suite
 
 from .helpers import asm_image, native, vg
 
@@ -170,6 +177,7 @@ class TestRecordingAndStitching:
         res = run_traces(NESTED_LOOP_SRC)
         tr = res.stats()["traces"]
         for key in ("trace_threshold", "max_trace_blocks", "traces_built",
+                    "deferred", "admitted",
                     "live_traces", "compile_failures", "recordings_aborted",
                     "demotions", "pruned", "runs", "side_exits",
                     "blocks_retired", "insns_retired", "compile_seconds"):
@@ -349,6 +357,31 @@ hot:    call r6
         head_t.trace_failed = True
         mgr.request(head_t)
         assert head_t.guest_addr not in mgr._want
+
+    @pytest.mark.parametrize("program", ["parser", "vortex"])
+    def test_no_request_outlives_its_head_joining_a_trace(self, program,
+                                                          monkeypatch):
+        """On these programs a requested head joins another head's trace
+        and never runs on the block path again: its request is dropped
+        when the trace is installed, so no request is left at exit and
+        the recorder hook runs only while a recording is pending."""
+        idle = []
+        on_block = _traces.TraceManager.on_block
+
+        def spy(mgr, t, jk):
+            if not (mgr._members or mgr._want):
+                idle.append(t.guest_addr)
+            on_block(mgr, t, jk)
+
+        monkeypatch.setattr(_traces.TraceManager, "on_block", spy)
+        img = suite.build(program, 0.05).image
+        res = vg(img, "none", argv=[program], codegen="traces",
+                 chaining=True, stats_format="json")
+        mgr = res.core.scheduler.traces
+        assert mgr.built
+        assert not mgr._want
+        assert not mgr.active
+        assert idle == []
 
 
 #: Seam-plan programs.  Each leaves a freed heap block in r5 and reads
@@ -543,3 +576,242 @@ class TestSplice:
         src = getattr(trace.compiled_fn, "pygen_source", None)
         assert src is not None
         assert src.count("def ") == 1
+
+
+#: A loop of *n* iterations.  The block at ``main`` runs the first, so
+#: the block at ``loop`` runs n - 1 times, and its one recording is
+#: max_trace_blocks unrolled copies of it.
+LOOP_SRC = """
+        .text
+main:   movi r6, 0
+        movi r7, {n}
+loop:   add  r6, r7
+        dec  r7
+        jnz  loop
+        push r6
+        call putint
+        addi sp, 4
+        movi r0, 0
+        push r0
+        call exit
+"""
+
+#: A short loop whose recordings never reach break-even, then a long
+#: one with a call and a Memcheck error whose recordings do.
+MIXED_SRC = """
+        .text
+main:   pushi 16
+        call malloc
+        addi sp, 4
+        mov  r5, r0
+        push r5
+        call free
+        addi sp, 4
+        movi r6, 0
+        movi r7, 60
+warm:   add  r6, r7
+        dec  r7
+        jnz  warm
+        movi r7, 4000
+hot:    call fn1
+        add  r6, r0
+        dec  r7
+        jnz  hot
+        push r6
+        call putint
+        addi sp, 4
+        movi r0, 0
+        push r0
+        call exit
+fn1:    ld   r1, [r5]
+        add  r6, r1
+        movi r0, 3
+        ret
+"""
+
+#: A call loop that discards the translations at *victim* once, at
+#: iteration 300 of 3000: after its recordings are deferred, before
+#: they reach break-even.
+DISCARD_SRC = """
+        .text
+main:   movi r6, 0
+        movi r7, 3000
+loop:   call fn1
+        add  r6, r0
+        cmp  r7, 2700
+        jnz  next
+""" + CR.clreq_asm(CR.DISCARD_TRANSLATIONS, "{victim}", "4") + """
+next:   dec  r7
+        jnz  loop
+        push r6
+        call putint
+        addi sp, 4
+        movi r0, 0
+        push r0
+        call exit
+fn1:    movi r0, 3
+        ret
+"""
+
+
+def fresh_process_caches():
+    """Empty the process-wide caches, as a new process starts."""
+    _pygen.clear_emit_cache()
+    _traces._BUILD_CACHE.clear()
+    _translate.clear_translation_cache()
+
+
+def break_even_runs(members, k):
+    return math.ceil(k * sum(len(m.code) for m in members) / len(members))
+
+
+def decisions(res):
+    """Every count of a run's ``traces`` section; the build cache's are
+    process-wide, and compile_seconds is a time."""
+    tr = dict(res.stats()["traces"])
+    del tr["build_cache"], tr["compile_seconds"]
+    return tr
+
+
+class TestAdmission:
+    """Break-even admission at the shipped BREAK_EVEN_K (the rest of
+    the suite builds every recording when it ends)."""
+
+    @pytest.fixture(autouse=True)
+    def _shipped(self, break_even_k):
+        assert break_even_k > 0
+        self.k = break_even_k
+        fresh_process_caches()
+
+    def run(self, src, tool="none", **kw):
+        kw.setdefault("codegen", "traces")
+        kw.setdefault("chaining", True)
+        kw.setdefault("trace_threshold", 5)
+        kw.setdefault("stats_format", "json")
+        # A fresh run has no code cache either (not $REPRO_CACHE_DIR's).
+        kw.setdefault("cache_dir", None)
+        return vg(src, tool, **kw)
+
+    def test_short_loop_builds_no_trace(self):
+        img = asm_image(LOOP_SRC.format(n=60))
+        res = self.run(img)
+        tr = res.stats()["traces"]
+        assert (tr["traces_built"], tr["deferred"], tr["admitted"],
+                tr["spliced"]) == (0, 1, 0, 0)
+        ref = vg(img, "none", codegen="pygen", chaining=True,
+                 stats_format="json")
+        nat = native(img)
+        guest = res.stats()["dispatch"]["guest_insns"]
+        assert (res.stdout, res.exit_code, guest) == (
+            ref.stdout, ref.exit_code, ref.stats()["dispatch"]["guest_insns"])
+        assert (res.stdout, res.exit_code, guest) == (
+            nat.stdout, nat.exit_code, nat.guest_insns)
+
+    def test_long_loop_admits_at_break_even(self):
+        threshold, blocks = 5, 8
+        short = self.run(LOOP_SRC.format(n=60), max_trace_blocks=blocks)
+        (members,) = short.core.scheduler.traces._deferred.values()
+        assert len(members) == blocks
+        need = break_even_runs(members, self.k)
+        assert need == math.ceil(self.k * len(members[0].code))
+        # The run that crosses the threshold starts the recording, the
+        # recording ends max_trace_blocks runs later, and the build
+        # waits for *need* more.
+        at = threshold + blocks - 1 + need
+        for runs, built in ((at - 1, 0), (at, 1)):
+            fresh_process_caches()
+            img = asm_image(LOOP_SRC.format(n=runs + 1))
+            res = self.run(img, max_trace_blocks=blocks)
+            tr = res.stats()["traces"]
+            assert (tr["traces_built"], tr["deferred"], tr["admitted"]) == (
+                built, 1, built), runs
+            nat = native(img)
+            assert (res.stdout, res.exit_code) == (nat.stdout, nat.exit_code)
+        trace = res.core.scheduler.traces.built[0]
+        assert [m.guest_addr for m in trace.members] == [
+            m.guest_addr for m in members]
+
+    def test_fresh_runs_decide_alike(self):
+        img = asm_image(MIXED_SRC)
+        runs = []
+        for _ in range(2):
+            fresh_process_caches()
+            runs.append(self.run(img, "memcheck"))
+        first, second = runs
+        tr = decisions(first)
+        assert tr["deferred"] > tr["admitted"] > 0
+        assert decisions(second) == tr
+        assert second.stats()["dispatch"] == first.stats()["dispatch"]
+
+    def test_warm_cache_dir_run_decides_like_cold(self, tmp_path):
+        img = asm_image(MIXED_SRC)
+        cold = self.run(img, "memcheck", cache_dir=str(tmp_path))
+        fresh_process_caches()
+        warm = self.run(img, "memcheck", cache_dir=str(tmp_path))
+        c_tr, w_tr = decisions(cold), decisions(warm)
+        assert c_tr["spliced"] == c_tr["admitted"] > 0
+        assert w_tr.pop("spliced") == 0
+        del c_tr["spliced"]
+        assert w_tr == c_tr
+        assert warm.stats()["dispatch"] == cold.stats()["dispatch"]
+        cache = warm.stats()["cache"]
+        assert cache["trace_misses"] == 0
+        assert cache["bytes_written"] == 0
+        assert cache["trace_hits"] == w_tr["admitted"]
+        assert (warm.stdout, warm.exit_code, warm.log) == (
+            cold.stdout, cold.exit_code, cold.log)
+
+    def test_in_process_repeat_installs_cached_builds(self):
+        img = asm_image(MIXED_SRC)
+        first = self.run(img, "memcheck")
+        second = self.run(img, "memcheck")
+        t1, t2 = decisions(first), decisions(second)
+        assert t1["admitted"] > 0
+        # The builds the first run admitted are bound when the second
+        # run's recordings end; nothing is spliced again.
+        assert t2["spliced"] == 0
+        assert t2["traces_built"] - t2["admitted"] > 0
+        s1, s2 = first.stats(), second.stats()
+        assert (second.stdout, second.exit_code, second.log) == (
+            first.stdout, first.exit_code, first.log)
+        assert "Invalid read" in first.log
+        # Only the dispatch path may differ: hits, chain follows and the
+        # trace runs that the earlier traces take over.
+        for key in ("guest_insns", "blocks_executed", "misses"):
+            assert s2["dispatch"][key] == s1["dispatch"][key], key
+        assert s2["transtab"] == s1["transtab"]
+        assert s2["translations_made"] == s1["translations_made"]
+
+    @pytest.mark.parametrize("victim", ["fn1", "loop"])
+    def test_deferred_recording_outlived_by_a_member_builds_nothing_stale(
+            self, victim, monkeypatch):
+        """A member (fn1) or the head (loop) of deferred recordings is
+        discarded before they reach break-even: no build reads a dead
+        member, a trace forms over the retranslated code, and the run
+        matches the reference CPU."""
+        stale = []
+        build = _traces.TraceManager._build
+
+        def spy(mgr, members):
+            stale.extend(m for m in members if m.dead)
+            return build(mgr, members)
+
+        monkeypatch.setattr(_traces.TraceManager, "_build", spy)
+        img = asm_image(DISCARD_SRC.format(victim=victim))
+        nat = native(img)
+        res = self.run(img)
+        assert res.core.scheduler.transtab.stats.discarded >= 1
+        assert (res.stdout, res.exit_code,
+                res.stats()["dispatch"]["guest_insns"]) == (
+            nat.stdout, nat.exit_code, nat.guest_insns)
+        assert stale == []
+        mgr = res.core.scheduler.traces
+        tr = res.stats()["traces"]
+        if victim == "fn1":
+            # Deferred recordings holding the old fn1 are dropped when
+            # their heads reach break-even, and their heads record again.
+            assert tr["recordings_aborted"] >= 1
+        assert tr["admitted"] >= 1
+        assert all(not ms[0].dead for ms in mgr._deferred.values())
+        assert any(m.guest_addr == img.symbols[victim] and not m.dead
+                   for t in mgr.traces.values() for m in t.members)
