@@ -365,6 +365,7 @@ def replay(bundle_or_log: str) -> dict:
 def open_cache(directory: str, *, max_mb: int = 256) -> CodeCache:
     """Open (creating if needed) the persistent cross-process translation
     cache rooted at *directory*.  The same directory can be shared by any
-    number of concurrent processes; see :class:`repro.core.codecache.CodeCache`.
+    number of concurrent processes; stores reach it as one pack at
+    ``flush()``.  See :class:`repro.core.codecache.CodeCache`.
     """
     return CodeCache(directory, max_mb=max_mb)

@@ -447,7 +447,7 @@ class FleetSupervisor:
         if cache_dir is not None:
             # Pre-open the shared translation cache *before* forking any
             # worker: directory layout and version header are created
-            # once here, so N workers race only on entry files (which
+            # once here, so N workers race only on pack files (which
             # are atomic), never on cache initialisation.
             from .codecache import CodeCache
 

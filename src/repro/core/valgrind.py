@@ -238,10 +238,15 @@ class Valgrind:
             error_mgr=self.error_mgr,
         )
         self.scheduler.on_progress = self.on_progress
-        if self.options.restore:
-            self.scheduler.restore_from(self.options.restore)
-        self.tool.post_clo_init()
-        outcome = self.scheduler.run(max_blocks=max_blocks)
+        try:
+            if self.options.restore:
+                self.scheduler.restore_from(self.options.restore)
+            self.tool.post_clo_init()
+            outcome = self.scheduler.run(max_blocks=max_blocks)
+        finally:
+            # The run's code-cache stores become one pack (core.codecache).
+            if self.scheduler.codecache is not None:
+                self.scheduler.codecache.flush()
         if self.options.record and self.scheduler.rr is not None:
             self.scheduler.rr.write(self.options.record)
         self.tool.fini(outcome.exit_code)

@@ -191,3 +191,23 @@ def ref_run(img):
     return ts, mem.read_raw(data_seg.addr, len(data_seg.data)), data_seg
 
 
+
+
+def cache_entries(cache_dir):
+    """Every entry of the code cache under *cache_dir*, one
+    ``(pack path, namespace, blob offset in the pack file, blob length,
+    decoded payload)`` per entry, namespace ``"t"``, ``"p"`` or ``"x"``."""
+    from repro.core import codecache
+
+    cache = codecache.CodeCache(str(cache_dir))
+    out = []
+    for pack in cache._sources()[1:]:
+        recs = [("p", r) for r in pack.p.values()]
+        recs += [("x", r) for r in pack.x.values()]
+        recs += [("t", r[:2]) for by_addr in pack.t.values()
+                 for packed in by_addr.values()
+                 for r in codecache._t_records(packed)]
+        out += [(pack.path, ns, pack.base + off, length,
+                 cache._read(pack, off, length)) for ns, (off, length) in recs]
+    cache.flush()
+    return out

@@ -239,6 +239,9 @@ class TestOpenCache:
             b"\x07" * 32, 0x100, fetch,
             code=b"HOSTCODE", ranges=((0, 32),), stats=None,
         )
+        early = api.open_cache(str(tmp_path / "cc"), max_mb=8)
+        assert early.lookup_translation(b"\x07" * 32, 0x100, fetch) is None
+        cache.flush()  # stores reach the directory as one pack
         again = api.open_cache(str(tmp_path / "cc"), max_mb=8)
         hit = again.lookup_translation(b"\x07" * 32, 0x100, fetch)
         assert hit is not None and hit["code"] == b"HOSTCODE"

@@ -14,6 +14,8 @@ import gc
 import marshal
 import os
 import pickle
+import signal
+import time
 import weakref
 import zlib
 
@@ -31,7 +33,7 @@ from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
 from repro.core.codegen import CODEGEN_MODES
 from repro.workloads import suite
 
-from .helpers import TRACE_THRESHOLD, asm_image, vg
+from .helpers import TRACE_THRESHOLD, asm_image, cache_entries, vg
 
 #: Several distinct blocks, a hot loop, and float traffic — enough to
 #: exercise disasm chasing, instrumentation, and the pygen emitter.
@@ -107,19 +109,40 @@ def compiles(res) -> int:
 
 
 def p_entries(cache_dir):
-    pdir = cache_dir / f"v{CACHE_FORMAT_VERSION}" / "p"
-    return sorted(str(pdir / name) for name in os.listdir(pdir))
+    return [e for e in cache_entries(cache_dir) if e[1] == "p"]
+
+
+def packs(cache_dir):
+    base = cache_dir / f"v{CACHE_FORMAT_VERSION}"
+    return sorted(str(base / n) for n in os.listdir(base)
+                  if n.endswith(".pack"))
+
+
+def flip_byte(path, at):
+    with open(path, "r+b") as f:
+        f.seek(at)
+        b = f.read(1)
+        f.seek(at)
+        f.write(bytes([b[0] ^ 0xFF]))
 
 
 def rewrite_p_entries(cache_dir, blob_fn):
     """Replace every ``p/`` entry's bytecode blob by ``blob_fn(blob)``,
-    re-sealed with a valid digest (only the decode checks can catch it)."""
+    re-sealed with a valid digest (only the decode checks can catch it).
+    Returns the number of packs rewritten."""
     cache = CodeCache(str(cache_dir))
-    paths = p_entries(cache_dir)
-    for path in paths:
-        src, enc, blob = cache._read_entry(path)
-        assert cache._write_entry(path, (src, enc, blob_fn(blob)))
-    return len(paths)
+    rewritten = [pack for pack in cache._sources()[1:] if pack.p]
+    for pack in rewritten:
+        out = _codecache._Pack(index=(pack.t, {}, pack.x))
+        with open(pack.path, "rb") as f:
+            out.buf += f.read()[pack.base:]  # t/ and x/ blobs stay put
+        for key, (off, length) in pack.p.items():
+            src, enc, blob = cache._read(pack, off, length)
+            out.put(out.p, key, _codecache._seal((src, enc, blob_fn(blob))))
+        assert cache._write_pack(out)
+        os.remove(pack.path)
+    cache.flush()
+    return len(rewritten)
 
 
 def trace_set(res):
@@ -416,53 +439,56 @@ class TestInvalidation:
 
 
 class TestCorruption:
-    def _entries(self, tmp_path):
-        base = tmp_path / f"v{CACHE_FORMAT_VERSION}"
-        out = []
-        for sub in ("t", "p", "x"):
-            for dirpath, _dirs, files in os.walk(base / sub):
-                out += [os.path.join(dirpath, f) for f in files]
-        return out
+    """``quarantined`` counts packs: a damaged entry, index or header
+    sets its whole pack aside, and nothing it held is served again."""
 
     def test_tampered_entry_quarantined(self, tmp_path):
         cold = run_cached(tmp_path, codegen="pygen")
-        entries = self._entries(tmp_path)
+        entries = cache_entries(tmp_path)
         assert entries
-        for path in entries:  # flip one byte in every entry payload
-            with open(path, "rb") as f:
-                raw = bytearray(f.read())
-            raw[len(raw) // 2] ^= 0xFF
-            with open(path, "wb") as f:
-                f.write(bytes(raw))
+        for path, _ns, off, length, _obj in entries:
+            flip_byte(path, off + length // 2)  # every entry's payload
         drop_in_memory_caches()
         warm = run_cached(tmp_path, codegen="pygen")
         assert_same_run(cold, warm)
         c = warm.stats()["cache"]
-        assert c["quarantined"] > 0
-        assert c["hits"] == 0
+        assert c["quarantined"] == len({e[0] for e in entries}) == 1
+        assert c["hits"] == 0 and c["pygen_hits"] == 0
         qdir = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "quarantine"
         assert any(qdir.iterdir())
+
+    @pytest.mark.parametrize("at", [10, 50], ids=["header", "index"])
+    def test_tampered_index_quarantined(self, tmp_path, at):
+        """A flipped byte in a pack's header digest or its index: the
+        pack is quarantined when it is opened, before any entry is read."""
+        cold = run_cached(tmp_path, codegen="pygen")
+        (path,) = packs(tmp_path)
+        flip_byte(path, at)
+        drop_in_memory_caches()
+        warm = run_cached(tmp_path, codegen="pygen")
+        assert_same_run(cold, warm)
+        c = warm.stats()["cache"]
+        assert c["quarantined"] == 1
+        assert c["hits"] == 0 and c["pygen_hits"] == 0
+        assert c["bytes_read"] == 0  # no blob of it was read
 
     def test_tampered_bytecode_quarantined(self, tmp_path):
         """A flipped byte inside a stored code object fails the payload
         digest: the entry is quarantined and the block recompiled."""
         drop_in_memory_caches()
         cold = run_cached(tmp_path, codegen="pygen")
-        paths = p_entries(tmp_path)
-        assert paths
-        for path in paths:
+        entries = p_entries(tmp_path)
+        assert entries
+        for path, _ns, off, length, (_src, _enc, blob) in entries:
             with open(path, "rb") as f:
-                raw = bytearray(f.read())
-            _src, _enc, blob = pickle.loads(bytes(raw[36:]))
-            at = bytes(raw).index(blob) + len(blob) // 2
-            raw[at] ^= 0xFF
-            with open(path, "wb") as f:
-                f.write(bytes(raw))
+                sealed = f.read()[off:off + length]
+            assert pickle.loads(sealed[36:])[2] == blob
+            flip_byte(path, off + sealed.index(blob) + len(blob) // 2)
         drop_in_memory_caches()
         warm = run_cached(tmp_path, codegen="pygen")
         assert_same_run(cold, warm)
         c = warm.stats()["cache"]
-        assert c["quarantined"] == len(paths)
+        assert c["quarantined"] == len({e[0] for e in entries})
         assert c["pygen_hits"] == 0
         assert compiles(warm) > 0
 
@@ -487,12 +513,12 @@ class TestCorruption:
 
     def test_truncated_entry_quarantined(self, tmp_path):
         cold = run_cached(tmp_path)
-        path = self._entries(tmp_path)[0]
+        (path,) = packs(tmp_path)
         with open(path, "wb") as f:
             f.write(b"RC")  # shorter than the header
         warm = run_cached(tmp_path)
         assert_same_run(cold, warm)
-        assert warm.stats()["cache"]["quarantined"] >= 1
+        assert warm.stats()["cache"]["quarantined"] == 1
 
     def test_unreadable_cache_dir_disables_cache(self, tmp_path):
         target = tmp_path / "blocked"
@@ -519,12 +545,13 @@ class TestBudget:
             stored += 1
         assert cache.stats.evictions > 0
         assert cache.stats.evicted_bytes > 0
-        cache._enforce_budget()  # settle the periodic check interval
+        cache.flush()
         total = 0
         for dirpath, _dirs, files in os.walk(tmp_path):
             for f in files:
                 total += os.path.getsize(os.path.join(dirpath, f))
-        assert total <= cache.max_bytes + 256 * 1024  # budget + 1 entry
+        largest = max(os.path.getsize(p) for p in packs(tmp_path))
+        assert total <= cache.max_bytes + largest  # budget + one pack
 
     def test_recent_entries_survive(self, tmp_path):
         cache = CodeCache(str(tmp_path), max_mb=1)
@@ -535,14 +562,16 @@ class TestBudget:
 
         now = 1_700_000_000
         for i in range(20):
+            # Each entry passes the flush threshold: one pack per store.
             cache.store_translation(
                 b"\x02" * 32, 0x2000 + i, fetch,
                 code=raw, ranges=((i, 64),), stats=None,
             )
+            assert cache.stats.bytes_written > 0
             # Deterministic mtimes: later stores look more recent.
-            d = cache._t_dir(b"\x02" * 32)
-            name = cache._t_index[d][0x2000 + i][0]
-            os.utime(os.path.join(d, name), (now + i, now + i))
+            (newest,) = {e[0] for e in cache_entries(tmp_path)
+                         if e[4]["addr"] == 0x2000 + i}
+            os.utime(newest, (now + i, now + i))
         cache._enforce_budget()
         hit = cache.lookup_translation(b"\x02" * 32, 0x2000 + 19, fetch)
         assert hit is not None  # newest survived
@@ -566,7 +595,7 @@ class TestBudget:
         orphans = [seed(str(tmp_path / old / "t" / "ab" / f"{i}.tce"),
                         1000 - i) for i in range(8)]
         bad = [seed(str(tmp_path / f"v{CACHE_FORMAT_VERSION}" / "quarantine"
-                        / f"{i}.tcp.1.bad"), 500 - i) for i in range(4)]
+                        / f"{i}.pack.1.bad"), 500 - i) for i in range(4)]
         foreign = seed(str(tmp_path / "notes.bin"), 5000)
         seeded = orphans + bad
 
@@ -598,6 +627,7 @@ class TestBudget:
             store(i)
         cache._enforce_budget()
         assert not any(os.path.exists(p) for p in seeded)
+        assert not (tmp_path / old).exists()  # emptied orphan tree removed
         assert cache_bytes() <= cache.max_bytes + kb + 1024
         assert os.path.exists(foreign)
 
@@ -643,6 +673,206 @@ class TestBudget:
         emit = res.stats()["codegen"]["emit_cache"]
         assert {"hits", "misses", "evictions", "entries",
                 "bytes"} <= set(emit)
+
+
+def listing(root):
+    """Every file and directory under *root* with its inode, size and
+    mtime: a rename, rewrite or touch changes it."""
+    out = {}
+    for dirpath, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(dirpath, name)
+            st = os.stat(path)
+            out[os.path.relpath(path, root)] = (st.st_ino, st.st_size,
+                                                st.st_mtime_ns)
+    return out
+
+
+class TestPacks:
+    """A run's stores stay in memory and reach the store as one pack."""
+
+    def test_cold_run_writes_one_pack(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        drop_in_memory_caches()
+        cold = run_traced(cache_dir)
+        c = cold.stats()["cache"]
+        assert c["stores"] > 0 and c["trace_stores"] > 0
+        assert c["bytes_written"] == os.path.getsize(packs(cache_dir)[0])
+        objects = 1 + sum(len(dirs) + len(files)
+                          for _d, dirs, files in os.walk(cache_dir))
+        assert objects <= 4  # the directory, VERSION, v<N>/ and the pack
+        assert len(packs(cache_dir)) == 1
+
+    def test_warm_run_changes_nothing(self, tmp_path):
+        """A warm run creates, renames, touches and merges nothing, and
+        closes every pack it opened."""
+        drop_in_memory_caches()
+        run_traced(tmp_path)
+        before = listing(tmp_path)
+        fds = len(os.listdir("/proc/self/fd"))
+        drop_in_memory_caches()
+        warm = run_traced(tmp_path)
+        c = warm.stats()["cache"]
+        assert c["hits"] > 0 and c["trace_hits"] > 0
+        assert c["misses"] == c["pygen_misses"] == c["trace_misses"] == 0
+        assert c["stores"] == c["bytes_written"] == c["merges"] == 0
+        assert listing(tmp_path) == before
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_run_sees_its_own_pending_stores(self, tmp_path):
+        """With the memory tier cleared and every translation discarded
+        mid-run, the run's lookups hit the entries it stored earlier,
+        which are not on disk until it ends."""
+        from repro.core.valgrind import Valgrind
+
+        drop_in_memory_caches()
+        core = Valgrind("none", repro.Options(
+            log_target="capture", stats_format="json",
+            cache_dir=str(tmp_path), dispatch_quantum=20))
+        on_disk = []
+
+        def forget(_insns):
+            on_disk.append(packs(tmp_path))
+            _translate.clear_translation_cache()
+            table = core.scheduler.transtab
+            for t in table.all_translations():
+                table.discard(t.guest_addr)
+
+        core.on_progress = forget
+        res = core.run(asm_image(SRC))
+        assert_same_run(res, run_cached(None, "none"))
+        c = res.stats()["cache"]
+        assert on_disk and not any(on_disk)
+        assert c["hits"] > 0 and c["bytes_read"] == 0
+        assert len(packs(tmp_path)) == 1
+
+    def test_many_flushes_stay_within_the_merge_bound(self, tmp_path):
+        """100 one-entry flushes: every entry still hits, and the pack
+        count never passes the merge bound."""
+        cache = CodeCache(str(tmp_path))
+        raw = os.urandom(4096)
+
+        def fetch(start, length):
+            return raw[start:start + length]
+
+        for i in range(100):
+            assert cache.store_translation(
+                b"\x05" * 32, 0x5000 + i, fetch,
+                code=raw[i:i + 256], ranges=((i, 16),), stats=None,
+            )
+            cache.flush()
+            assert len(packs(tmp_path)) <= _codecache._MAX_PACKS
+        s = cache.stats
+        flushed = s.bytes_written - s.merged_bytes
+        print(f"100 flushes: {flushed} bytes in packs, {s.merges} merges "
+              f"rewrote {s.merged_bytes} bytes")
+        assert s.merges > 0
+        assert s.merged_bytes <= 4 * flushed
+        reader = CodeCache(str(tmp_path))
+        assert all(reader.lookup_translation(b"\x05" * 32, 0x5000 + i, fetch)
+                   for i in range(100))
+        assert reader.stats.hits == 100
+
+    def test_warm_lookup_reads_only_the_entry_it_hits(self, tmp_path,
+                                                      monkeypatch):
+        """Ten programs store ten versions of the blocks at shared
+        addresses; the index carries each version's ranges and guest
+        digest, so a warm run reads one ``t/`` blob per hit."""
+        progs = [SRC.replace("movi r7, 60", f"movi r7, {60 + i}")
+                 for i in range(10)]
+        for src in progs:
+            run_cached(tmp_path, "none", src=src, codegen="closures")
+        by_addr = {}
+        for _path, ns, _off, _len, obj in cache_entries(tmp_path):
+            if ns == "t":
+                by_addr[obj["addr"]] = by_addr.get(obj["addr"], 0) + 1
+        assert max(by_addr.values()) >= 10
+        reads = []
+        read = CodeCache._read
+
+        def counted(cache, pack, off, length):
+            reads.append(pack.path)
+            return read(cache, pack, off, length)
+
+        monkeypatch.setattr(CodeCache, "_read", counted)
+        warm = run_cached(tmp_path, "none", src=progs[3], codegen="closures")
+        c = warm.stats()["cache"]
+        assert c["hits"] > 0 and c["misses"] == 0
+        assert len(reads) == c["hits"]
+
+    def test_killed_writer_leaves_no_pack(self, tmp_path):
+        """A process SIGKILLed after storing, before its flush, leaves
+        nothing a reader could open."""
+        pid = os.fork()
+        if pid == 0:
+            try:
+                cache = CodeCache(str(tmp_path))
+                raw = bytes(range(256))
+                for i in range(20):
+                    cache.store_translation(
+                        b"\x07" * 32, 0x7000 + i, lambda s, n: raw[s:s + n],
+                        code=raw, ranges=((i, 8),), stats=None)
+                cache.store_trace(b"key", None, 0, 0)
+            finally:
+                os.kill(os.getpid(), signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status)
+        assert os.listdir(tmp_path / f"v{CACHE_FORMAT_VERSION}") == []
+        assert CodeCache(str(tmp_path)).load_trace(b"key") is None
+
+    def test_concurrent_flushes_lose_nothing(self, tmp_path):
+        """More writers than cores flush and merge one directory at once:
+        a merge deletes its inputs only after the merged pack is in
+        place, so every entry survives and no pack is damaged."""
+        writers, per_writer = 4, 25
+        pids = []
+        for i in range(writers):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    cache = CodeCache(str(tmp_path))
+                    for j in range(per_writer):
+                        cache.store_trace(b"%d/%d" % (i, j), None, 0, 0)
+                        cache.flush()
+                    status = 0 if cache.stats.store_errors == 0 else 2
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        deadline = time.monotonic() + 60
+        while pids and time.monotonic() < deadline:
+            for pid in list(pids):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    pids.remove(pid)
+                    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+            time.sleep(0.01)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert not pids, "a writer did not finish in time"
+        reader = CodeCache(str(tmp_path))
+        assert all(reader.load_trace(b"%d/%d" % (i, j)) == (None, 0, 0)
+                   for i in range(writers) for j in range(per_writer))
+        assert reader.stats.quarantined == 0
+
+    def test_pack_gone_is_a_plain_miss(self, tmp_path, monkeypatch):
+        """A pack another process merged or evicted away: an open one
+        still serves its entries, a listed but vanished one is a miss."""
+        writer = CodeCache(str(tmp_path))
+        writer.store_trace(b"key", None, 0, 0)
+        writer.flush()
+        (path,) = packs(tmp_path)
+        reader = CodeCache(str(tmp_path))
+        assert reader.load_trace(b"other") is None  # opens every pack
+        os.remove(path)
+        assert reader.load_trace(b"key") == (None, 0, 0)
+        late = CodeCache(str(tmp_path))
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir",
+                            lambda d: listdir(d) + [os.path.basename(path)])
+        assert late.load_trace(b"key") is None
+        assert late.stats.quarantined == reader.stats.quarantined == 0
 
 
 class TestConcurrentFleet:

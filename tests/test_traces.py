@@ -12,7 +12,6 @@ section.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace
 
 import pytest
@@ -26,13 +25,12 @@ from repro.backend.hostisa import (
 from repro.core import clientreq as CR
 from repro.core import traces as _traces
 from repro.core import translate as _translate
-from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
 from repro.core.codegen import CODEGEN_MODES
 from repro.core.options import BadOption
 from repro.core.traces import VG_TRACE_CALL, VG_TRACE_RET
 from repro.workloads import suite
 
-from .helpers import asm_image, native, vg
+from .helpers import asm_image, cache_entries, native, vg
 
 #: A nested hot loop: the inner chain records and stitches, the outer
 #: back edge leaves the trace through a side exit every iteration.
@@ -524,10 +522,7 @@ class TestSplice:
         sched = res.core.scheduler
         assert all(t.irsb is None
                    for t in sched.transtab.all_translations())
-        cache = CodeCache(str(tmp_path))
-        tdir = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "t"
-        entries = [cache._read_entry(os.path.join(d, f))
-                   for d, _dirs, files in os.walk(tdir) for f in files]
+        entries = [e[4] for e in cache_entries(tmp_path) if e[1] == "t"]
         assert entries
         assert all(set(e) == {"format", "addr", "ranges", "guest_sha",
                               "code", "stats"} for e in entries)
