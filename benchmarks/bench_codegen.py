@@ -21,7 +21,6 @@ byte-identical output everywhere.  Results are also written machine-readable to
 ``BENCH_codegen.json`` at the repo root for trend tracking across PRs.
 """
 
-import json
 import pathlib
 import time
 
@@ -29,7 +28,7 @@ from repro import Options, run_native, run_tool
 from repro.core.engines import ENGINES as REGISTRY
 from repro.workloads.suite import build
 
-from conftest import SCALE, geomean, save_and_show
+from conftest import SCALE, geomean, save_and_show, save_bench_json
 
 #: Tier ratios compare steady-state *execution* throughput, but each
 #: timed run pays its translation cost up front — an additive constant
@@ -140,7 +139,7 @@ def test_codegen_tiers(benchmark, capsys):
             "memcheck_pygen_vs_chained": gm_memcheck,
         },
     }
-    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    save_bench_json(JSON_PATH, payload)
 
     # The tiering gate; the full bars apply at the default scale and above.
     gate_nulgrind, gate_memcheck = GATES["full" if CG_SCALE >= 0.2 else "quick"]

@@ -25,7 +25,6 @@ The timing table is also written machine-readable to
 ``BENCH_fleet.json`` at the repo root.
 """
 
-import json
 import pathlib
 import tempfile
 import time
@@ -34,7 +33,7 @@ from repro.api import JobSpec, RetryPolicy, WatchdogConfig, run, run_fleet
 from repro.core.faultinject import FleetInjector
 from repro.core.supervisor import TERMINAL_STATES
 
-from conftest import QUICK_SCALE, SCALE, save_and_show
+from conftest import QUICK_SCALE, SCALE, save_and_show, save_bench_json
 
 ITERS = max(2000, int(40_000 * SCALE))
 N_JOBS = max(8, int(60 * SCALE))
@@ -185,7 +184,7 @@ def test_fleet_bench(capsys, tmp_path):
     ]
     save_and_show(capsys, "fleet", lines)
 
-    JSON_PATH.write_text(json.dumps({
+    save_bench_json(JSON_PATH, {
         "scale": SCALE,
         "workers": WORKERS,
         "jobs": N_JOBS,
@@ -203,4 +202,4 @@ def test_fleet_bench(capsys, tmp_path):
         "warm_gate": WARM_GATE,
         "warm_cache_stats": warm.cache,
         "chaos_terminal_states": mix,
-    }, indent=2) + "\n")
+    })

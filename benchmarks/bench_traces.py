@@ -21,7 +21,6 @@ Nulgrind at the default scale, with byte-identical output.  Results are
 written machine-readable to ``BENCH_traces.json`` at the repo root.
 """
 
-import json
 import pathlib
 import time
 
@@ -29,7 +28,7 @@ from repro import Options, run_native, run_tool
 from repro.core.engines import ENGINES as REGISTRY
 from repro.workloads.suite import build
 
-from conftest import SCALE, geomean, save_and_show
+from conftest import SCALE, geomean, save_and_show, save_bench_json
 
 #: Same reasoning as bench_codegen, with a higher floor: a trace pays
 #: translation *plus* recording, splicing and superblock compilation
@@ -138,7 +137,7 @@ def test_trace_tier(benchmark, capsys):
         "rows": rows,
         "geomean": {"nulgrind_traces_vs_pygen": gm},
     }
-    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    save_bench_json(JSON_PATH, payload)
 
     # The tier gate.  Tiny --quick/smoke scales spend most of the run
     # translating and recording rather than executing traces; the full

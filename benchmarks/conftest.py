@@ -10,18 +10,24 @@ DESIGN.md's experiment index).  Every bench
 
 The workload scale can be adjusted with REPRO_BENCH_SCALE (default 0.2);
 larger scales sharpen the timing ratios at the cost of wall-clock time.
+Only a run at the default scale rewrites a committed ``BENCH_*.json``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import time
 
 import pytest
 
+#: Workload scale of a default run: the one the committed BENCH_*.json
+#: files record.
+DEFAULT_SCALE = 0.2
+
 #: Workload scale for timing benches.
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.2"))
+SCALE = float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
 
 #: Scale used when the ``--quick`` flag is given (CI smoke runs).
 QUICK_SCALE = 0.1
@@ -45,6 +51,14 @@ def pytest_configure(config):
     if config.getoption("--quick", default=False):
         global SCALE
         SCALE = QUICK_SCALE
+
+
+def save_bench_json(path: pathlib.Path, payload: dict) -> None:
+    """Write a committed ``BENCH_*.json``, at the default scale only: a
+    --quick smoke run or a resized one leaves the committed numbers and
+    gates alone."""
+    if SCALE == DEFAULT_SCALE:
+        path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def save_and_show(capsys, experiment_id: str, lines) -> None:

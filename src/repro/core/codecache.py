@@ -18,8 +18,12 @@ a format bump simply stops seeing old entries):
         every hit by re-fetching the guest bytes over the stored ranges
         and comparing their SHA-256 — a stale entry (SMC, a different
         program at the same address) is a miss, never a wrong
-        translation.  No IR is stored: the trace tier builds from the
-        members' host code.
+        translation.  A record of a second kind holds, instead of host
+        code, the phase 1-4 IR of a block that a pygen run interpreted
+        and never promoted (core.codegen), written when the run ends; a
+        warm run hits it and interprets the block without translating.
+        The record kind is in the index, and a look-up that finds both
+        kinds for the same guest bytes takes the host code.
 ``p/``  pygen payloads: ``(source text, encoded env spec,
         marshal.dumps(code object))`` keyed by the host code bytes
         (emission is a pure function of them), the emit version and
@@ -52,12 +56,13 @@ sealed by magic + SHA-256.  A run keeps the blobs it stores in memory,
 where its own lookups find them, and :meth:`CodeCache.flush` writes them
 as one file ``v<N>/<content digest>.pack``::
 
-    "RCP5" | SHA-256 of the index | index length (u64) | index | blobs
+    "RCP6" | SHA-256 of the index | index length (u64) | index | blobs
 
 The index is a pickled ``(t, p, x)``: ``p`` and ``x`` map a key digest
 to a blob's (offset, length); ``t`` maps context -> guest address ->
-packed records, each holding a blob's offset and length, its guest
-ranges and their SHA-256.  So a ``t/`` lookup verifies the guest bytes
+packed records, each holding a blob's offset and length, its kind (host
+code or IR), its guest ranges and their SHA-256 (format 6 added the
+kind).  So a ``t/`` lookup verifies the guest bytes
 before it reads anything, and reads exactly one blob per hit.  A
 ``CodeCache`` loads every pack's index once, at its first lookup, and
 keeps the packs open until its next flush.
@@ -72,7 +77,8 @@ Durability properties:
   ``min(_EVICT_CHECK_BYTES, budget / 8)``.  A killed run loses them, as
   it loses its output: it leaves no pack, at most a temp file.
 * **Version/invalidation header** — a ``VERSION`` file records the
-  format; packs live under ``v<N>/`` so a format bump orphans old trees
+  format, rewritten by a cache's first pack write when it names another
+  one; packs live under ``v<N>/`` so a format bump orphans old trees
   instead of misreading them, and the budget walk evicts them.
 * **Corruption tolerance** — a pack whose header, index or any blob
   fails its digest or decode is quarantined whole (moved aside, counted
@@ -99,6 +105,7 @@ Durability properties:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.util
 import marshal
@@ -109,12 +116,14 @@ import struct
 import types
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..ir.block import IRSB
+
 #: On-disk format version: bump whenever the pack or entry layout, the
 #: pickled payload schema, or any versioned pipeline input changes shape.
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 _MAGIC = b"RCC1"
-_PACK_MAGIC = b"RCP5"
+_PACK_MAGIC = b"RCP6"
 _PICKLE_PROTO = 4
 
 #: This interpreter's bytecode format, part of every ``p/`` key.
@@ -136,9 +145,13 @@ _FORMAT_DIR = re.compile(r"v[0-9]+")
 #: Pack header: magic, SHA-256 of the index, index length.
 _HEAD = struct.Struct("<4s32sQ")
 #: One ``t/`` index record: blob offset and length, number of guest
-#: ranges and their SHA-256; the ranges follow as ``_RANGE`` pairs.
-_T_REC = struct.Struct("<QIH32s")
+#: ranges, record kind and the ranges' SHA-256; the ranges follow as
+#: ``_RANGE`` pairs.
+_T_REC = struct.Struct("<QIHB32s")
 _RANGE = struct.Struct("<II")
+#: ``t/`` record kinds: a block's host code, or the phase 1-4 IR of a
+#: block that no run promoted (core.codegen).
+T_CODE, T_IR = 0, 1
 
 
 class CacheStats:
@@ -185,10 +198,10 @@ class _Pack:
         self.buf += blob
 
     def put_t(self, ctx: bytes, addr: int, blob: bytes, ranges,
-              guest_sha: bytes) -> None:
+              guest_sha: bytes, kind: int) -> None:
         by_addr = self.t.setdefault(ctx, {})
         by_addr[addr] = by_addr.get(addr, b"") + _t_record(
-            len(self.buf), len(blob), ranges, guest_sha)
+            len(self.buf), len(blob), ranges, guest_sha, kind)
         self.buf += blob
 
 
@@ -205,22 +218,37 @@ def _payload(blob: bytes) -> bytes:
     return blob[36:]
 
 
-def _t_record(off: int, length: int, ranges, guest_sha: bytes) -> bytes:
-    return (_T_REC.pack(off, length, len(ranges), guest_sha)
+def _unpickle(payload: bytes) -> object:
+    """``pickle.loads`` with the cyclic GC paused: an IR record builds
+    a few hundred small objects, and a collection they trigger walks the
+    whole engine heap, which made a record's decode several times
+    slower (EXPERIMENTS "Interpret first")."""
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(payload)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _t_record(off: int, length: int, ranges, guest_sha: bytes,
+              kind: int) -> bytes:
+    return (_T_REC.pack(off, length, len(ranges), kind, guest_sha)
             + b"".join(_RANGE.pack(s, n) for s, n in ranges))
 
 
 def _t_records(packed: bytes) -> Iterator[tuple]:
     """Decode one address's packed ``t/`` records:
-    ``(offset, length, ranges, guest SHA-256)`` each."""
+    ``(offset, length, ranges, guest SHA-256, kind)`` each."""
     at = 0
     while at < len(packed):
-        off, length, n, guest_sha = _T_REC.unpack_from(packed, at)
+        off, length, n, kind, guest_sha = _T_REC.unpack_from(packed, at)
         at += _T_REC.size
         ranges = tuple(_RANGE.unpack_from(packed, at + 8 * i)
                        for i in range(n))
         at += 8 * n
-        yield off, length, ranges, guest_sha
+        yield off, length, ranges, guest_sha, kind
 
 
 def _parse_index(read: Callable[[int, int], bytes],
@@ -256,21 +284,28 @@ class CodeCache:
         #: after a flush (None until then).
         self._packs: Optional[List[_Pack]] = None
         self._seq = 0
+        #: True once this cache has checked the ``VERSION`` header.
+        self._header_checked = False
         os.makedirs(self.base, exist_ok=True)
-        self._write_header()
 
     # -- header ----------------------------------------------------------------
 
     def _write_header(self) -> None:
+        """Make ``VERSION`` name this format, once per cache, at its first
+        pack write: a directory an older format used says so until then,
+        and a cache that only reads writes nothing."""
+        self._header_checked = True
         path = os.path.join(self.root, "VERSION")
-        if os.path.exists(path):
-            return
+        header = (f'{{"cache": "repro-codecache", '
+                  f'"format": {CACHE_FORMAT_VERSION}}}\n').encode("ascii")
         try:
-            self._atomic_write(
-                path,
-                (f'{{"cache": "repro-codecache", '
-                 f'"format": {CACHE_FORMAT_VERSION}}}\n').encode("ascii"),
-            )
+            with open(path, "rb") as f:
+                if f.read() == header:
+                    return
+        except OSError:
+            pass
+        try:
+            self._atomic_write(path, header)
         except OSError:
             pass
 
@@ -329,7 +364,7 @@ class CodeCache:
         """The entry sealed at *off* in *pack*: None if the pack is gone
         (a plain miss) or damaged (quarantined)."""
         if pack.path is None:
-            return pickle.loads(_payload(bytes(pack.buf[off:off + length])))
+            return _unpickle(_payload(bytes(pack.buf[off:off + length])))
         try:
             blob = os.pread(pack.fd, length, pack.base + off)
         except OSError:
@@ -337,7 +372,7 @@ class CodeCache:
             return None
         self.stats.bytes_read += len(blob)
         try:
-            return pickle.loads(_payload(blob))
+            return _unpickle(_payload(blob))
         except Exception:
             self._quarantine(pack)
             return None
@@ -415,6 +450,8 @@ class CodeCache:
         except OSError:
             self.stats.store_errors += 1
             return None
+        if not self._header_checked:
+            self._write_header()
         self.stats.bytes_written += len(head) + len(index) + len(pack.buf)
         return path
 
@@ -447,7 +484,7 @@ class CodeCache:
 
                 puts = ([(out.p, k, blob(r)) for k, r in pp.items()]
                         + [(out.x, k, blob(r)) for k, r in px.items()])
-                t_puts = [(ctx, addr, blob(rec), rec[2], rec[3])
+                t_puts = [(ctx, addr, blob(rec), *rec[2:])
                           for ctx, by_addr in pt.items()
                           for addr, packed in by_addr.items()
                           for rec in _t_records(packed)]
@@ -457,10 +494,10 @@ class CodeCache:
             for ns, key, b in puts:
                 if key not in ns:
                     out.put(ns, key, b)
-            for ctx, addr, b, ranges, guest_sha in t_puts:
-                if (ctx, addr, ranges, guest_sha) not in seen_t:
-                    seen_t.add((ctx, addr, ranges, guest_sha))
-                    out.put_t(ctx, addr, b, ranges, guest_sha)
+            for ctx, addr, b, ranges, guest_sha, kind in t_puts:
+                if (ctx, addr, ranges, guest_sha, kind) not in seen_t:
+                    seen_t.add((ctx, addr, ranges, guest_sha, kind))
+                    out.put_t(ctx, addr, b, ranges, guest_sha, kind)
             merged.append(path)
             newest = max(newest, mtime)
         if len(merged) < 2:
@@ -497,61 +534,103 @@ class CodeCache:
         The bytes themselves come back as ``guest``: the translator
         takes the SMC CRC of them, and the memory tier keeps them to
         verify its own hits.
+
+        The entry holds ``code`` (host code) or ``ir`` (the phase 1-4 IR
+        of a block no run promoted).  When the cache holds both kinds for
+        the guest bytes, the host code wins.
         """
+        ir_at = raw = None
         for pack in self._sources():
             packed = pack.t.get(ctx, {}).get(addr)
             if packed is None:
                 continue
-            for off, length, ranges, guest_sha in _t_records(packed):
-                try:
-                    raw = b"".join(fetch(start, n) for start, n in ranges)
-                except Exception:
-                    continue  # code pages gone or unreadable: a miss
-                if hashlib.sha256(raw).digest() != guest_sha:
-                    continue  # stale (SMC / different program): a miss
-                obj = self._read(pack, off, length)
+            for off, length, ranges, guest_sha, kind in _t_records(packed):
+                if ir_at is not None:
+                    # Only host code for the same guest bytes can still
+                    # win, and the index alone tells.
+                    if kind != T_CODE or (ranges, guest_sha) != ir_at[3:5]:
+                        continue
+                else:
+                    try:
+                        raw = b"".join(fetch(start, n) for start, n in ranges)
+                    except Exception:
+                        continue  # code pages gone or unreadable: a miss
+                    if hashlib.sha256(raw).digest() != guest_sha:
+                        continue  # stale (SMC / different program): a miss
+                    if kind != T_CODE:
+                        ir_at = (pack, off, length, ranges, guest_sha, kind)
+                        continue
+                obj = self._entry(pack, off, length, ranges, guest_sha, kind,
+                                  addr)
                 if obj is None:
                     break
-                try:
-                    if (obj["format"] != CACHE_FORMAT_VERSION
-                            or obj["addr"] != addr
-                            or obj["ranges"] != ranges
-                            or obj["guest_sha"] != guest_sha
-                            or not isinstance(obj["code"], bytes)):
-                        raise ValueError("entry does not match its index")
-                except Exception:
-                    self._quarantine(pack)
-                    break
-                self.stats.hits += 1
                 obj["guest"] = raw
+                self.stats.hits += 1
+                return obj
+        if ir_at is not None:
+            obj = self._entry(*ir_at, addr)
+            if obj is not None:
+                obj["guest"] = raw
+                self.stats.hits += 1
                 return obj
         self.stats.misses += 1
         return None
 
+    def _entry(self, pack: _Pack, off: int, length: int, ranges,
+               guest_sha: bytes, kind: int, addr: int) -> Optional[dict]:
+        """The ``t/`` entry a verified index record points at; None (its
+        pack quarantined or gone) if it cannot be read or does not match
+        its record."""
+        obj = self._read(pack, off, length)
+        if obj is None:
+            return None
+        try:
+            if (obj["format"] != CACHE_FORMAT_VERSION
+                    or obj["addr"] != addr
+                    or obj["ranges"] != ranges
+                    or obj["guest_sha"] != guest_sha
+                    or not (isinstance(obj.get("code"), bytes)
+                            if kind == T_CODE else
+                            isinstance(obj.get("ir"), IRSB))):
+                raise ValueError("entry does not match its index")
+        except Exception:
+            self._quarantine(pack)
+            return None
+        return obj
+
     def store_translation(
         self, ctx: bytes, addr: int,
         fetch: Callable[[int, int], bytes],
-        *, code: bytes, ranges: Tuple[Tuple[int, int], ...],
-        stats: object,
+        *, code: Optional[bytes] = None, ir: object = None,
+        ranges: Tuple[Tuple[int, int], ...], stats: object,
+        guest: Optional[bytes] = None,
     ) -> bool:
-        """Store one translation: its host code, ranges and stats."""
-        try:
-            raw = b"".join(fetch(start, length) for start, length in ranges)
-        except Exception:
-            return False
+        """Store one translation: its host code (or, for a block no run
+        promoted, its phase 1-4 *ir*), ranges and stats.  *guest*: the
+        guest bytes over *ranges* it was made from, fetched if None."""
+        if guest is None:
+            try:
+                guest = b"".join(fetch(start, length)
+                                 for start, length in ranges)
+            except Exception:
+                return False
         ranges = tuple((int(s), int(n)) for s, n in ranges)
-        guest_sha = hashlib.sha256(raw).digest()
-        blob = self._sealed({
+        guest_sha = hashlib.sha256(guest).digest()
+        entry = {
             "format": CACHE_FORMAT_VERSION,
             "addr": addr,
             "ranges": ranges,
             "guest_sha": guest_sha,
-            "code": code,
             "stats": stats,
-        })
+        }
+        if code is not None:
+            entry["code"], kind = code, T_CODE
+        else:
+            entry["ir"], kind = ir, T_IR
+        blob = self._sealed(entry)
         if blob is None:
             return False
-        self._pending.put_t(ctx, addr, blob, ranges, guest_sha)
+        self._pending.put_t(ctx, addr, blob, ranges, guest_sha, kind)
         self._stored()
         return True
 

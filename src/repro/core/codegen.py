@@ -1,31 +1,44 @@
 """Tiered host code generation (the ``--codegen`` pipeline).
 
-Three executable tiers share one runner signature
+Four executable tiers share one runner signature
 (``fn(ts) -> (jump-kind, guest_insns)``) and one storage slot
 (``Translation.compiled_fn``).  :meth:`CodegenTiers.attach` is the only
-place a translation gets its runner, on its first execution, and it
-records the tier in ``Translation.tier``; so the dispatcher enters every
-block the same way, and transtab eviction, SMC flushes and chain
+place a translation gets its runner, when the dispatcher finds none, and
+it records the tier in ``Translation.tier``; so the dispatcher enters
+every block the same way, and transtab eviction, SMC flushes and chain
 severing work identically whichever tier a block is in:
 
-=========  =============================================  ========================
-tier       what executes                                  runner built by
-=========  =============================================  ========================
-closures   per-insn closure list, looped by the runner    ``compile_fn``
-pygen      specialized function: locals + batched         ``compile_pygen``
-           writeback
-interp     IR interpreter over ``Translation.irsb``       ``make_interp_runner``
-           (JIT-failure quarantine)
-=========  =============================================  ========================
+============  ==========================================  ======================
+tier          what executes                               runner built by
+============  ==========================================  ======================
+closures      per-insn closure list, looped by the runner ``compile_fn``
+pygen         specialized function: locals + batched      ``compile_pygen``
+              writeback
+interp_first  IR interpreter over ``Translation.front``'s ``make_interp_runner``
+              phase 1-4 IR, until the block is promoted
+interp        IR interpreter over ``Translation.irsb``    ``make_interp_runner``
+              (JIT-failure quarantine)
+============  ==========================================  ======================
 
-``--codegen=closures`` (default) is the paper's engine: every block runs
-in the closure tier.  ``--codegen=pygen`` compiles every block to the
-pygen tier instead.  ``--codegen=traces`` does the same and additionally
-splices hot chains of pygen blocks into superblocks
-(:mod:`repro.core.traces`).  In every mode a block compiles on its first
-execution, so blocks that never run never compile (``live_blocks``
-counts them as ``pending``), and a quarantined block (one
-``translate_interp`` made after a JIT failure) runs in the interp tier.
+``--codegen=closures`` (default) is the paper's engine: every block goes
+through all eight phases when it is translated and runs in the closure
+tier.  ``--codegen=pygen`` interprets first: a block that misses both
+translation tiers gets phases 1-4 only and runs its first execution in
+the interp_first tier; its second execution *promotes* it — phases 5-8
+over the same IR (:meth:`~repro.core.translate.Translator.promote`),
+then the pygen tier on the same Translation — so a block that runs once
+never pays the back end or a pygen compile.  The first run is marked on
+the memory tier's shared payload, so a later run of the same process
+that hits the block promotes it at once, as the block's second
+execution.  A block whose host code already exists (a hit on host code
+in either translation tier) enters the pygen tier at once.
+``--codegen=traces`` does the same and additionally splices hot chains
+of pygen blocks into superblocks (:mod:`repro.core.traces`); an
+interpreted run counts towards ``--trace-threshold``, and a recording
+promotes its members when it ends.  In every mode blocks that never run
+never compile (``live_blocks`` counts them as ``pending``), and a
+quarantined block (one ``translate_interp`` made after a JIT failure,
+or one whose promotion failed) runs in the interp tier.
 
 A pygen compile failure (real or ``--inject=pygen@N``) *demotes* the
 block to the closure tier and is counted; it never escapes as a host
@@ -39,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 #: Tier names (interp is a quarantine, not a target).
-TIERS = ("closures", "pygen", "interp")
+TIERS = ("closures", "pygen", "interp_first", "interp")
 
 #: Valid --codegen modes.
 CODEGEN_MODES = ("closures", "pygen", "traces")
@@ -61,6 +74,8 @@ class CodegenStats:
     tier_attaches: Dict[str, int] = field(default_factory=_tier_counter)
     #: pygen compile failures demoted to the closure tier.
     demotions: int = 0
+    #: Interpreted-first blocks given host code (phases 5-8).
+    promotions: int = 0
     #: Cumulative translation (compile) time per tier, seconds.
     compile_seconds: Dict[str, float] = field(default_factory=_tier_seconds)
 
@@ -72,13 +87,19 @@ class CodegenTiers:
         self,
         hostcpu,
         options,
+        translator,
         injector=None,
         on_demote: Optional[Callable] = None,
+        on_quarantine: Optional[Callable] = None,
     ):
         self.hostcpu = hostcpu
         self.mode = options.codegen
+        self.translator = translator
         self.injector = injector
         self.on_demote = on_demote
+        #: Called with (translation, exception) when a promotion fails
+        #: and the block is quarantined to the interp tier.
+        self.on_quarantine = on_quarantine
         #: Trace manager (set by the scheduler under --codegen=traces):
         #: blocks crossing --trace-threshold request a chain recording.
         self.traces = None
@@ -88,19 +109,73 @@ class CodegenTiers:
 
     def attach(self, t):
         """Give *t* the ``compiled_fn`` of its tier; returns it."""
+        if t.front is not None:
+            if not t.front.ran:
+                self._install(t, "interp_first", self._first_runner, t)
+                return t.compiled_fn
+            if self.promote(t):
+                return t.compiled_fn
         if t.irsb is not None:
-            # Imported here: options imports this module for
-            # CODEGEN_MODES, and translate imports options.
-            from .translate import make_interp_runner
-
             cpu = self.hostcpu
-            self._install(t, "interp", make_interp_runner, t.irsb,
+            self._install(t, "interp", _interp_runner(), t.irsb,
                           cpu.helpers, cpu.env, cpu.mem)
-        elif self.mode == "closures" or not self._try_pygen(t):
-            self._install(t, "closures", self.hostcpu.compile_fn, t.code)
-        elif self.traces is not None:
-            self._wrap_trace_counting(t)
+        else:
+            self._attach_code(t)
         return t.compiled_fn
+
+    def _attach_code(self, t) -> None:
+        """Give *t*, which has host code, its pygen runner (the closure
+        tier's under ``--codegen=closures`` or after a demotion)."""
+        if self.mode == "closures" or not self._try_pygen(t):
+            self._install(t, "closures", self.hostcpu.compile_fn, t.code)
+        elif (self.traces is not None
+              and t.exec_count < self.traces.threshold):
+            # Still counting towards --trace-threshold (an interpreted
+            # run that crossed it already asked for a recording).
+            self._wrap_trace_counting(t)
+
+    def promote(self, t) -> bool:
+        """Give the interpreted-first *t* its host code
+        (``Translator.promote``) and its runner, so host code a run
+        stores always comes with its pygen payload.  If the back end
+        fails, quarantine the block to the interp tier instead (its
+        runner comes at its next execution) and return False."""
+        try:
+            self.translator.promote(t)
+        except Exception as exc:
+            t.irsb, t.front = t.front.ir, None
+            t.compiled_fn = None
+            if self.on_quarantine is not None:
+                self.on_quarantine(t, exc)
+            return False
+        self.stats.promotions += 1
+        self._attach_code(t)
+        return True
+
+    def _first_runner(self, t):
+        """The runner of an unpromoted block's first execution: the IR
+        interpreter over its phase 1-4 IR.  It runs once: it clears
+        ``compiled_fn`` and marks the shared payload as run, so the next
+        execution comes back to :meth:`attach`, which promotes the block.
+        Under traces the run counts towards --trace-threshold as the
+        counting wrapper's would."""
+        cpu = self.hostcpu
+        front = t.front
+        run = _interp_runner()(front.ir, cpu.helpers, cpu.env, cpu.mem)
+        mgr = self.traces
+
+        def first(ts):
+            t.compiled_fn = None
+            front.ran = True
+            out = run(ts)
+            if mgr is not None:
+                n = t.exec_count + 1
+                t.exec_count = n
+                if n == mgr.threshold and not t.trace_failed:
+                    mgr.request(t)
+            return out
+
+        return first
 
     def _wrap_trace_counting(self, t) -> None:
         """Count the pygen runner's executions; at --trace-threshold ask
@@ -114,6 +189,10 @@ class CodegenTiers:
         severed trace's surviving head, or a member whose recording
         request was dropped, to let it prove itself hot again.
         """
+        if t.tier == "interp_first":
+            # Its interpreted runs count themselves, and promotion wraps
+            # its pygen runner.
+            return
         inner = t.compiled_fn
         mgr = self.traces
         threshold = mgr.threshold
@@ -169,6 +248,7 @@ class CodegenTiers:
             "mode": self.mode,
             "tier_attaches": dict(s.tier_attaches),
             "demotions": s.demotions,
+            "promotions": s.promotions,
             "compile_seconds": dict(s.compile_seconds),
             "pygen_cache": {
                 "hits": cpu.pygen_cache_hits,
@@ -186,3 +266,11 @@ class CodegenTiers:
                 live[tier] = live.get(tier, 0) + 1
             out["live_blocks"] = live
         return out
+
+
+def _interp_runner():
+    # Imported here: options imports this module for CODEGEN_MODES, and
+    # translate imports options.
+    from .translate import make_interp_runner
+
+    return make_interp_runner

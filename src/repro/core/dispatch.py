@@ -120,6 +120,16 @@ class Dispatcher:
         discard)."""
         self._cache = [None] * len(self._cache)
 
+    def refill_cache(self, slots) -> None:
+        """Refill the fast look-up cache from checkpointed ``[slot, guest
+        address]`` pairs with the table's translations, without counting a
+        look-up or touching LRU order (checkpoint restore)."""
+        cache = self._cache
+        for slot, addr in slots:
+            t = self.transtab.peek(addr)
+            if t is not None and (addr >> 1) & self._mask == slot:
+                cache[slot] = t
+
     def run(self, ts, max_blocks: Optional[int] = None) -> Tuple[str, object]:
         """Execute translations for thread state *ts* until an event.
 

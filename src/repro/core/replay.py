@@ -53,7 +53,7 @@ FORMAT_VERSION = 1
 #: capture — it is dead at block boundaries and its residue depends on
 #: the codegen tier and the Memcheck fast-path setting, neither of which
 #: is part of the replay contract.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 # -- event kinds ---------------------------------------------------------------
 
@@ -542,6 +542,14 @@ def capture_snapshot(sched, current_tid: int, slice_left: int) -> dict:
         [t.guest_addr, bool(t.smc_checked), t.irsb is not None, t.smc_hash]
         for t in sched.transtab.all_translations()
     ]
+    # The dispatcher's fast cache decides which look-ups take the slow
+    # path, and under --transtab-policy=lru each slow look-up reorders the
+    # table: restore refills it so eviction follows the recorded run.
+    dispatch_cache = [
+        [slot, t.guest_addr]
+        for slot, t in enumerate(sched.dispatcher._cache)
+        if t is not None and not t.dead
+    ]
 
     injector = None
     if sched.injector is not None:
@@ -603,6 +611,7 @@ def capture_snapshot(sched, current_tid: int, slice_left: int) -> dict:
             "fds": fds,
         },
         "translations": translations,
+        "dispatch_cache": dispatch_cache,
         "injector": injector,
     }
 
@@ -610,8 +619,10 @@ def capture_snapshot(sched, current_tid: int, slice_left: int) -> dict:
 def snapshot_hash(snap: dict) -> bytes:
     """Content hash of a snapshot's tier-independent, injector-independent
     portion (replay runs with injector=None, so the injector echo is
-    excluded from the cross-run identity)."""
-    trimmed = {k: v for k, v in snap.items() if k != "injector"}
+    excluded from the cross-run identity, and chaining skips look-ups, so
+    the dispatcher cache is too)."""
+    trimmed = {k: v for k, v in snap.items()
+               if k not in ("injector", "dispatch_cache")}
     return hashlib.sha256(pack_obj(trimmed)).digest()
 
 
@@ -703,6 +714,7 @@ def apply_snapshot(sched, snap: dict) -> None:
     # the post-restore lookup/translate sequence matches the original
     # run's warm-cache behaviour.
     sched._restore_translations(snap["translations"])
+    sched.dispatcher.refill_cache(snap["dispatch_cache"])
 
     # Counters last: retranslation above must not perturb them.
     sched.translator.translations_made = snap["translations_made"]

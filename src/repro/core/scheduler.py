@@ -312,19 +312,21 @@ class Scheduler:
             self.hostcpu.shadow_fastpath = True
         self.transtab = TranslationTable(options.transtab_entries,
                                          policy=options.transtab_policy)
-        #: Codegen tiering (closures / pygen / interp).
-        self.codegen = CodegenTiers(
-            self.hostcpu,
-            options,
-            injector=self.injector,
-            on_demote=self._on_pygen_demoted,
-        )
         self.smc = SmcPolicy(options.smc_check, self._fetch_exact)
         self.translator = Translator(
             self._fetch,
             tool,
             options,
             track_stack_events=events.tracks_stack_events,
+        )
+        #: Codegen tiering (closures / pygen / interp_first / interp).
+        self.codegen = CodegenTiers(
+            self.hostcpu,
+            options,
+            self.translator,
+            injector=self.injector,
+            on_demote=self._on_pygen_demoted,
+            on_quarantine=self._on_promotion_failed,
         )
         self.translator.disasm._chase_ok = self._chase_ok
         if self.injector is not None:
@@ -386,6 +388,7 @@ class Scheduler:
             # heads prove themselves hot again over retranslated
             # neighbours.
             self.traces.rewrap = self.codegen._wrap_trace_counting
+            self.traces.promote = self.codegen.promote
             self.transtab.on_kill = self.traces.on_translation_dead
             if VG_TRACE_CALL not in helpers:
                 helpers.register_dirty(VG_TRACE_CALL, vg_trace_call)
@@ -558,6 +561,16 @@ class Scheduler:
             f"trace build failure for chain headed at {t.guest_addr:#x} "
             f"({exc!r}); chain stays in the block tier"
         )
+
+    def _on_promotion_failed(self, t, exc) -> None:
+        """Phases 5-8 failed while promoting an interpreted-first block:
+        it stays in the IR interpreter, quarantined like a block whose
+        translation failed."""
+        self.core.log(
+            f"JIT failure for block at {t.guest_addr:#x} ({exc!r}); "
+            "quarantining to IR interpreter"
+        )
+        self.quarantined_blocks += 1
 
     def _quarantine_translation(self, addr: int, exc) -> Optional[object]:
         """Build an interpreter-executed translation for *addr* after an

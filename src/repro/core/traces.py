@@ -126,6 +126,8 @@ from .translate import Translation, hash_guest_ranges
 #: JumpKind values the recorder may follow and the splicer may sew across.
 _TRACEABLE_VALUES = tuple(jk.value for jk in
                           (JumpKind.Boring, JumpKind.Call, JumpKind.Ret))
+#: Tiers whose blocks a recording may take (core.codegen).
+_RECORDABLE_TIERS = ("pygen", "interp_first")
 #: u16 instruction-count fields in SIDEEXIT/SIDEEXITR bound trace size.
 _MAX_TRACE_INSNS = 60000
 #: Dirty helpers maintaining the shadow call stack across in-trace
@@ -294,6 +296,10 @@ class TraceManager:
         #: calls :meth:`request` once ``exec_count`` reaches the threshold
         #: (set by the scheduler).
         self.rewrap: Optional[Callable] = None
+        #: Give an interpreted-first member its host code
+        #: (``CodegenTiers.promote``; False if it was quarantined instead),
+        #: set by the scheduler.
+        self.promote: Optional[Callable] = None
         #: The count at which the counting wrapper calls :meth:`request`:
         #: --trace-threshold runs from a block's first execution.
         self.threshold = max(1, options.trace_threshold)
@@ -366,10 +372,12 @@ class TraceManager:
     def _eligible(self, t: Translation) -> bool:
         # SMC-checked blocks re-verify their bytes before every run; a
         # trace cannot, so they never join one.  Only pygen-tier blocks
-        # do: quarantined (interp) blocks have no JITable code, and a
-        # block demoted to the closure tier already proved the back end
-        # chokes on it.
-        return t.tier == "pygen" and not (t.dead or t.smc_checked)
+        # do, and blocks still interpreted first, which a recording
+        # promotes when it ends: quarantined (interp) blocks have no
+        # JITable code, and a block demoted to the closure tier already
+        # proved the back end chokes on it.
+        return (t.tier in _RECORDABLE_TIERS and t.irsb is None
+                and not (t.dead or t.smc_checked))
 
     def on_block(self, t: Translation, jk: str) -> None:
         """Dispatcher hook: translation *t* just executed, leaving with
@@ -417,6 +425,15 @@ class TraceManager:
             return
         head = members[0]
         if head.dead or head.guest_addr in self.traces:
+            self.recordings_aborted += 1
+            return
+        # Members still interpreted first get their host code now: the
+        # break-even rule and the build read it.
+        for i, m in enumerate(members):
+            if m.front is not None and not self.promote(m):
+                members = members[:i]
+                break
+        if len(members) < 2:
             self.recordings_aborted += 1
             return
         runs = math.ceil(BREAK_EVEN_K * sum(len(m.code) for m in members)

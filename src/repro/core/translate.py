@@ -17,6 +17,14 @@ Phase     What                        Module
 All phases are performed by the core except instrumentation, which is
 performed by the tool.
 
+Phases 1-4 are the engine's one front half, :meth:`Translator.front_ir`;
+phases 5-8 run over its IR.  Under the closure tier (the paper's engine)
+:meth:`Translator.translate` runs both halves.  The pygen engines
+interpret first (core.codegen): ``translate`` runs the front half only,
+the block's first execution interprets that IR, and its second
+execution promotes it (:meth:`Translator.promote`) through phases 5-8,
+still called through this module's names.
+
 Two translation tiers stand in front of the pipeline, both keyed by the
 run's translation context (``core.codecache.translation_context``: the
 versions, the tool and its options, the pipeline settings and the live
@@ -32,16 +40,21 @@ against the guest bytes the translation was made from:
 A hit in either behaves exactly like a fresh translation to the rest of
 the engine: it fires the fault-injection hook, counts in
 ``translations_made`` and yields a new :class:`Translation` whose SMC
-hash is taken from the bytes just fetched.  ``--trace-translations``
-bypasses both, since a hit runs none of the phases it prints.
+hash is taken from the bytes just fetched.  Both tiers hold either a
+block's host code or, for a block no run promoted, its phase 1-4 IR; a
+hit on IR interprets first too (unless a run of this process already
+interpreted it: then the hit is its second execution and promotes it),
+and a look-up that finds both takes the host code.
+``--trace-translations`` bypasses both, since a hit runs none of the
+phases it prints.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..frontend.disasm import Disassembler
 from ..frontend.spec import vx32_spec_helper
@@ -108,9 +121,9 @@ class Translation:
     #: (Section 3.16: by default, only translations of on-stack code).
     smc_checked: bool = False
     #: Codegen tier this block executes in ("closures", "pygen",
-    #: "interp"); None until first attached (see core.codegen).  A
-    #: block whose pygen compile failed stays in "closures", never
-    #: retried.
+    #: "interp_first", "interp"); None until first attached (see
+    #: core.codegen).  A block whose pygen compile failed stays in
+    #: "closures", never retried.
     tier: Optional[str] = None
     #: Executions counted towards --trace-threshold (core.codegen).
     exec_count: int = 0
@@ -126,6 +139,11 @@ class Translation:
     #: back end failed for this block, so the interp tier executes this
     #: IR directly (graceful degradation); None otherwise.
     irsb: Optional[IRSB] = None
+    #: A block the pygen engines have not promoted yet (core.codegen):
+    #: the shared payload whose phase 1-4 IR (``front.ir``) runs in the
+    #: IR interpreter until :meth:`Translator.promote` gives the block
+    #: host code (``code`` is empty until then); None otherwise.
+    front: Optional["_Resident"] = None
 
     def covers(self, addr: int, size: int = 1) -> bool:
         return any(
@@ -135,19 +153,29 @@ class Translation:
 
 
 class _Resident:
-    """One translation as the memory tier holds it: the guest bytes it was
-    made from and the read-only payload every hit shares — host code,
-    ranges and structural stats, never mutated once here."""
+    """One translation as the memory tier holds it: the tier key and the
+    guest bytes it was made from, and the read-only payload every hit
+    shares — ranges, structural stats and either host code or, for a
+    block not yet promoted, its phase 1-4 IR (``ir``; ``code`` is None).
+    The payload is never mutated: promotion makes a new resident with the
+    code.  ``ran`` is set when an unpromoted resident's block runs in the
+    IR interpreter, so its next execution promotes it whichever run of
+    the process makes it (core.codegen)."""
 
-    __slots__ = ("guest", "ranges", "code", "stats", "nbytes")
+    __slots__ = ("key", "guest", "ranges", "code", "ir", "stats", "nbytes",
+                 "ran")
 
-    def __init__(self, guest: bytes, ranges, code: bytes,
-                 stats: TranslationStats):
+    def __init__(self, key, guest: bytes, ranges, stats: TranslationStats,
+                 *, code: Optional[bytes] = None, ir: Optional[IRSB] = None):
+        self.key = key
         self.guest = guest
         self.ranges = ranges
         self.code = code
+        self.ir = ir
         self.stats = stats
-        self.nbytes = _RESIDENT_OVERHEAD + len(code) + len(guest)
+        self.ran = False
+        self.nbytes = _RESIDENT_OVERHEAD + len(guest) + (
+            len(code) if code is not None else _IR_STMT_BYTES * len(ir.stmts))
 
 
 #: The process-wide memory tier: (context digest, guest address) -> the
@@ -164,6 +192,8 @@ _TIER_MAX = 8192
 _TIER_BUDGET = 64 * 1024 * 1024
 _TIER_STATS = {"entries": 0, "bytes": 0, "evictions": 0}
 _RESIDENT_OVERHEAD = 512
+#: Estimated bytes per statement of a resident's IR.
+_IR_STMT_BYTES = 256
 
 
 def _tier_lookup(key: Tuple[bytes, int],
@@ -195,6 +225,24 @@ def _tier_put(key: Tuple[bytes, int], resident: _Resident) -> None:
     stats["bytes"] += resident.nbytes
     while len(versions) > _TIER_VERSIONS:
         _tier_drop(versions.pop())
+    _tier_bound()
+
+
+def _tier_promoted(old: _Resident, new: _Resident) -> None:
+    """Replace the unpromoted *old* with *new*, its host code, where the
+    tier still holds it (evicted, it stays out)."""
+    versions = _TIER.get(old.key) or []
+    for i, resident in enumerate(versions):
+        if resident is old:
+            versions[i] = new
+            _TIER_STATS["bytes"] += new.nbytes - old.nbytes
+            _tier_bound()
+            return
+
+
+def _tier_bound() -> None:
+    """Evict least recently used versions past the entry cap or budget."""
+    stats = _TIER_STATS
     while _TIER and (stats["bytes"] > _TIER_BUDGET
                      or stats["entries"] > _TIER_MAX):
         versions = next(iter(_TIER.values()))
@@ -289,11 +337,16 @@ class Translator:
         self.tool = tool
         self.options = options
         self.track_stack_events = track_stack_events
+        #: The pygen engines interpret a block first and run phases 5-8
+        #: only when it runs again (:meth:`promote`, core.codegen); the
+        #: closure tier translates every block through all eight phases.
+        self.interpret_first = options.codegen != "closures"
         #: Cumulative pipeline statistics.
         self.translations_made = 0
-        #: Fault-injection hook, called with the block address just before
-        #: instruction selection; may raise to simulate an internal JIT
-        #: failure (exercises the quarantine path).
+        #: Fault-injection hook, called with the block address once per
+        #: translate(), when its front half is built or found; may raise
+        #: to simulate an internal JIT failure (exercises the quarantine
+        #: path).
         self.fail_hook: Optional[Callable[[int], None]] = None
         #: The run's translation context (core.codecache), bound by the
         #: scheduler unless --trace-translations is on; None bypasses
@@ -305,32 +358,95 @@ class Translator:
         #: Memory-tier lookups of this run that hit / missed.
         self.tier_hits = 0
         self.tier_misses = 0
+        #: Unpromoted residents this run built (keyed by id), stored as
+        #: ``t/`` IR records by :meth:`store_unpromoted` unless promoted.
+        self._made: Dict[int, _Resident] = {}
 
     def translate(self, addr: int) -> Translation:
         """Translate the code block at guest address *addr*: from the
-        memory tier, else the code cache, else the pipeline."""
-        opts = self.options
-        ctx = key = None
+        memory tier, else the code cache, else the pipeline (phases 1-4,
+        and under the closure tier phases 5-8 too)."""
+        key = None
         if self.context is not None:
-            ctx = self.context.digest()
-            key = (ctx, addr)
+            key = (self.context.digest(), addr)
             found = _tier_lookup(key, self._fetch)
             if found is not None:
                 self.tier_hits += 1
-                return self._hit(addr, *found, opts)
+                return self._hit(addr, *found)
             self.tier_misses += 1
             if self.cache is not None:
-                hit = self.cache.lookup_translation(ctx, addr, self._fetch)
+                hit = self.cache.lookup_translation(key[0], addr, self._fetch)
                 if hit is not None:
-                    stats = hit.get("stats")
-                    if not isinstance(stats, TranslationStats):
-                        stats = TranslationStats()
-                    resident = _Resident(hit["guest"], hit["ranges"],
-                                         hit["code"], stats)
-                    t = self._hit(addr, resident, hit["guest"], opts)
-                    _tier_put(key, resident)
-                    return t
+                    return self._hit(addr, _cached_resident(key, hit),
+                                     hit["guest"], put=True)
         stats = TranslationStats()
+        sb, ranges = self.front_ir(addr, stats)
+        if self.fail_hook is not None:
+            self.fail_hook(addr)
+        raw = _guest_bytes(self._fetch, ranges)
+        resident = _Resident(key, raw, ranges, stats, ir=sb)
+        if not self.interpret_first:
+            resident = self._back_half(resident)
+        self.translations_made += 1
+        if key is not None:
+            _tier_put(key, resident)
+            if resident.code is None and self.cache is not None:
+                self._made[id(resident)] = resident
+        return self._translation(addr, resident, raw)
+
+    def _hit(self, addr: int, resident: _Resident, raw: bytes, *,
+             put: bool = False) -> Translation:
+        """A fresh Translation sharing *resident*'s payload, after a
+        verified hit in either tier; *raw* are the guest bytes just
+        fetched over its ranges.  *put*: a code-cache hit, which the
+        memory tier takes.
+
+        The fail hook fires once per translate(), when the front half is
+        built on the cold path, so it fires on a hit too: --inject=isel@N
+        plans and chaos/replay runs stay deterministic warm vs cold.  A
+        raise here follows the same quarantine route as a cold pipeline
+        failure.
+        """
+        if self.fail_hook is not None:
+            self.fail_hook(addr)
+        if put:
+            _tier_put(resident.key, resident)
+        if resident.code is None and not self.interpret_first:
+            resident = self._promoted(resident)
+        self.translations_made += 1
+        return self._translation(addr, resident, raw)
+
+    def _translation(self, addr: int, resident: _Resident,
+                     raw: bytes) -> Translation:
+        opts = self.options
+        smc_hash = None
+        if opts.smc_check != "none" or opts.codegen == "traces":
+            # Traces mode always hashes: a trace build re-verifies every
+            # member against its translation-time bytes, even when SMC
+            # checking itself is off.
+            smc_hash = zlib.crc32(raw)
+        promoted = resident.code is not None
+        return Translation(
+            guest_addr=addr,
+            code=resident.code if promoted else b"",
+            ranges=resident.ranges,
+            smc_hash=smc_hash,
+            stats=resident.stats,
+            front=None if promoted else resident,
+        )
+
+    def front_ir(self, addr: int, stats: TranslationStats, *,
+                 optimise: bool = True) -> Tuple[IRSB, tuple]:
+        """Run the front half of the pipeline (Phases 1-4) for *addr*:
+        the flat instrumented IR and the guest ranges it covers.  Fills
+        *stats*' statement counts; counts no translation.  *optimise*
+        False skips both optimisation passes (Phase 2 only flattens).
+
+        The engine's one front half: :meth:`translate` runs it on every
+        miss in both translation tiers, and the quarantine path
+        (:meth:`translate_interp`) too.
+        """
+        opts = self.options
         # Phase 1: disassembly.
         sb = self.disasm.disasm_block(addr)
         stats.guest_insns = sum(1 for s in sb.stmts if isinstance(s, IMark))
@@ -338,7 +454,7 @@ class Translator:
         ranges = _imark_ranges(sb)
 
         # Phase 2: optimisation 1 (includes flattening).
-        if opts.opt1:
+        if optimise and opts.opt1:
             sb = optimise1(sb, spec_helper=vx32_spec_helper, unroll=opts.unroll)
         else:
             from ..opt.flatten import flatten
@@ -355,7 +471,7 @@ class Translator:
         validate(sb, flat=True)
 
         # Phase 4: optimisation 2.
-        if opts.opt2:
+        if optimise and opts.opt2:
             sb = optimise2(sb, spec_helper=vx32_spec_helper)
         stats.stmts_opt2 = sb.num_real_stmts()
 
@@ -365,48 +481,63 @@ class Translator:
             print(f"==== translation at {addr:#x} "
                   f"({stats.guest_insns} guest insns) ====")
             print(fmt_irsb(sb))
+        return sb, ranges
 
+    def _back_half(self, resident: _Resident) -> _Resident:
+        """Run Phases 5-8 over an unpromoted *resident*'s IR; the
+        resident with its host code, stored in both translation tiers."""
+        stats = replace(resident.stats)
         # Phase 5: tree building.
-        tree = build_trees(sb)
+        tree = build_trees(resident.ir)
 
         # Phase 6: instruction selection.
-        if self.fail_hook is not None:
-            self.fail_hook(addr)
         vcode = select(tree)
 
         # Phase 7: register allocation.
-        hcode, alloc_stats = allocate(vcode)
-        stats.alloc = alloc_stats
+        hcode, stats.alloc = allocate(vcode)
         stats.host_insns = len(hcode)
 
         # Phase 8: assembly.
         code = encode_insns(hcode)
 
-        raw = None
-        if key is not None:
-            raw = _guest_bytes(self._fetch, ranges)
-        smc_hash = None
-        if opts.smc_check != "none" or opts.codegen == "traces":
-            # Traces mode always hashes: a trace build re-verifies every
-            # member against its translation-time bytes, even when SMC
-            # checking itself is off.
-            smc_hash = (zlib.crc32(raw) if raw is not None
-                        else hash_guest_ranges(self._fetch, ranges))
-
-        self.translations_made += 1
-        if self.cache is not None:
+        done = _Resident(resident.key, resident.guest, resident.ranges,
+                         stats, code=code)
+        if self.cache is not None and done.key is not None:
+            ctx, addr = done.key
             self.cache.store_translation(
-                ctx, addr, self._fetch, code=code, ranges=ranges, stats=stats,
+                ctx, addr, self._fetch, code=code, ranges=done.ranges,
+                stats=stats, guest=done.guest,
             )
-        if key is not None:
-            _tier_put(key, _Resident(raw, ranges, code, stats))
-        return Translation(
-            guest_addr=addr,
-            code=code,
-            ranges=ranges,
-            smc_hash=smc_hash,
-            stats=stats,
-        )
+        return done
+
+    def _promoted(self, resident: _Resident) -> _Resident:
+        """Unpromoted *resident* with its host code from Phases 5-8,
+        replacing it in the memory tier."""
+        done = self._back_half(resident)
+        self._made.pop(id(resident), None)
+        _tier_promoted(resident, done)
+        return done
+
+    def promote(self, t: Translation) -> None:
+        """Give the unpromoted *t* host code: Phases 5-8 over its IR,
+        stored in both tiers.  Raises what the back end raises."""
+        done = self._promoted(t.front)
+        t.code = done.code
+        t.stats = done.stats
+        t.front = None
+
+    def store_unpromoted(self) -> None:
+        """Store the IR of every block this run built that is still
+        unpromoted as a ``t/`` record of its own kind, so a later run hits
+        it instead of translating (called when the run ends)."""
+        made, self._made = self._made, {}
+        for resident in made.values():
+            ctx, addr = resident.key
+            self.cache.store_translation(
+                ctx, addr, self._fetch, ir=resident.ir,
+                ranges=resident.ranges, stats=resident.stats,
+                guest=resident.guest,
+            )
 
     def tier_stats(self) -> dict:
         """The ``translation_cache`` stats section: this run's memory-tier
@@ -418,92 +549,37 @@ class Translator:
             **_TIER_STATS,
         }
 
-    def _hit(self, addr: int, resident: _Resident, raw: bytes,
-             opts: Options) -> Translation:
-        """A fresh Translation sharing *resident*'s payload, after a
-        verified hit in either tier; *raw* are the guest bytes just
-        fetched over its ranges.
-
-        The fail hook fires exactly once per translate() on the cold path
-        (just before isel), so it fires on a hit too: --inject=isel@N
-        plans and chaos/replay runs stay deterministic warm vs cold.  A
-        raise here follows the same quarantine route as a cold pipeline
-        failure.
-        """
-        if self.fail_hook is not None:
-            self.fail_hook(addr)
-        self.translations_made += 1
-        smc_hash = None
-        if opts.smc_check != "none" or opts.codegen == "traces":
-            smc_hash = zlib.crc32(raw)
-        return Translation(
-            guest_addr=addr,
-            code=resident.code,
-            ranges=resident.ranges,
-            smc_hash=smc_hash,
-            stats=resident.stats,
-        )
-
-    def front_ir(self, addr: int) -> IRSB:
-        """Run the front half of the pipeline (Phases 1-4) for *addr* and
-        return the flat instrumented IR, without counting a translation.
-
-        Nothing in the engine calls it.  It stays because perfbench's
-        layer table wraps it (``core.traces.front_ir``), and
-        ``Patches.wrap`` reads ``vars(Translator)["front_ir"]``: without
-        it ``perfbench/run.py --trace 1`` and
-        ``test_layer_wraps_name_real_functions`` fail.
-        """
-        opts = self.options
-        sb = self.disasm.disasm_block(addr)
-        if opts.opt1:
-            sb = optimise1(sb, spec_helper=vx32_spec_helper, unroll=opts.unroll)
-        else:
-            from ..opt.flatten import flatten
-
-            sb = flatten(sb)
-        sb = self.tool.instrument(sb)
-        if self.track_stack_events:
-            sb = add_sp_tracking(sb)
-        if opts.opt2:
-            sb = optimise2(sb, spec_helper=vx32_spec_helper)
-        validate(sb, flat=True)
-        return sb
-
     def translate_interp(self, addr: int) -> Translation:
         """Build an interpreter-backed translation for the block at *addr*.
 
-        Runs only the front half of the pipeline — disassembly, flattening
-        and instrumentation — and stores the flat IR on the translation for
-        direct execution by :func:`make_interp_runner`.  Used as the
-        graceful-degradation path when the JIT back-end (isel / regalloc /
-        runner compilation) fails for one block: the guest keeps running,
-        just slower, instead of the whole process dying.
+        Runs only the front half of the pipeline and stores the flat IR
+        on the translation for direct execution by
+        :func:`make_interp_runner`.  Used as the graceful-degradation path
+        when the JIT back-end (isel / regalloc / runner compilation) fails
+        for one block: the guest keeps running, just slower, instead of
+        the whole process dying.
         """
-        opts = self.options
         stats = TranslationStats()
-        sb = self.disasm.disasm_block(addr)
-        stats.guest_insns = sum(1 for s in sb.stmts if isinstance(s, IMark))
-        stats.stmts_disasm = sb.num_real_stmts()
-        ranges = _imark_ranges(sb)
-
-        from ..opt.flatten import flatten
-
-        sb = flatten(sb)
         try:
-            inst = self.tool.instrument(sb)
-            if self.track_stack_events:
-                inst = add_sp_tracking(inst)
-            validate(inst, flat=True)
-            sb = inst
+            sb, ranges = self.front_ir(addr, stats)
         except Exception:
-            # The tool's instrumentation may itself be what broke; a
-            # quarantined block runs uninstrumented rather than not at all.
-            pass
-        stats.stmts_instrumented = sb.num_real_stmts()
+            try:
+                # An optimisation pass may be what broke: the tool still
+                # instruments the plainly flattened block.
+                sb, ranges = self.front_ir(addr, stats, optimise=False)
+            except Exception:
+                # The tool's instrumentation may itself be what broke; a
+                # quarantined block runs uninstrumented rather than not
+                # at all.
+                from ..opt.flatten import flatten
+
+                sb = self.disasm.disasm_block(addr)
+                ranges = _imark_ranges(sb)
+                sb = flatten(sb)
+                stats.stmts_instrumented = sb.num_real_stmts()
 
         smc_hash = None
-        if opts.smc_check != "none":
+        if self.options.smc_check != "none":
             smc_hash = hash_guest_ranges(self._fetch, ranges)
 
         self.translations_made += 1
@@ -517,39 +593,55 @@ class Translator:
         )
 
 
+def _cached_resident(key, hit: dict) -> _Resident:
+    """The resident for a verified code-cache *hit* (either record kind)."""
+    stats = hit.get("stats")
+    if not isinstance(stats, TranslationStats):
+        stats = TranslationStats()
+    return _Resident(key, hit["guest"], hit["ranges"], stats,
+                     code=hit.get("code"), ir=hit.get("ir"))
+
+
+_M32 = 0xFFFFFFFF
+
+
+class _InterpState:
+    """What the IR interpreter reads and writes: one thread's guest state
+    and the guest memory."""
+
+    __slots__ = ("ts", "mem")
+
+    def __init__(self, ts, mem):
+        self.ts = ts
+        self.mem = mem
+
+    def get(self, offset, ty):
+        return self.ts.get(offset, ty)
+
+    def put(self, offset, ty, value):
+        self.ts.put(offset, ty, value)
+
+    def load(self, addr, ty):
+        return self.mem.load(addr & _M32, ty)
+
+    def store(self, addr, ty, value):
+        self.mem.store(addr & _M32, ty, value)
+
+
 def make_interp_runner(sb: IRSB, helpers, env, mem):
     """Build a block runner executing *sb* through the IR interpreter.
 
     The result has the same signature as every tier's compiled runner —
-    ``runner(ts) -> (jump-kind, guest_insns)`` — so quarantined
-    translations plug into the dispatch loop unchanged.
+    ``runner(ts) -> (jump-kind, guest_insns)`` — so interpreted blocks
+    plug into the dispatch loop unchanged.
     """
     from ..ir.interp import IRInterpreter
 
     run_block = IRInterpreter(helpers, env).run_block
-    M32 = 0xFFFFFFFF
-
-    class _State:
-        __slots__ = ("ts",)
-
-        def __init__(self, ts):
-            self.ts = ts
-
-        def get(self, offset, ty):
-            return self.ts.get(offset, ty)
-
-        def put(self, offset, ty, value):
-            self.ts.put(offset, ty, value)
-
-        def load(self, addr, ty):
-            return mem.load(addr & M32, ty)
-
-        def store(self, addr, ty, value):
-            mem.store(addr & M32, ty, value)
 
     def runner(ts):
-        nxt, jk, icnt = run_block(sb, _State(ts))
-        ts.pc = nxt & M32
+        nxt, jk, icnt = run_block(sb, _InterpState(ts, mem))
+        ts.pc = nxt & _M32
         return jk.value, icnt
 
     return runner

@@ -158,6 +158,11 @@ class TranslationTable:
             self._live[addr] = self._live.pop(addr)  # now the newest
         return t
 
+    def peek(self, addr: int) -> Optional[Translation]:
+        """The translation at *addr*, without counting a look-up or
+        touching LRU order."""
+        return self._live.get(addr)
+
     def insert(self, t: Translation, evict_ok: bool = True) -> None:
         if evict_ok and len(self._live) / self.capacity >= FULL_FRACTION:
             self._evict_chunk()

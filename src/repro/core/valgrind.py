@@ -244,8 +244,10 @@ class Valgrind:
             self.tool.post_clo_init()
             outcome = self.scheduler.run(max_blocks=max_blocks)
         finally:
-            # The run's code-cache stores become one pack (core.codecache).
+            # The run's code-cache stores, with the IR of the blocks it
+            # never promoted, become one pack (core.codecache).
             if self.scheduler.codecache is not None:
+                self.scheduler.translator.store_unpromoted()
                 self.scheduler.codecache.flush()
         if self.options.record and self.scheduler.rr is not None:
             self.scheduler.rr.write(self.options.record)

@@ -11,8 +11,19 @@ from __future__ import annotations
 import enum
 
 
+#: Width in bits of each type, by member value.
+_BITS = {"I1": 1, "I8": 8, "I16": 16, "I32": 32, "I64": 64,
+         "F32": 32, "F64": 64, "V128": 128}
+
+
 class Ty(enum.Enum):
-    """An IR value type."""
+    """An IR value type.
+
+    ``bits``, ``size``, ``is_int`` and ``is_float`` are plain member
+    attributes, set once per member: the pipeline reads them on every
+    expression, and a property would look the member up through the
+    Python-level ``Enum.__hash__`` each time.
+    """
 
     I1 = "I1"
     I8 = "I8"
@@ -23,26 +34,16 @@ class Ty(enum.Enum):
     F64 = "F64"
     V128 = "V128"
 
+    def __init__(self, value: str) -> None:
+        #: Width of the type in bits.
+        self.bits: int = _BITS[value]
+        #: Size of the type in bytes (I1 occupies one byte when stored).
+        self.size: int = max(1, self.bits // 8)
+        self.is_float: bool = value in ("F32", "F64")
+        self.is_int: bool = not self.is_float
+
     def __repr__(self) -> str:
         return f"Ty.{self.name}"
-
-    @property
-    def bits(self) -> int:
-        """Width of the type in bits."""
-        return _BITS[self]
-
-    @property
-    def size(self) -> int:
-        """Size of the type in bytes (I1 occupies one byte when stored)."""
-        return max(1, self.bits // 8)
-
-    @property
-    def is_int(self) -> bool:
-        return self in _INT_TYPES
-
-    @property
-    def is_float(self) -> bool:
-        return self in (Ty.F32, Ty.F64)
 
     @property
     def mask(self) -> int:
@@ -51,19 +52,6 @@ class Ty(enum.Enum):
             raise ValueError(f"{self} has no integer mask")
         return (1 << self.bits) - 1
 
-
-_BITS = {
-    Ty.I1: 1,
-    Ty.I8: 8,
-    Ty.I16: 16,
-    Ty.I32: 32,
-    Ty.I64: 64,
-    Ty.F32: 32,
-    Ty.F64: 64,
-    Ty.V128: 128,
-}
-
-_INT_TYPES = frozenset({Ty.I1, Ty.I8, Ty.I16, Ty.I32, Ty.I64, Ty.V128})
 
 #: Integer types ordered by width, handy for tests and generators.
 INT_TYPES = (Ty.I1, Ty.I8, Ty.I16, Ty.I32, Ty.I64)

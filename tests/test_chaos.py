@@ -16,6 +16,7 @@ import itertools
 import pytest
 
 from repro import Options, run_tool
+from repro.core import translate as _translate
 from repro.core.engines import ENGINES
 from repro.core.errors import ExitCode
 from repro.core.faultinject import BadInjectSpec, FaultInjector
@@ -117,6 +118,37 @@ CONFIGS = list(itertools.product(
     ["none", "memcheck"],
     list(ENGINES),
 ))
+
+
+#: A call loop that prints 5 (every block translates once).
+CALL_LOOP_SRC = """
+        .text
+main:   movi r5, 5
+        movi r6, 0
+again:  call bump
+        dec  r5
+        jnz  again
+        push r6
+        call putint
+        addi sp, 4
+        movi r0, 0
+        ret
+bump:   inc  r6
+        ret
+"""
+
+#: Branches on an uninitialised stack word: Memcheck reports it.
+UNINIT_BRANCH_SRC = """
+        .text
+main:   subi sp, 16
+        ld   r0, [sp+4]
+        cmpi r0, 1
+        je   skip
+        movi r1, 2
+skip:   addi sp, 16
+        movi r0, 0
+        ret
+"""
 
 
 def chaos_run(img, tool, mode, inject, record=None, replay=None):
@@ -243,6 +275,54 @@ class TestJitQuarantine:
         assert broken.stdout == clean.stdout
         rob = broken.stats()["robustness"]
         assert rob["quarantined_blocks"] >= rob["injection"]["isel"]["fired"] > 0
+
+
+    @staticmethod
+    def _paper_run(img, tool):
+        _translate.clear_translation_cache()  # every block translates
+        opts = Options(log_target="capture", stats_format="json",
+                       cache_dir=None, **engine_options("paper"))
+        return run_tool(tool, img, options=opts, max_blocks=MAX_BLOCKS)
+
+    def test_back_end_failure_counts_the_block_once(self, monkeypatch):
+        """A block whose phases 5-8 fail is counted once, by the
+        quarantine path that translates it instead."""
+        img = asm_image(CALL_LOOP_SRC)
+        clean = self._paper_run(img, "none")
+        select, seen = _translate.select, []
+
+        def select_failing_once(tree):
+            seen.append(tree)
+            if len(seen) == 1:
+                raise RuntimeError("isel failed")
+            return select(tree)
+
+        monkeypatch.setattr(_translate, "select", select_failing_once)
+        broken = self._paper_run(img, "none")
+        assert (broken.exit_code, broken.stdout) == (0, "5\n")
+        assert broken.stdout == clean.stdout
+        assert broken.stats()["robustness"]["quarantined_blocks"] == 1
+        assert (broken.stats()["translations_made"]
+                == clean.stats()["translations_made"]
+                == len(broken.core.scheduler.transtab.all_translations()))
+
+    def test_optimiser_failure_keeps_the_block_instrumented(self,
+                                                            monkeypatch):
+        """When an optimisation pass is what broke, the quarantined block
+        is still instrumented, over its unoptimised IR: Memcheck reports
+        what it reports without the failure."""
+        img = asm_image(UNINIT_BRANCH_SRC)
+        clean = self._paper_run(img, "memcheck")
+
+        def broken_pass(sb, **kw):
+            raise RuntimeError("opt1 failed")
+
+        monkeypatch.setattr(_translate, "optimise1", broken_pass)
+        broken = self._paper_run(img, "memcheck")
+        assert broken.stats()["robustness"]["quarantined_blocks"] > 0
+        assert broken.exit_code == clean.exit_code == 0
+        kinds = [sorted(e.kind for e in r.errors) for r in (clean, broken)]
+        assert kinds[0] and kinds[1] == kinds[0]
 
 
 class TestPygenDemotion:

@@ -11,6 +11,7 @@ hammered by kill plans must never leave a corrupt entry behind.
 from __future__ import annotations
 
 import gc
+import json
 import marshal
 import os
 import pickle
@@ -394,6 +395,21 @@ class TestTraceBuildKeys:
 
 
 class TestInvalidation:
+    def test_version_file_follows_the_format(self, tmp_path):
+        """A directory an older format used says so until a run writes
+        its first pack; a warm run then leaves the file alone."""
+        version = tmp_path / "VERSION"
+        version.write_text('{"cache": "repro-codecache", "format": 5}\n')
+        run_cached(tmp_path, codegen="pygen")
+        assert json.loads(version.read_text())["format"] == \
+            CACHE_FORMAT_VERSION == 6
+        before = version.stat()
+        warm = run_cached(tmp_path, codegen="pygen")
+        assert warm.stats()["cache"]["bytes_written"] == 0
+        after = version.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                     before.st_mtime_ns)
+
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         run_cached(tmp_path)
         import repro.frontend.spec as spec
@@ -642,7 +658,9 @@ class TestBudget:
 
     def test_emit_cache_cap_bounds_code_objects(self, monkeypatch):
         """The emit cache's entry cap bounds the compiled code objects
-        too: nothing else keeps an evicted entry's bytecode alive."""
+        too: nothing else keeps an evicted entry's bytecode alive.  The
+        program prints twice, so putint's blocks run twice and compile
+        (a block that runs once is only interpreted)."""
         cap = 4
         monkeypatch.setattr(_pygen, "_PYGEN_EMIT_CACHE_MAX", cap)
         drop_in_memory_caches()
@@ -655,7 +673,11 @@ class TestBudget:
 
         monkeypatch.setattr(_pygen, "compile", compile_and_watch,
                             raising=False)
-        vg(SRC, "memcheck", codegen="pygen", cache_dir=None)
+        twice = SRC.replace("main:   movi r6, 0", "main:   movi r5, 2\n"
+                            "again:  movi r6, 0").replace(
+            "        addi sp, 4\n", "        addi sp, 4\n"
+            "        dec  r5\n        jnz  again\n")
+        vg(twice, "memcheck", codegen="pygen", cache_dir=None)
         gc.collect()
         assert len(made) > cap
         assert sum(ref() is not None for ref in made) <= cap

@@ -70,9 +70,13 @@ class TestPygenTier:
         assert cg["tier_attaches"]["pygen"] > 0
         assert cg["tier_attaches"]["closures"] == 0
         assert cg["demotions"] == 0
-        # Every live block that ever ran is in the pygen tier.
+        # Every live block that ran twice is in the pygen tier; one that
+        # ran once is still interpreted first, with no host code.
         live = cg["live_blocks"]
-        assert set(live) <= {"pygen", "pending"}
+        assert set(live) <= {"pygen", "interp_first", "pending"}
+        blocks = res.core.scheduler.transtab.all_translations()
+        assert all(not t.code and t.front is not None
+                   for t in blocks if t.tier == "interp_first")
 
     def test_emitted_source_shape(self):
         # The compiled runner carries its source: one def, guest state
@@ -223,6 +227,7 @@ class TestStatsSection:
                      stats_format="json")
         cg = res.stats()["codegen"]
         assert set(cg) == {"mode", "tier_attaches", "demotions",
+                           "promotions",
                            "compile_seconds", "pygen_cache", "emit_cache",
                            "emit", "live_blocks"}
         for tier in TIERS:

@@ -282,6 +282,27 @@ class TestMidBlockErrors:
         if ENGINES[engine].codegen == "traces":
             assert got.stats()["traces"]["traces_built"] > 0
 
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("engine", [n for n, e in ENGINES.items()
+                                        if e.codegen != "closures"])
+    @pytest.mark.parametrize("name", sorted(MID_BLOCK))
+    def test_log_matches_closures_when_interpreted(self, engine, name,
+                                                   fast):
+        """The same reports when the erroring loop runs once, so its
+        block is still interpreted first (core.codegen)."""
+        img = asm_image(MID_BLOCK[name].replace(".word 40", ".word 1"))
+        ref = vg(img, "memcheck", **PAPER)
+        clear_translation_cache()  # no host code from an earlier run
+        got = vg(img, "memcheck", memcheck_fastpath=fast,
+                 stats_format="json", cache_dir=None,
+                 **ENGINES[engine].options)
+        assert sorted({e.kind for e in ref.errors}) == MID_BLOCK_ERRORS[name]
+        assert (got.exit_code, got.stdout, got.log) == (
+            ref.exit_code, ref.stdout, ref.log)
+        loop = [t for t in got.core.scheduler.transtab.all_translations()
+                if t.covers(img.symbols["loop"])]
+        assert loop and all(t.tier == "interp_first" for t in loop)
+
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_guarded_helper_outside_no_state_write(self, engine):
         """A guarded helper that may write guest state still commits
@@ -332,8 +353,16 @@ class TestCounters:
 
     def test_error_paths_go_through_helpers(self):
         """Accesses that must report errors take the slow branch — the
-        inline A-bit check may never swallow an invalid access."""
-        res = run_one(PROGRAMS["use_after_free"], True, codegen="pygen")
+        inline A-bit check may never swallow an invalid access.  The
+        access repeats, so its block runs twice after the first pass and
+        is promoted to the pygen tier (a block's first run is
+        interpreted)."""
+        src = PROGRAMS["use_after_free"].replace(
+            "        ld   r1, [r6]\n",
+            "        movi r7, 3\nagain:  ld   r1, [r6]\n"
+            "        dec  r7\n        jnz  again\n")
+        clear_translation_cache()
+        res = run_one(src, True, codegen="pygen")
         fp = res.stats()["memcheck_shadow"]["fastpath"]
         assert fp["enabled"] == 1
         assert fp["slow_loads"] > 0

@@ -18,7 +18,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import Options, assemble, run_tool
+from repro import Options, assemble, build_source, run_tool
 from repro.core.engines import ENGINES
 from repro.core.replay import ReplayDivergence
 
@@ -368,6 +368,31 @@ class TestCheckpointRestore:
         )
         assert _fingerprint(rep) == _fingerprint(rec)
         assert rep.stats()["replay"]["divergences"] == 0
+
+    @pytest.mark.parametrize("policy", ["fifo", "lru"])
+    def test_restore_reaches_the_recorded_translations(self, tmp_path,
+                                                       policy):
+        """A restored run makes the translations the recorded one made,
+        under LRU too: the checkpoint carries the dispatcher's fast
+        cache, whose misses reorder an LRU table."""
+        import sys
+
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
+                                        "benchmarks"))
+        from bench_transtab import _churn_program
+
+        img = assemble(build_source(_churn_program()), filename="churn")
+        path = str(tmp_path / "churn.rrlog")
+        runs = []
+        for mode in ({"record": path}, {"restore": path}):
+            opts = Options(log_target="capture", stats_format="json",
+                           transtab_entries=64, checkpoint_every=3000,
+                           transtab_policy=policy, **mode)
+            runs.append(run_tool("none", img, options=opts))
+        rec, res = runs
+        assert rec.stats()["replay"]["checkpoints"] > 0
+        assert (res.stdout, res.stats()["translations_made"]) == (
+            rec.stdout, rec.stats()["translations_made"])
 
     def test_restore_without_checkpoints_is_rejected(self, tmp_path):
         from repro.core.replay import ReplayFormatError

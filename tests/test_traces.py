@@ -515,17 +515,23 @@ def run_engine(src, codegen, **kw):
 
 class TestSplice:
     def test_traces_splice_member_code_and_keep_no_ir(self, tmp_path):
-        """Translations hold no IR and ``t/`` entries store none; a
-        trace's code is each member's own host code up to its seam."""
+        """Promoted translations hold no IR, and ``t/`` entries store it
+        only for blocks no run promoted; a trace's code is each member's
+        own host code up to its seam."""
         res = run_engine(SEAM_SRCS["fall"], "traces",
                          cache_dir=str(tmp_path))
         sched = res.core.scheduler
-        assert all(t.irsb is None
-                   for t in sched.transtab.all_translations())
+        live = sched.transtab.all_translations()
+        assert all(t.irsb is None for t in live)
+        assert all(t.front is None for t in live if t.code)
+        unpromoted = {t.guest_addr for t in live if t.front is not None}
         entries = [e[4] for e in cache_entries(tmp_path) if e[1] == "t"]
         assert entries
-        assert all(set(e) == {"format", "addr", "ranges", "guest_sha",
-                              "code", "stats"} for e in entries)
+        shape = {"format", "addr", "ranges", "guest_sha", "stats"}
+        assert all(set(e) == shape | {"code"} for e in entries
+                   if e["addr"] not in unpromoted)
+        assert all(set(e) == shape | {"ir"} for e in entries
+                   if e["addr"] in unpromoted)
         traces = list(sched.traces.traces.values())
         assert traces
         for tr in traces:
