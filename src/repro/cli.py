@@ -53,10 +53,6 @@ core options:
                                specialized Python per block (pygen),
                                or pygen plus superblock traces compiled
                                over hot block chains (traces)
-  --trace-threshold=<n>        traces tier: executions before a block's
-                               successor chain is recorded (default: 50)
-  --max-trace-blocks=<n>       traces tier: member blocks per recorded
-                               trace (default: 8)
   --stats=none|json            print run statistics to stderr (default: none)
   --stats-out=<file>           write the stats JSON to a file instead
                                ({{job}}/{{attempt}} expand under fleet)
@@ -65,11 +61,12 @@ core options:
   --record=<file>              record every nondeterministic decision into
                                a replayable log
   --record-flush=<n>           while recording, atomically rewrite the log
-                               every N events (crash-bundle prefixes)
+                               every N events (crash-bundle prefixes;
+                               default 0: only at the end)
   --replay=<file>              re-execute a recorded run, verifying every
                                decision (divergence exits with code 97)
   --checkpoint-every=<insns>   while recording, snapshot full guest state
-                               every N guest instructions
+                               every N guest instructions (default 0: none)
   --restore=<file>             resume from the last checkpoint in a log
   --cache-dir=<dir>            persistent cross-process translation cache:
                                warm starts skip the whole decode/opt/

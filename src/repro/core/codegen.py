@@ -6,7 +6,8 @@ Four executable tiers share one runner signature
 place a translation gets its runner, when the dispatcher finds none, and
 it records the tier in ``Translation.tier``; so the dispatcher enters
 every block the same way, and transtab eviction, SMC flushes and chain
-severing work identically whichever tier a block is in:
+severing work identically whichever tier a block is in.  An installed
+``compiled_fn`` is always its tier's own runner; nothing wraps it:
 
 ============  ==========================================  ======================
 tier          what executes                               runner built by
@@ -15,7 +16,7 @@ closures      per-insn closure list, looped by the runner ``compile_fn``
 pygen         specialized function: locals + batched      ``compile_pygen``
               writeback
 interp_first  IR interpreter over ``Translation.front``'s ``make_interp_runner``
-              phase 1-4 IR, until the block is promoted
+              phase 1-4 IR; runs once, never installed
 interp        IR interpreter over ``Translation.irsb``    ``make_interp_runner``
               (JIT-failure quarantine)
 ============  ==========================================  ======================
@@ -24,21 +25,24 @@ interp        IR interpreter over ``Translation.irsb``    ``make_interp_runner``
 through all eight phases when it is translated and runs in the closure
 tier.  ``--codegen=pygen`` interprets first: a block that misses both
 translation tiers gets phases 1-4 only and runs its first execution in
-the interp_first tier; its second execution *promotes* it — phases 5-8
-over the same IR (:meth:`~repro.core.translate.Translator.promote`),
-then the pygen tier on the same Translation — so a block that runs once
-never pays the back end or a pygen compile.  The first run is marked on
-the memory tier's shared payload, so a later run of the same process
-that hits the block promotes it at once, as the block's second
-execution.  A block whose host code already exists (a hit on host code
-in either translation tier) enters the pygen tier at once.
-``--codegen=traces`` does the same and additionally splices hot chains
-of pygen blocks into superblocks (:mod:`repro.core.traces`); an
-interpreted run counts towards ``--trace-threshold``, and a recording
-promotes its members when it ends.  In every mode blocks that never run
-never compile (``live_blocks`` counts them as ``pending``), and a
-quarantined block (one ``translate_interp`` made after a JIT failure,
-or one whose promotion failed) runs in the interp tier.
+the interp_first tier, whose runner :meth:`CodegenTiers.attach` returns
+without installing it.  So its second execution comes back to
+``attach``, which *promotes* it — phases 5-8 over the same IR
+(:meth:`~repro.core.translate.Translator.promote`), then the pygen tier
+on the same Translation — and a block that runs once never pays the
+back end or a pygen compile.  The first run is marked on the memory
+tier's shared payload, so a later run of the same process that hits the
+block promotes it at once, as the block's second execution.  A block
+whose host code already exists (a hit on host code in either
+translation tier) enters the pygen tier at once.  ``--codegen=traces``
+does the same and additionally splices hot chains of pygen blocks into
+superblocks (:mod:`repro.core.traces`); the dispatcher counts a block's
+runs, the interpreted one included, towards ``traces.TRACE_THRESHOLD``,
+and a recording promotes its members when it ends.  In every mode
+blocks that never run never compile (``live_blocks`` counts them as
+``pending``), and a quarantined block (one ``translate_interp`` made
+after a JIT failure, or one whose promotion failed) runs in the interp
+tier.
 
 A pygen compile failure (real or ``--inject=pygen@N``) *demotes* the
 block to the closure tier and is counted; it never escapes as a host
@@ -100,25 +104,28 @@ class CodegenTiers:
         #: Called with (translation, exception) when a promotion fails
         #: and the block is quarantined to the interp tier.
         self.on_quarantine = on_quarantine
-        #: Trace manager (set by the scheduler under --codegen=traces):
-        #: blocks crossing --trace-threshold request a chain recording.
-        self.traces = None
         self.stats = CodegenStats()
 
     # -- first-execution hook (the dispatcher's attach_runner) --------------------
 
     def attach(self, t):
-        """Give *t* the ``compiled_fn`` of its tier; returns it."""
-        if t.front is not None:
-            if not t.front.ran:
-                self._install(t, "interp_first", self._first_runner, t)
-                return t.compiled_fn
+        """Return the runner of *t*'s tier, installed as its
+        ``compiled_fn`` unless it is the interp_first runner of an
+        unpromoted block's first execution: that one runs once, so the
+        next execution comes back here and promotes the block."""
+        front = t.front
+        if front is not None:
+            if not front.ran:
+                front.ran = True
+                cpu = self.hostcpu
+                return self._runner(t, "interp_first", _interp_runner(),
+                                    front.ir, cpu.helpers, cpu.env, cpu.mem)
             if self.promote(t):
                 return t.compiled_fn
         if t.irsb is not None:
             cpu = self.hostcpu
-            self._install(t, "interp", _interp_runner(), t.irsb,
-                          cpu.helpers, cpu.env, cpu.mem)
+            t.compiled_fn = self._runner(t, "interp", _interp_runner(),
+                                         t.irsb, cpu.helpers, cpu.env, cpu.mem)
         else:
             self._attach_code(t)
         return t.compiled_fn
@@ -127,24 +134,20 @@ class CodegenTiers:
         """Give *t*, which has host code, its pygen runner (the closure
         tier's under ``--codegen=closures`` or after a demotion)."""
         if self.mode == "closures" or not self._try_pygen(t):
-            self._install(t, "closures", self.hostcpu.compile_fn, t.code)
-        elif (self.traces is not None
-              and t.exec_count < self.traces.threshold):
-            # Still counting towards --trace-threshold (an interpreted
-            # run that crossed it already asked for a recording).
-            self._wrap_trace_counting(t)
+            t.compiled_fn = self._runner(t, "closures",
+                                         self.hostcpu.compile_fn, t.code)
 
     def promote(self, t) -> bool:
         """Give the interpreted-first *t* its host code
         (``Translator.promote``) and its runner, so host code a run
         stores always comes with its pygen payload.  If the back end
         fails, quarantine the block to the interp tier instead (its
-        runner comes at its next execution) and return False."""
+        runner comes at its next execution: an unpromoted block has
+        none installed) and return False."""
         try:
             self.translator.promote(t)
         except Exception as exc:
             t.irsb, t.front = t.front.ir, None
-            t.compiled_fn = None
             if self.on_quarantine is not None:
                 self.on_quarantine(t, exc)
             return False
@@ -152,73 +155,17 @@ class CodegenTiers:
         self._attach_code(t)
         return True
 
-    def _first_runner(self, t):
-        """The runner of an unpromoted block's first execution: the IR
-        interpreter over its phase 1-4 IR.  It runs once: it clears
-        ``compiled_fn`` and marks the shared payload as run, so the next
-        execution comes back to :meth:`attach`, which promotes the block.
-        Under traces the run counts towards --trace-threshold as the
-        counting wrapper's would."""
-        cpu = self.hostcpu
-        front = t.front
-        run = _interp_runner()(front.ir, cpu.helpers, cpu.env, cpu.mem)
-        mgr = self.traces
-
-        def first(ts):
-            t.compiled_fn = None
-            front.ran = True
-            out = run(ts)
-            if mgr is not None:
-                n = t.exec_count + 1
-                t.exec_count = n
-                if n == mgr.threshold and not t.trace_failed:
-                    mgr.request(t)
-            return out
-
-        return first
-
-    def _wrap_trace_counting(self, t) -> None:
-        """Count the pygen runner's executions; at --trace-threshold ask
-        the trace manager to record the chain starting at this block.
-
-        The wrapper exists only to find the threshold crossing: once it
-        fires it puts the raw runner back, so steady-state block
-        execution pays no counting frame.  The trace manager re-wraps a
-        block (via ``rewrap``) with its ``exec_count`` lowered to wait
-        for more runs: a deferred recording's head until break-even; a
-        severed trace's surviving head, or a member whose recording
-        request was dropped, to let it prove itself hot again.
-        """
-        if t.tier == "interp_first":
-            # Its interpreted runs count themselves, and promotion wraps
-            # its pygen runner.
-            return
-        inner = t.compiled_fn
-        mgr = self.traces
-        threshold = mgr.threshold
-
-        def fn(ts, _inner=inner, _t=t):
-            out = _inner(ts)
-            n = _t.exec_count + 1
-            _t.exec_count = n
-            if n >= threshold:
-                _t.compiled_fn = _inner
-                # Fire once: a failed trace build is not retried.
-                if not _t.trace_failed:
-                    mgr.request(_t)
-            return out
-
-        t.compiled_fn = fn
-
     # -- tiers -------------------------------------------------------------------
 
-    def _install(self, t, tier: str, build: Callable, *args) -> None:
-        """Make *t*'s runner with ``build(*args)`` and enter it in *tier*."""
+    def _runner(self, t, tier: str, build: Callable, *args):
+        """Make *t*'s runner with ``build(*args)`` and enter *t* in
+        *tier*; returns the runner."""
         t0 = time.perf_counter()
-        t.compiled_fn = build(*args)
+        fn = build(*args)
         self.stats.compile_seconds[tier] += time.perf_counter() - t0
         t.tier = tier
         self.stats.tier_attaches[tier] += 1
+        return fn
 
     def _try_pygen(self, t) -> bool:
         """Compile *t* to the pygen tier; on any failure (including an
@@ -226,7 +173,8 @@ class CodegenTiers:
         try:
             if self.injector is not None:
                 self.injector.pygen_failure(t.guest_addr)
-            self._install(t, "pygen", self.hostcpu.compile_pygen, t.code)
+            t.compiled_fn = self._runner(t, "pygen",
+                                         self.hostcpu.compile_pygen, t.code)
         except Exception as exc:
             self.stats.demotions += 1
             if self.on_demote is not None:

@@ -22,6 +22,12 @@ first successor observed after a look-up, and every link is made through
 the translation table's :class:`~repro.core.transtab.ChainRegistry`, so
 eviction, munmap and SMC invalidation sever it.  With chaining off no
 slot is read or written.
+
+Under the trace tier (``--codegen=traces``) the block path also counts
+each translation's runs, the way the quantum counts blocks: the run
+that brings a block's count to the trace manager's threshold asks it to
+record the chain the block heads (:mod:`repro.core.traces`).  Other
+engines skip it at the trace-tier check the block path already makes.
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ class Dispatcher:
         #: gives it its tier's runner and returns it.
         self.attach_runner = attach_runner
         #: Trace tier (--codegen=traces): a TraceManager whose
+        #: ``request`` the block path calls at its threshold and whose
         #: ``on_block`` hook records hot successor chains.  Compiled
         #: traces hang off their head Translation's ``trace`` attribute,
         #: so the per-block probe is free for untraced blocks.
@@ -270,8 +277,15 @@ class Dispatcher:
                     tm.note_side_exit(tr)
             else:
                 nb = 1
-                if tm is not None and tm.active:
-                    tm.on_block(t, jk)
+                if tm is not None:
+                    # Count the run before on_block: a recording it
+                    # requests starts at this very block.
+                    c = t.exec_count + 1
+                    t.exec_count = c
+                    if c == tm.threshold and not t.trace_failed:
+                        tm.request(t)
+                    if tm.active:
+                        tm.on_block(t, jk)
             n += nb
             gi += icnt
             if jk != _BORING:

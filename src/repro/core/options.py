@@ -20,25 +20,52 @@ class BadOption(Exception):
     pass
 
 
-#: Sizes the engine cannot run with less of (a zero-entry cache or table
-#: crashes the dispatcher, a zero quantum never dispatches a block, and
-#: the loader needs a page of stack): flag -> (Options field, minimum,
-#: must be a power of two).  Keyword construction and set() both check
-#: through _check_size.
-_SIZE_BOUNDS = {
-    "dispatch-cache": ("dispatch_cache_size", 1, True),
-    "dispatch-quantum": ("dispatch_quantum", 1, False),
-    "transtab-entries": ("transtab_entries", 1, False),
-    "stack-size": ("stack_size", PAGE_SIZE, False),
+#: Every bounded or enumerated option: flag -> (Options field, the
+#: allowed strings or the least allowed int).  Keyword construction and
+#: set() both check through _check.  The least sizes are those the
+#: engine cannot run with less of: a zero-entry cache or table crashes
+#: the dispatcher, a zero quantum or timeslice never dispatches a block,
+#: and the loader needs a page of stack.  0 turns checkpoints and
+#: incremental log flushes off.
+_CHECKS = {
+    "smc-check": ("smc_check", ("none", "stack", "all")),
+    "transtab-policy": ("transtab_policy", ("fifo", "lru")),
+    "codegen": ("codegen", CODEGEN_MODES),
+    "stats": ("stats_format", ("none", "json")),
+    "dispatch-cache": ("dispatch_cache_size", 1),
+    "dispatch-quantum": ("dispatch_quantum", 1),
+    "thread-timeslice": ("thread_timeslice", 1),
+    "transtab-entries": ("transtab_entries", 1),
+    "stack-size": ("stack_size", PAGE_SIZE),
+    "cache-max-mb": ("cache_max_mb", 1),
+    "checkpoint-every": ("checkpoint_every", 0),
+    "record-flush": ("record_flush_every", 0),
 }
+#: Sizes that must also be a power of two.
+_POW2 = ("dispatch-cache",)
+#: --log-fd values: the host streams tool output can go to.
+_LOG_FDS = {"1": "stdout", "2": "stderr"}
 
 
-def _check_size(flag: str, value: int) -> int:
-    _, minimum, pow2 = _SIZE_BOUNDS[flag]
-    if value < minimum or (pow2 and value & (value - 1)):
-        bound = f"a power of two >= {minimum}" if pow2 else f">= {minimum}"
-        raise BadOption(f"--{flag} must be {bound}, got {value}")
+def _check(flag: str, value, name: str):
+    """Return *value* if ``_CHECKS[flag]`` allows it; otherwise raise
+    BadOption naming *name* (the flag, or the keyword)."""
+    _, rule = _CHECKS[flag]
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise BadOption(f"{name} must be {'|'.join(rule)}, got {value!r}")
+    elif (not isinstance(value, int) or value < rule
+          or (flag in _POW2 and value & (value - 1))):
+        bound = f"a power of two >= {rule}" if flag in _POW2 else f">= {rule}"
+        raise BadOption(f"{name} must be {bound}, got {value!r}")
     return value
+
+
+def _int(flag: str, value: str) -> int:
+    try:
+        return int(value, 0)
+    except ValueError:
+        raise BadOption(f"--{flag} needs an integer, got {value!r}") from None
 
 
 def _default_engine() -> Engine:
@@ -101,11 +128,6 @@ class Options:
     #: successor sequences into superblock traces (see repro.core.traces).
     #: Defaults to REPRO_ENGINE's setting.
     codegen: str = field(default_factory=lambda: _default_engine().codegen)
-    #: traces tier recording threshold: executions of a block before the
-    #: dispatcher records the successor chain starting there as a trace.
-    trace_threshold: int = 50
-    #: Maximum member blocks spliced into one trace.
-    max_trace_blocks: int = 8
     #: Run-statistics report format: "none" or "json" (--stats=json).
     stats_format: str = "none"
     #: Write the stats JSON to this file instead of racing on stderr —
@@ -161,31 +183,8 @@ class Options:
     def __post_init__(self) -> None:
         """Keyword-constructor validation: embedders building Options
         directly get the same BadOption errors the flag parser raises."""
-        if self.smc_check not in ("none", "stack", "all"):
-            raise BadOption(
-                f"smc_check must be none|stack|all, got {self.smc_check!r}"
-            )
-        if self.transtab_policy not in ("fifo", "lru"):
-            raise BadOption(
-                f"transtab_policy must be fifo|lru, got {self.transtab_policy!r}"
-            )
-        if self.codegen not in CODEGEN_MODES:
-            raise BadOption(
-                f"codegen must be {'|'.join(CODEGEN_MODES)}, "
-                f"got {self.codegen!r}"
-            )
-        if self.stats_format not in ("none", "json"):
-            raise BadOption(
-                f"stats_format must be none|json, got {self.stats_format!r}"
-            )
-        if self.trace_threshold < 1:
-            raise BadOption("trace_threshold must be >= 1")
-        if self.max_trace_blocks < 2:
-            raise BadOption("max_trace_blocks must be >= 2")
-        if self.cache_max_mb < 1:
-            raise BadOption("cache_max_mb must be >= 1")
-        for flag, (name, _, _) in _SIZE_BOUNDS.items():
-            _check_size(flag, getattr(self, name))
+        for flag, (name, _) in _CHECKS.items():
+            _check(flag, getattr(self, name), name)
 
     @classmethod
     def from_cli_args(cls, args: List[str]) -> "Options":
@@ -218,61 +217,34 @@ class Options:
             raise BadOption(f"not an option: {option!r}")
         body = option[2:]
         name, _, value = body.partition("=")
-        if name == "smc-check":
-            if value not in ("none", "stack", "all"):
-                raise BadOption(f"--smc-check must be none|stack|all, got {value!r}")
-            self.smc_check = value
+        if name in _CHECKS:
+            field_name, rule = _CHECKS[name]
+            if not isinstance(rule, tuple):
+                value = _int(name, value)
+            setattr(self, field_name, _check(name, value, f"--{name}"))
         elif name == "max-stackframe":
-            self.max_stackframe = int(value, 0)
-        elif name == "transtab-policy":
-            if value not in ("fifo", "lru"):
-                raise BadOption("--transtab-policy must be fifo|lru")
-            self.transtab_policy = value
-        elif name in _SIZE_BOUNDS:
-            setattr(self, _SIZE_BOUNDS[name][0],
-                    _check_size(name, int(value, 0)))
-        elif name == "stats":
-            if value not in ("none", "json"):
-                raise BadOption(f"--stats must be none|json, got {value!r}")
-            self.stats_format = value
+            self.max_stackframe = _int(name, value)
         elif name == "stats-out":
             if not value:
                 raise BadOption("--stats-out needs a file path")
             self.stats_out = value
-        elif name == "codegen":
-            if value not in CODEGEN_MODES:
-                raise BadOption(
-                    f"--codegen must be {'|'.join(CODEGEN_MODES)}, "
-                    f"got {value!r}"
-                )
-            self.codegen = value
-        elif name == "trace-threshold":
-            n = int(value, 0)
-            if n < 1:
-                raise BadOption("--trace-threshold must be >= 1")
-            self.trace_threshold = n
-        elif name == "max-trace-blocks":
-            n = int(value, 0)
-            if n < 2:
-                raise BadOption("--max-trace-blocks must be >= 2")
-            self.max_trace_blocks = n
-        elif name == "thread-timeslice":
-            self.thread_timeslice = int(value, 0)
         elif name == "log-file":
+            if not value:
+                raise BadOption("--log-file needs a file path")
             self.log_target = value
         elif name == "log-fd":
-            self.log_target = {"1": "stdout", "2": "stderr"}.get(value, value)
+            if value not in _LOG_FDS:
+                raise BadOption(
+                    f"--log-fd must be 1|2, got {value!r} "
+                    "(use --log-file=<path> to log to a file)"
+                )
+            self.log_target = _LOG_FDS[value]
         elif name == "suppressions":
             self.suppressions.append(value)
         elif name == "cache-dir":
             if not value:
                 raise BadOption("--cache-dir needs a directory path")
             self.cache_dir = value
-        elif name == "cache-max-mb":
-            n = int(value, 0)
-            if n < 1:
-                raise BadOption("--cache-max-mb must be >= 1")
-            self.cache_max_mb = n
         elif name == "inject":
             from .faultinject import BadInjectSpec, FaultInjector
 
@@ -285,16 +257,6 @@ class Options:
             if not value:
                 raise BadOption(f"--{name} needs a file path")
             setattr(self, name, value)
-        elif name == "checkpoint-every":
-            n = int(value, 0)
-            if n < 1:
-                raise BadOption("--checkpoint-every must be >= 1")
-            self.checkpoint_every = n
-        elif name == "record-flush":
-            n = int(value, 0)
-            if n < 1:
-                raise BadOption("--record-flush must be >= 1")
-            self.record_flush_every = n
         elif name in self._FLAG_NAMES:
             if value not in ("yes", "no", ""):
                 raise BadOption(f"--{name} must be yes|no")

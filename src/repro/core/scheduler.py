@@ -377,17 +377,8 @@ class Scheduler:
             )
 
             self.traces = TraceManager(
-                self.translator,
-                self.hostcpu,
-                options,
-                on_fail=self._on_trace_failed,
+                self.translator, self.hostcpu, on_fail=self._on_trace_failed
             )
-            self.codegen.traces = self.traces
-            # The manager gives blocks their counting wrapper back:
-            # deferred recordings' heads count up to break-even, severed
-            # heads prove themselves hot again over retranslated
-            # neighbours.
-            self.traces.rewrap = self.codegen._wrap_trace_counting
             self.traces.promote = self.codegen.promote
             self.transtab.on_kill = self.traces.on_translation_dead
             if VG_TRACE_CALL not in helpers:

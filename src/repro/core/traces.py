@@ -63,8 +63,16 @@ namespace — so a warm start splices nothing.  The outcome a key maps to
 includes how many members survived seam truncation, and an unspliceable
 recording is cached like any other outcome.
 
-Admission by break-even
+Selection and admission
 -----------------------
+
+The dispatcher counts every run of a block on the block path in
+``Translation.exec_count`` (a run inside a trace is not one), as
+Dynamo's NET selection counts at the dispatch point (Duesterwald and
+Bala, ASPLOS 2000).  The run that brings the count to
+:data:`TRACE_THRESHOLD` calls :meth:`TraceManager.request`, and the
+head's next chain of at most :data:`MAX_TRACE_BLOCKS` blocks is recorded
+from that run on.  The manager re-arms a block by lowering its count.
 
 A build costs in proportion to its members' host code, and a trace
 repays it a little per block it runs, so a trace pays only on a head
@@ -72,8 +80,8 @@ that keeps running (Dynamo's fragment economics, Bala et al., PLDI
 2000).  When a recording ends, a build whose key is already in the
 process-wide build cache is installed at once: it costs a bind.  Any
 other recording is *deferred*: the head keeps its pygen runner, and its
-counting wrapper is re-armed (``rewrap``) to fire after
-``ceil(BREAK_EVEN_K * sum(len(m.code)) / len(members))`` more
+run count is lowered so that it reaches :data:`TRACE_THRESHOLD` again
+after ``ceil(BREAK_EVEN_K * sum(len(m.code)) / len(members))`` more
 executions, when the recording is *admitted* and built — the persistent
 ``x/`` namespace is read only then.  The rule reads counts only, so two
 runs of a program make the same decisions, and a warm process, whose
@@ -140,6 +148,13 @@ _SEAM_HELPERS = {JumpKind.Call.value: VG_TRACE_CALL,
 #: Bump on any change to seam planning or splicing that alters build
 #: output: part of every build key.
 TRACE_BUILD_VERSION = 2
+
+#: Trace selection (module docstring): the block-path run of a block
+#: that brings its run count to this value requests a recording of the
+#: chain it heads.
+TRACE_THRESHOLD = 50
+#: Member blocks a recording takes at most.
+MAX_TRACE_BLOCKS = 8
 
 #: Break-even admission (module docstring): a deferred recording is
 #: built once its head has run this many times its members' mean host
@@ -284,26 +299,20 @@ class TraceManager:
         self,
         translator,
         hostcpu,
-        options,
         *,
         on_fail: Optional[Callable] = None,
     ):
         self.translator = translator
         self.hostcpu = hostcpu
-        self.options = options
         self.on_fail = on_fail
-        #: Re-attach the codegen layer's execution-counting wrapper, which
-        #: calls :meth:`request` once ``exec_count`` reaches the threshold
-        #: (set by the scheduler).
-        self.rewrap: Optional[Callable] = None
         #: Give an interpreted-first member its host code
         #: (``CodegenTiers.promote``; False if it was quarantined instead),
         #: set by the scheduler.
         self.promote: Optional[Callable] = None
-        #: The count at which the counting wrapper calls :meth:`request`:
-        #: --trace-threshold runs from a block's first execution.
-        self.threshold = max(1, options.trace_threshold)
-        self.max_blocks = max(2, options.max_trace_blocks)
+        #: The run count at which the dispatcher calls :meth:`request`,
+        #: and the members a recording takes at most.
+        self.threshold = TRACE_THRESHOLD
+        self.max_blocks = MAX_TRACE_BLOCKS
         #: Every input of a build besides its members (read per run, so
         #: a version bump between runs takes effect).
         self._key_base = b"trace-build:%d:%d:" % (
@@ -344,8 +353,8 @@ class TraceManager:
     # -- recording ---------------------------------------------------------
 
     def request(self, t: Translation) -> None:
-        """*t*'s counting wrapper fired: at break-even, build its deferred
-        recording; at --trace-threshold, record its next chain."""
+        """*t*'s run count reached the threshold: at break-even, build
+        its deferred recording; otherwise record its next chain."""
         members = self._deferred.pop(t.guest_addr, None)
         if members is not None:
             if any(m.dead for m in members):
@@ -363,11 +372,9 @@ class TraceManager:
         self.active = True
 
     def _rearm(self, t: Translation, runs: int) -> None:
-        """Make *t*'s counting wrapper call :meth:`request` after *runs*
-        more executions."""
+        """Make the dispatcher call :meth:`request` for *t* after *runs*
+        more block-path executions."""
         t.exec_count = self.threshold - runs
-        if self.rewrap is not None and not t.trace_failed:
-            self.rewrap(t)
 
     def _eligible(self, t: Translation) -> bool:
         # SMC-checked blocks re-verify their bytes before every run; a
@@ -616,8 +623,6 @@ class TraceManager:
     def stats_dict(self) -> dict:
         built = self.built
         return {
-            "trace_threshold": self.options.trace_threshold,
-            "max_trace_blocks": self.max_blocks,
             "traces_built": len(built),
             "spliced": self.spliced,
             "deferred": self.deferred,

@@ -125,7 +125,10 @@ class Translation:
     #: core.codegen).  A block whose pygen compile failed stays in
     #: "closures", never retried.
     tier: Optional[str] = None
-    #: Executions counted towards --trace-threshold (core.codegen).
+    #: Under --codegen=traces, the dispatcher's count of this block's
+    #: runs on the block path (runs inside a trace are not counted),
+    #: towards ``traces.TRACE_THRESHOLD``; the trace manager lowers it
+    #: to re-arm the block (core.traces).  0 under the other tiers.
     exec_count: int = 0
     #: True if building a trace headed at this block failed: the block
     #: stays in the pygen tier and is never re-recorded (core.traces).

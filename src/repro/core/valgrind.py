@@ -27,7 +27,7 @@ from .allocator import CORE_REGION_BASE, CORE_REGION_END, CoreAllocator
 from .errors import ErrorManager, Frame
 from .events import EventRegistry
 from .function_wrap import FunctionRedirector
-from .options import Options
+from .options import BadOption, Options
 from .scheduler import RunOutcome, Scheduler
 from .tool import Tool
 
@@ -52,6 +52,18 @@ class VgResult:
     def stats(self) -> dict:
         """Run statistics (the ``--stats=json`` payload)."""
         return self.core.stats_dict(self.outcome)
+
+
+#: Log targets that are not files.
+_LOG_STREAMS = ("capture", "stderr", "stdout")
+
+
+def _open_option_file(flag: str, path: str, mode: str):
+    """``open(path, mode)``; a failure is a BadOption naming *flag*."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise BadOption(f"{flag}: cannot open {path}: {exc.strerror}") from None
 
 
 class Valgrind:
@@ -108,7 +120,7 @@ class Valgrind:
             print(message)
         else:
             if self._log_file is None:
-                self._log_file = open(target, "w")
+                self._log_file = _open_option_file("--log-file", target, "w")
             self._log_file.write(message + "\n")
 
     @property
@@ -213,8 +225,11 @@ class Valgrind:
     ) -> VgResult:
         """Load and run the client to completion under the tool."""
         self.kernel.fs.set_stdin(stdin)
+        target = self.options.log_target
+        if target not in _LOG_STREAMS and self._log_file is None:
+            self._log_file = _open_option_file("--log-file", target, "w")
         for path in self.options.suppressions:
-            with open(path) as f:
+            with _open_option_file("--suppressions", path, "r") as f:
                 self.error_mgr.load_suppressions(f.read())
 
         self.program = load_program(

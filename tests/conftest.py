@@ -15,6 +15,10 @@ from repro.core import traces as _traces
 #: fixture restores the shipped constant.
 SHIPPED_BREAK_EVEN_K = _traces.BREAK_EVEN_K
 _traces.BREAK_EVEN_K = 0
+#: For the same reason a block's second run requests a trace recording,
+#: not its TRACE_THRESHOLD-th; the ``trace_threshold`` fixture sets
+#: another threshold for one test.
+_traces.TRACE_THRESHOLD = 2
 
 
 def pytest_addoption(parser):
@@ -51,6 +55,12 @@ def run_both():
         return nat, res
 
     return _run
+
+
+@pytest.fixture
+def trace_threshold(monkeypatch):
+    """Set TRACE_THRESHOLD for one test: ``trace_threshold(5)``."""
+    return lambda n: monkeypatch.setattr(_traces, "TRACE_THRESHOLD", n)
 
 
 @pytest.fixture

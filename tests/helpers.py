@@ -8,17 +8,8 @@ from repro import Options, assemble, build_source, run_native, run_tool
 from repro.core.engines import ENGINES
 from repro.guest.program import VxImage
 
-#: --trace-threshold low enough for the suite's small programs to form
-#: traces (only the trace tier reads it).
-TRACE_THRESHOLD = 2
-
 #: Registry engines whose blocks run in the pygen tier.
 PYGEN_ENGINES = [name for name, e in ENGINES.items() if e.codegen != "closures"]
-
-
-def engine_options(name: str) -> dict:
-    """Registry engine *name*'s Options fields at :data:`TRACE_THRESHOLD`."""
-    return {**ENGINES[name].options, "trace_threshold": TRACE_THRESHOLD}
 
 
 def asm_image(source: str, *, with_libc: bool = True, name: str = "test") -> VxImage:

@@ -117,12 +117,17 @@ class TestOptions:
         for bad in (dict(dispatch_cache_size=0), dict(dispatch_cache_size=3),
                     dict(dispatch_quantum=0), dict(dispatch_quantum=-1),
                     dict(transtab_entries=0), dict(stack_size=0),
-                    dict(stack_size=-5)):
+                    dict(stack_size=-5), dict(thread_timeslice=0),
+                    dict(thread_timeslice=-3), dict(thread_timeslice="5"),
+                    dict(checkpoint_every=-1), dict(record_flush_every=-1)):
             with pytest.raises(repro.BadOption):
                 repro.Options(**bad)
         repro.Options(codegen="pygen", cache_max_mb=1)  # valid
         repro.Options(dispatch_cache_size=1, dispatch_quantum=1,
-                      transtab_entries=1, stack_size=4096)  # minimal
+                      transtab_entries=1, stack_size=4096,
+                      thread_timeslice=1)  # minimal
+        # 0 turns checkpoints and incremental log flushes off.
+        repro.Options(checkpoint_every=0, record_flush_every=0)
 
     def test_from_cli_args(self):
         opts = repro.Options.from_cli_args(

@@ -21,7 +21,7 @@ from repro.core.engines import ENGINES
 from repro.core.errors import ExitCode
 from repro.core.faultinject import BadInjectSpec, FaultInjector
 
-from .helpers import PYGEN_ENGINES, asm_image, engine_options
+from .helpers import PYGEN_ENGINES, asm_image
 
 MAX_BLOCKS = 200_000
 
@@ -153,7 +153,7 @@ skip:   addi sp, 16
 
 def chaos_run(img, tool, mode, inject, record=None, replay=None):
     opts = Options(log_target="capture", inject=inject, record=record,
-                   replay=replay, **engine_options(mode))
+                   replay=replay, **ENGINES[mode].options)
     return run_tool(tool, img, options=opts, max_blocks=MAX_BLOCKS)
 
 
@@ -281,7 +281,7 @@ class TestJitQuarantine:
     def _paper_run(img, tool):
         _translate.clear_translation_cache()  # every block translates
         opts = Options(log_target="capture", stats_format="json",
-                       cache_dir=None, **engine_options("paper"))
+                       cache_dir=None, **ENGINES["paper"].options)
         return run_tool(tool, img, options=opts, max_blocks=MAX_BLOCKS)
 
     def test_back_end_failure_counts_the_block_once(self, monkeypatch):

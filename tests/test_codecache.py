@@ -34,7 +34,7 @@ from repro.core.codecache import CACHE_FORMAT_VERSION, CodeCache
 from repro.core.codegen import CODEGEN_MODES
 from repro.workloads import suite
 
-from .helpers import TRACE_THRESHOLD, asm_image, cache_entries, vg
+from .helpers import asm_image, cache_entries, vg
 
 #: Several distinct blocks, a hot loop, and float traffic — enough to
 #: exercise disasm chasing, instrumentation, and the pygen emitter.
@@ -157,8 +157,7 @@ def trace_set(res):
 
 
 def run_traced(cache_dir, src=CALL_LOOP_SRC, tool="memcheck", **kw):
-    return run_cached(cache_dir, tool, src=src, codegen="traces",
-                      trace_threshold=TRACE_THRESHOLD, **kw)
+    return run_cached(cache_dir, tool, src=src, codegen="traces", **kw)
 
 
 class TestWarmEqualsCold:
@@ -166,11 +165,9 @@ class TestWarmEqualsCold:
     @pytest.mark.parametrize("codegen", CODEGEN_MODES)
     def test_warm_byte_identical(self, tmp_path, tool, codegen):
         drop_in_memory_caches()  # the cold run stores every pygen block
-        cold = run_cached(tmp_path, tool, codegen=codegen,
-                          trace_threshold=TRACE_THRESHOLD)
+        cold = run_cached(tmp_path, tool, codegen=codegen)
         drop_in_memory_caches()
-        warm = run_cached(tmp_path, tool, codegen=codegen,
-                          trace_threshold=TRACE_THRESHOLD)
+        warm = run_cached(tmp_path, tool, codegen=codegen)
         assert_same_run(cold, warm)
         cache = warm.stats()["cache"]
         assert cache["hits"] > 0

@@ -25,7 +25,7 @@ from repro.core.options import BadOption
 from repro.guest.regs import GUEST_STATE_SIZE
 from repro.ir.types import Ty
 
-from .helpers import TRACE_THRESHOLD, asm_image, native, vg
+from .helpers import asm_image, native, vg
 
 #: A program with one hot loop (many executions) and cold epilogue
 #: blocks (one execution each) — the shape tiering exists for.
@@ -118,8 +118,7 @@ class TestPygenTier:
     def test_traces_match_native_without_perf_loop(self):
         # --codegen=traces composes with chaining off.
         nat = native(HOT_LOOP_SRC)
-        res = vg(HOT_LOOP_SRC, codegen="traces", chaining=False,
-                 trace_threshold=TRACE_THRESHOLD)
+        res = vg(HOT_LOOP_SRC, codegen="traces", chaining=False)
         assert res.stdout == nat.stdout
         assert res.exit_code == nat.exit_code
         assert res.stats()["traces"]["traces_built"] > 0
@@ -240,10 +239,11 @@ class TestStatsSection:
 
 
 class TestEmitCounters:
-    def test_emit_section_counts_renames_and_sinks(self):
+    def test_emit_section_counts_renames_and_sinks(self, trace_threshold):
         """``codegen.emit`` is process-wide: compare before/after deltas.
         Memcheck's guarded value checks sink writebacks; Nulgrind has no
         guarded helper to sink into."""
+        trace_threshold(5)
         from repro.backend import pygen
         from repro.core.translate import clear_translation_cache
 
@@ -251,7 +251,7 @@ class TestEmitCounters:
             pygen.clear_emit_cache()
             clear_translation_cache()
             res = run_cg(HOT_LOOP_SRC, tool=tool, codegen="traces",
-                         trace_threshold=5, cache_dir=None)
+                         cache_dir=None)
             return res.stats()["codegen"]["emit"]
 
         before = pygen.emit_stats()
@@ -350,7 +350,8 @@ def _check_single_assignment(src: str) -> None:
 
 
 class TestEmittedCodeShape:
-    def test_suite_emits_single_assignment_code(self, monkeypatch):
+    def test_suite_emits_single_assignment_code(self, monkeypatch,
+                                                trace_threshold):
         """Every function the trace engine emits for the suite, under
         Memcheck and Nulgrind, binds each local once: host-register and
         spill-slot names only in the pre-init prologue, and the only bare
@@ -358,6 +359,7 @@ class TestEmittedCodeShape:
         from repro.backend import pygen
         from repro.workloads.suite import ALL_WORKLOADS, build
 
+        trace_threshold(5)
         sources = []
         emit = pygen.emit_pygen
 
@@ -371,8 +373,7 @@ class TestEmittedCodeShape:
         for name in ALL_WORKLOADS:
             image = build(name, scale=0.005).image
             for tool in ("none", "memcheck"):
-                res = vg(image, tool, codegen="traces", trace_threshold=5,
-                         cache_dir=None)
+                res = vg(image, tool, codegen="traces", cache_dir=None)
                 assert res.exit_code == 0, (name, tool)
         assert len(sources) > 500
         assert sum("_cpu.trace_blocks" in s for s in sources) > 50

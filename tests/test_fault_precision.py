@@ -14,7 +14,7 @@ from repro.core.errors import ExitCode
 from repro.kernel.kernel import SIGFPE, SIGILL, SIGKILL, SIGSEGV, SIGTERM
 from repro.core.tool import Tool
 
-from .helpers import asm_image, engine_options, native, vg
+from .helpers import asm_image, native, vg
 
 BAD = 0x90000000  # never mapped
 
@@ -29,7 +29,7 @@ def run_engines(src):
     shared trace threshold records handler-adjacent chains, so faults
     can strike *inside* a spliced superblock."""
     img = asm_image(src)
-    return native(img), {name: vg(img, **engine_options(name))
+    return native(img), {name: vg(img, **ENGINES[name].options)
                          for name in ENGINES}
 
 
@@ -296,7 +296,7 @@ flag:   .word 0
         ref = self._wait(1)
         assert ref.exit_code == 0, ref.outcome
         assert ref.outcome.blocks_executed > 1000  # ~1700 wait blocks
-        res = self._wait(10**6, **engine_options(name))
+        res = self._wait(10**6, **ENGINES[name].options)
         assert res.exit_code == 0, res.outcome
         assert res.outcome.stopped_reason is None
         assert (res.outcome.blocks_executed

@@ -282,7 +282,9 @@ class TestOptions:
         # Sizes that used to crash or hang the engine.
         for bad in ("--dispatch-cache=0", "--dispatch-quantum=0",
                     "--dispatch-quantum=-1", "--transtab-entries=0",
-                    "--stack-size=0", "--stack-size=-5"):
+                    "--stack-size=0", "--stack-size=-5",
+                    "--thread-timeslice=0", "--thread-timeslice=-3",
+                    "--checkpoint-every=-1", "--record-flush=-1"):
             with pytest.raises(BadOption):
                 o.set(bad)
 

@@ -271,11 +271,10 @@ class TestMidBlockErrors:
 
     @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("name", sorted(MID_BLOCK))
-    def test_log_matches_closures(self, engine, name):
+    def test_log_matches_closures(self, engine, name, trace_threshold):
+        trace_threshold(MID_BLOCK_TRACE_THRESHOLD)
         ref = vg(MID_BLOCK[name], "memcheck", **PAPER)
-        got = vg(MID_BLOCK[name], "memcheck",
-                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD,
-                 **ENGINES[engine].options)
+        got = vg(MID_BLOCK[name], "memcheck", **ENGINES[engine].options)
         assert sorted({e.kind for e in ref.errors}) == MID_BLOCK_ERRORS[name]
         assert (got.exit_code, got.stdout, got.log) == (
             ref.exit_code, ref.stdout, ref.log)
@@ -304,13 +303,13 @@ class TestMidBlockErrors:
         assert loop and all(t.tier == "interp_first" for t in loop)
 
     @pytest.mark.parametrize("engine", list(ENGINES))
-    def test_guarded_helper_outside_no_state_write(self, engine):
+    def test_guarded_helper_outside_no_state_write(self, engine,
+                                                   trace_threshold):
         """A guarded helper that may write guest state still commits
         pending state before its guard, on the path that skips it too."""
+        trace_threshold(MID_BLOCK_TRACE_THRESHOLD)
         ref = vg(CALL_LOOP, "taintcheck", **PAPER)
-        got = vg(CALL_LOOP, "taintcheck",
-                 trace_threshold=MID_BLOCK_TRACE_THRESHOLD,
-                 **ENGINES[engine].options)
+        got = vg(CALL_LOOP, "taintcheck", **ENGINES[engine].options)
         assert ref.exit_code == 0 and ref.stdout.strip() == str(30 * 3)
         assert (got.exit_code, got.stdout, got.log) == (
             ref.exit_code, ref.stdout, ref.log)

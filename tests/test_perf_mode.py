@@ -29,8 +29,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import (PYGEN_ENGINES, TRACE_THRESHOLD, asm_image,
-                     engine_options, native, programs, ref_run, vg)
+from helpers import (PYGEN_ENGINES, asm_image, native, programs, ref_run,
+                     vg)
 from repro import Options, assemble, run_tool
 from repro.backend.hostcpu import HostCPU
 from repro.backend.pygen import OP_INLINE
@@ -117,7 +117,7 @@ def test_random_program_differential_codegen_tiers(source, tool):
                                                 **ENGINES["paper"].options))
     for label in PYGEN_ENGINES:
         res = run_tool(tool, img, options=Options(log_target="capture",
-                                                  **engine_options(label)))
+                                                  **ENGINES[label].options))
         _assert_matches_ref(res, ref_ts, ref_data, data_seg,
                             f"{label}/{tool}")
         assert res.exit_code == plain.exit_code, label
@@ -193,7 +193,6 @@ def test_fifo_eviction_with_live_chains_matches_native(codegen):
     res = vg(
         CALL_HEAVY_SRC,
         options=perf_options(codegen=codegen,
-                             trace_threshold=TRACE_THRESHOLD,
                              transtab_entries=12, dispatch_cache_size=16),
     )
     assert res.stdout == nat.stdout
@@ -219,8 +218,7 @@ def test_chaining_off_touches_no_chain_slot(codegen):
     """The paper loop (chaining off) neither fills nor follows a link,
     whichever tier the blocks run in: every transfer is a look-up."""
     res = vg(CALL_HEAVY_SRC,
-             options=perf_options(codegen=codegen, chaining=False,
-                                  trace_threshold=TRACE_THRESHOLD))
+             options=perf_options(codegen=codegen, chaining=False))
     assert res.stdout == native(CALL_HEAVY_SRC).stdout
     tab = res.core.scheduler.transtab
     for t in tab.all_translations():
@@ -235,8 +233,7 @@ def test_every_link_goes_through_the_registry(codegen):
     """With chaining on, every filled slot is a chain-registry record, so
     eviction, munmap and SMC flushes can sever it."""
     res = vg(CALL_HEAVY_SRC,
-             options=perf_options(codegen=codegen,
-                                  trace_threshold=TRACE_THRESHOLD))
+             options=perf_options(codegen=codegen))
     assert res.stdout == native(CALL_HEAVY_SRC).stdout
     tab = res.core.scheduler.transtab
     assert tab.stats.evict_rounds == 0 and tab.stats.discarded == 0

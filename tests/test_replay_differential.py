@@ -22,7 +22,7 @@ from repro import Options, assemble, build_source, run_tool
 from repro.core.engines import ENGINES
 from repro.core.replay import ReplayDivergence
 
-from .helpers import asm_image, engine_options, programs
+from .helpers import asm_image, programs
 
 _QUICK = os.environ.get("REPRO_TEST_QUICK") == "1"
 N_EXAMPLES = 25 if _QUICK else 100
@@ -56,7 +56,7 @@ def _record(img, path, **opt_kw):
 
 def _replay(img, path, engine, **opt_kw):
     opts = Options(log_target="capture", replay=path,
-                   **{**engine_options(engine), **opt_kw})
+                   **{**ENGINES[engine].options, **opt_kw})
     return run_tool("none", img, options=opts, max_blocks=MAX_BLOCKS)
 
 

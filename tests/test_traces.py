@@ -5,8 +5,8 @@ test_replay_differential) prove the trace tier computes bit-identically
 to the closure engine; this file tests the trace machinery itself:
 recording and splicing, the seam plans, side exits, invalidation (SMC
 discard, transtab eviction, munmap), the stale-code consistency
-contract, break-even admission, and the ``--stats=json`` ``traces``
-section.
+contract, selection by the dispatcher's run counts, break-even
+admission, and the ``--stats=json`` ``traces`` section.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.core import clientreq as CR
 from repro.core import traces as _traces
 from repro.core import translate as _translate
 from repro.core.codegen import CODEGEN_MODES
-from repro.core.options import BadOption
 from repro.core.traces import VG_TRACE_CALL, VG_TRACE_RET
 from repro.workloads import suite
 
@@ -83,9 +82,14 @@ fn3:    movi r0, 3
 """
 
 
+@pytest.fixture(autouse=True)
+def _threshold(trace_threshold):
+    """This file's runs select a trace at a block's fifth run."""
+    trace_threshold(5)
+
+
 def run_traces(src_or_img, **kw):
     kw.setdefault("codegen", "traces")
-    kw.setdefault("trace_threshold", 5)
     kw.setdefault("stats_format", "json")
     return vg(src_or_img, "none", **kw)
 
@@ -96,20 +100,6 @@ class TestOptions:
         o = Options()
         assert o.set("--codegen=traces")
         assert o.codegen == "traces"
-
-    def test_trace_threshold_flag(self):
-        o = Options()
-        assert o.set("--trace-threshold=3")
-        assert o.trace_threshold == 3
-        with pytest.raises(BadOption):
-            o.set("--trace-threshold=0")
-
-    def test_max_trace_blocks_flag(self):
-        o = Options()
-        assert o.set("--max-trace-blocks=4")
-        assert o.max_trace_blocks == 4
-        with pytest.raises(BadOption):
-            o.set("--max-trace-blocks=1")
 
 
 class TestRecordingAndStitching:
@@ -142,8 +132,7 @@ class TestRecordingAndStitching:
         img = asm_image(NESTED_LOOP_SRC)
         rows = {}
         for mode in CODEGEN_MODES:
-            r = vg(img, "none", codegen=mode, trace_threshold=5,
-                   stats_format="json")
+            r = vg(img, "none", codegen=mode, stats_format="json")
             s = r.stats()
             rows[mode] = (
                 s["dispatch"]["blocks_executed"],
@@ -164,9 +153,11 @@ class TestRecordingAndStitching:
         # Heads are ordinary block translations; the trace shadows them.
         assert set(sched.traces.traces) <= addrs
 
-    def test_max_trace_blocks_bounds_members(self):
-        res = run_traces(CALL_HEAVY_SRC, trace_threshold=3,
-                         max_trace_blocks=3)
+    def test_max_trace_blocks_bounds_members(self, trace_threshold,
+                                             monkeypatch):
+        trace_threshold(3)
+        monkeypatch.setattr(_traces, "MAX_TRACE_BLOCKS", 3)
+        res = run_traces(CALL_HEAVY_SRC)
         mgr = res.core.scheduler.traces
         assert mgr.built
         assert all(t.n_blocks <= 3 for t in mgr.built)
@@ -174,12 +165,13 @@ class TestRecordingAndStitching:
     def test_stats_json_section_shape(self):
         res = run_traces(NESTED_LOOP_SRC)
         tr = res.stats()["traces"]
-        for key in ("trace_threshold", "max_trace_blocks", "traces_built",
-                    "deferred", "admitted",
+        for key in ("traces_built", "deferred", "admitted",
                     "live_traces", "compile_failures", "recordings_aborted",
                     "demotions", "pruned", "runs", "side_exits",
                     "blocks_retired", "insns_retired", "compile_seconds"):
             assert key in tr, key
+        # The selection constants are not options, so not reported.
+        assert "trace_threshold" not in tr and "max_trace_blocks" not in tr
         # Other tiers report no traces section at all.
         plain = vg(NESTED_LOOP_SRC, "none", codegen="pygen",
                    stats_format="json")
@@ -211,11 +203,12 @@ class TestInvalidation:
         # The surviving head may re-record: its counter was reset.
         assert head_t.exec_count == 0
 
-    def test_eviction_mid_run_severs_and_output_matches_native(self):
+    def test_eviction_mid_run_severs_and_output_matches_native(
+            self, trace_threshold):
+        trace_threshold(3)
         img = asm_image(CALL_HEAVY_SRC)
         nat = native(img)
-        res = run_traces(img, trace_threshold=3, transtab_entries=12,
-                         dispatch_cache_size=16)
+        res = run_traces(img, transtab_entries=12, dispatch_cache_size=16)
         assert res.stdout == nat.stdout
         assert res.exit_code == nat.exit_code
         sched = res.core.scheduler
@@ -229,7 +222,7 @@ class TestInvalidation:
             assert not trace.dead
             assert all(not m.dead for m in trace.members)
 
-    def test_smc_patch_consistent_with_block_tier(self):
+    def test_smc_patch_consistent_with_block_tier(self, trace_threshold):
         # Under --smc-check=stack (the default), patching non-stack code
         # legitimately keeps running the stale translation; the trace
         # tier must reproduce that behaviour *exactly* — its build-time
@@ -267,13 +260,14 @@ hot:    call r6
         movi r0, 0
         ret
 """
+        trace_threshold(3)
         img = asm_image(src)
         base = vg(img, "none", codegen="closures", smc_check="stack")
-        res = run_traces(img, smc_check="stack", trace_threshold=3)
+        res = run_traces(img, smc_check="stack")
         assert res.stdout == base.stdout
         assert res.exit_code == base.exit_code
 
-    def test_smc_flush_detected_with_check_all(self):
+    def test_smc_flush_detected_with_check_all(self, trace_threshold):
         # With --smc-check=all every block re-verifies its bytes, so the
         # patch is detected; checked blocks never join traces, and the
         # run stays correct end to end.
@@ -307,7 +301,8 @@ hot:    call r6
         movi r0, 0
         ret
 """
-        res = run_traces(src, smc_check="all", trace_threshold=3)
+        trace_threshold(3)
+        res = run_traces(src, smc_check="all")
         assert res.stdout.split() == ["5", "9"]
         sched = res.core.scheduler
         assert sched.transtab.stats.discarded >= 1
@@ -357,12 +352,14 @@ hot:    call r6
         assert head_t.guest_addr not in mgr._want
 
     @pytest.mark.parametrize("program", ["parser", "vortex"])
-    def test_no_request_outlives_its_head_joining_a_trace(self, program,
-                                                          monkeypatch):
+    def test_no_request_outlives_its_head_joining_a_trace(
+            self, program, monkeypatch, trace_threshold):
         """On these programs a requested head joins another head's trace
         and never runs on the block path again: its request is dropped
         when the trace is installed, so no request is left at exit and
-        the recorder hook runs only while a recording is pending."""
+        the recorder hook runs only while a recording is pending (at
+        the shipped threshold, 50)."""
+        trace_threshold(50)
         idle = []
         on_block = _traces.TraceManager.on_block
 
@@ -510,7 +507,7 @@ def seam_plans(trace):
 
 def run_engine(src, codegen, **kw):
     return vg(src, "memcheck", codegen=codegen, chaining=True,
-              trace_threshold=5, stats_format="json", **kw)
+              stats_format="json", **kw)
 
 
 class TestSplice:
@@ -674,6 +671,38 @@ def decisions(res):
     return tr
 
 
+def loop_block(res, img):
+    """The run's translation of the block at ``loop``."""
+    (t,) = [t for t in res.core.scheduler.transtab.all_translations()
+            if t.guest_addr == img.symbols["loop"]]
+    return t
+
+
+class TestSelection:
+    """The dispatcher counts each block's block-path runs
+    (core.dispatch); no runner is wrapped to count them."""
+
+    def test_exec_count_counts_every_block_path_run(self):
+        # Under --smc-check=all every block is SMC-checked, so none can
+        # join a trace and every run of the loop block is on the block
+        # path, past the threshold too.
+        n = 40
+        img = asm_image(LOOP_SRC.format(n=n))
+        res = run_traces(img, smc_check="all")
+        assert res.stats()["traces"]["traces_built"] == 0
+        assert loop_block(res, img).exec_count == n - 1
+
+    def test_runner_below_threshold_is_the_pygen_function(self):
+        img = asm_image(LOOP_SRC.format(n=4))
+        res = run_traces(img)
+        t = loop_block(res, img)
+        assert t.tier == "pygen"
+        assert 0 < t.exec_count < _traces.TRACE_THRESHOLD
+        assert t.compiled_fn is res.core.scheduler.hostcpu.compile_pygen(
+            t.code)
+        assert "def " in t.compiled_fn.pygen_source
+
+
 class TestAdmission:
     """Break-even admission at the shipped BREAK_EVEN_K (the rest of
     the suite builds every recording when it ends)."""
@@ -687,7 +716,6 @@ class TestAdmission:
     def run(self, src, tool="none", **kw):
         kw.setdefault("codegen", "traces")
         kw.setdefault("chaining", True)
-        kw.setdefault("trace_threshold", 5)
         kw.setdefault("stats_format", "json")
         # A fresh run has no code cache either (not $REPRO_CACHE_DIR's).
         kw.setdefault("cache_dir", None)
@@ -709,8 +737,8 @@ class TestAdmission:
             nat.stdout, nat.exit_code, nat.guest_insns)
 
     def test_long_loop_admits_at_break_even(self):
-        threshold, blocks = 5, 8
-        short = self.run(LOOP_SRC.format(n=60), max_trace_blocks=blocks)
+        threshold, blocks = _traces.TRACE_THRESHOLD, _traces.MAX_TRACE_BLOCKS
+        short = self.run(LOOP_SRC.format(n=60))
         (members,) = short.core.scheduler.traces._deferred.values()
         assert len(members) == blocks
         need = break_even_runs(members, self.k)
@@ -722,7 +750,7 @@ class TestAdmission:
         for runs, built in ((at - 1, 0), (at, 1)):
             fresh_process_caches()
             img = asm_image(LOOP_SRC.format(n=runs + 1))
-            res = self.run(img, max_trace_blocks=blocks)
+            res = self.run(img)
             tr = res.stats()["traces"]
             assert (tr["traces_built"], tr["deferred"], tr["admitted"]) == (
                 built, 1, built), runs

@@ -22,7 +22,7 @@ from repro.core import traces as _traces
 from repro.frontend import spec as _spec
 from repro.tools.nulgrind import Nulgrind
 
-from .helpers import TRACE_THRESHOLD, asm_image, native, vg
+from .helpers import asm_image, native, vg
 
 #: A Memcheck error (a branch on an uninitialised stack word), heap
 #: traffic and a hot call loop whose chain the trace tier stitches.
@@ -99,10 +99,8 @@ class TestSecondRunHits:
     @pytest.mark.parametrize("tool", ["none", "memcheck"])
     @pytest.mark.parametrize("codegen", CODEGEN_MODES)
     def test_second_run_is_all_hits_and_identical(self, tool, codegen):
-        first = run(tool=tool, codegen=codegen,
-                    trace_threshold=TRACE_THRESHOLD)
-        second = run(tool=tool, codegen=codegen,
-                     trace_threshold=TRACE_THRESHOLD)
+        first = run(tool=tool, codegen=codegen)
+        second = run(tool=tool, codegen=codegen)
         assert tier(first)["hits"] == 0
         assert tier(first)["misses"] == first.stats()["translations_made"]
         made = second.stats()["translations_made"]
@@ -284,12 +282,12 @@ class TestSharedPayload:
         """Traced runs read the resident code and stats of every member;
         a run that splices them (its builds miss) must not mutate
         either."""
-        run(codegen="traces", trace_threshold=TRACE_THRESHOLD)
+        run(codegen="traces")
         shared = residents()
         assert shared
         before = [pickle.dumps((r.code, r.ranges, r.stats)) for r in shared]
         _traces._BUILD_CACHE.clear()
-        res = run(codegen="traces", trace_threshold=TRACE_THRESHOLD)
+        res = run(codegen="traces")
         assert tier(res)["hits"] == res.stats()["translations_made"]
         assert res.stats()["traces"]["spliced"] > 0
         assert [pickle.dumps((r.code, r.ranges, r.stats))

@@ -112,25 +112,49 @@ msg:    .asciz "hi there"
         path = self._write(tmp_path, "hello.s", self.HELLO)
         assert cli_main(["--tool=none", "--bogus=1", path]) == 2
 
-    def test_zero_dispatch_quantum_rejected(self, tmp_path):
-        # A zero quantum used to spin forever without running a block;
-        # the subprocess timeout turns a regression into a failure.
+    def _rejected_in_subprocess(self, tmp_path, flag):
+        # The subprocess timeout turns a hang into a failure.
         path = self._write(tmp_path, "hello.s", self.HELLO)
         src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "--tool=none",
-             "--dispatch-quantum=0", path],
+            [sys.executable, "-m", "repro", "--tool=none", flag, path],
             env=dict(os.environ, PYTHONPATH=os.path.abspath(src_dir)),
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("repro:"), proc.stderr
 
+    def test_zero_dispatch_quantum_rejected(self, tmp_path):
+        # A zero quantum used to spin forever without running a block.
+        self._rejected_in_subprocess(tmp_path, "--dispatch-quantum=0")
+
+    def test_zero_thread_timeslice_rejected(self, tmp_path):
+        # So did a zero timeslice.
+        self._rejected_in_subprocess(tmp_path, "--thread-timeslice=0")
+
+    @pytest.mark.parametrize("flag", ["--log-fd=7", "--log-file=",
+                                      "--log-file=missing/vg.log",
+                                      "--suppressions=missing.supp"])
+    def test_bad_log_and_suppression_paths_rejected(self, tmp_path, capsys,
+                                                    monkeypatch, flag):
+        # --log-fd=7 used to log to a new file named 7, and a log file
+        # or suppression file that cannot be opened ended in a host
+        # traceback.
+        path = self._write(tmp_path, "hello.s", self.HELLO)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["--tool=memcheck", flag, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro:"), err
+        assert flag.split("=")[0] in err
+        assert os.listdir(tmp_path) == ["hello.s"]
+
     @pytest.mark.parametrize("flag", ["--megacache=8", "--jit-threshold=3",
-                                      "--codegen=auto"])
+                                      "--codegen=auto", "--trace-threshold=5",
+                                      "--max-trace-blocks=4"])
     def test_retired_engine_flags_rejected(self, tmp_path, capsys, flag):
-        # The megacache and the auto tier (with its threshold) are gone:
-        # each spelling is refused with a one-line message, not run.
+        # The megacache, the auto tier (with its threshold) and the
+        # trace selection flags are gone: each spelling is refused with
+        # a one-line message, not run.
         path = self._write(tmp_path, "hello.s", self.HELLO)
         assert cli_main(["--tool=none", flag, path]) == 2
         captured = capsys.readouterr()
